@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import experiments as xp
@@ -285,9 +286,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config) if args.config else load_default_config()
         if args.seed is not None:
-            from dataclasses import replace
-
-            config = replace(config, sim=replace(config.sim, seed=args.seed))
+            config = replace(
+                config,
+                sim=replace(config.sim, seed=args.seed),
+                experiment=replace(config.experiment, seed=args.seed),
+            )
         out = Path(args.out)
         if args.command == "run":
             return _cmd_run(config, out, args.stream)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
@@ -17,7 +17,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 from .control import BuoyancyState, GaitCommand, PidGains
 from .errors import ConfigError
 from .experiments import ExperimentSpec
-from .hydro import FishParams, NoiseConfig
+from .hydro import MAX_DT, FishParams, NoiseConfig
 from .linkage import FinGeometry, LinkageGeometry
 from .metrics import PowerModel
 
@@ -38,8 +38,8 @@ class SimSettings:
     noise_depth_std_m: float = 0.001
 
     def validate(self) -> None:
-        if not (0.0 < self.dt <= 0.01):
-            raise ConfigError("dt must be in (0, 0.01] s", "sim.dt")
+        if not (0.0 < self.dt <= MAX_DT):
+            raise ConfigError(f"dt must be in (0, {MAX_DT}] s", "sim.dt")
         if not (self.duration > 0.0):
             raise ConfigError("duration must be > 0", "sim.duration")
         if not (self.record_hz > 0.0 and self.control_hz > 0.0):
@@ -94,7 +94,9 @@ class RunConfig:
     gait: GaitCommand = field(default_factory=lambda: GaitCommand(1.0, 20.0))
     experiment: ExperimentSpec = field(default_factory=ExperimentSpec)
     sim: SimSettings = field(default_factory=SimSettings)
-    depth_schedule: list[list[float]] = field(default_factory=lambda: [[0.0, 0.2]])
+    depth_schedule: list[list[float]] = field(
+        default_factory=lambda: [[0.0, 0.0], [5.0, 0.3]]
+    )
     output_dir: str = "results"
 
     def validate(self) -> None:
@@ -116,17 +118,17 @@ class RunConfig:
                 raise ConfigError("target must be >= 0", f"depth_schedule[{i}]")
 
 
-_SECTION_TYPES = {
-    "fish": FishParams,
-    "power": PowerModel,
-    "pid": PidGains,
-    "buoyancy": BuoyancyState,
-    "linkage": LinkageGeometry,
-    "fin": FinGeometry,
-    "gait": GaitCommand,
-    "experiment": ExperimentSpec,
-    "sim": SimSettings,
-}
+_SECTIONS = (
+    "fish",
+    "power",
+    "pid",
+    "buoyancy",
+    "linkage",
+    "fin",
+    "gait",
+    "experiment",
+    "sim",
+)
 
 
 def _coerce(value: Any, hint: Any, path: str) -> Any:
@@ -162,9 +164,11 @@ def _coerce(value: Any, hint: Any, path: str) -> Any:
     raise ConfigError(f"unsupported config type {hint!r}", path)
 
 
-def _build(cls, data: Any, path: str):
+def _build(default, data: Any, path: str):
+    """The section `default` with the fields `data` gives replaced."""
     if not isinstance(data, dict):
         raise ConfigError("expected an object", path)
+    cls = type(default)
     hints = get_type_hints(cls)
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
@@ -174,20 +178,21 @@ def _build(cls, data: Any, path: str):
         name: _coerce(value, hints[name], f"{path}.{name}")
         for name, value in data.items()
     }
-    return cls(**kwargs)
+    return replace(default, **kwargs)
 
 
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be an object")
-    known = set(_SECTION_TYPES) | {"depth_schedule", "output_dir"}
+    known = set(_SECTIONS) | {"depth_schedule", "output_dir"}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown key(s): {sorted(unknown)}", "config")
+    defaults = RunConfig()
     kwargs = {}
-    for name, cls in _SECTION_TYPES.items():
+    for name in _SECTIONS:
         if name in data:
-            kwargs[name] = _build(cls, data[name], name)
+            kwargs[name] = _build(getattr(defaults, name), data[name], name)
     if "depth_schedule" in data:
         kwargs["depth_schedule"] = _coerce(
             data["depth_schedule"], list[list[float]], "depth_schedule"

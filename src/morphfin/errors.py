@@ -32,7 +32,7 @@ class MagneticSlipError(DomainError):
 
 
 class SimulationFault(MorphfinError):
-    """A controller produced non-finite actuation during a run."""
+    """A run produced non-finite actuation or a non-finite state."""
 
     def __init__(self, time: float, detail: str = "non-finite actuation"):
         self.time = time

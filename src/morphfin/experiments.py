@@ -8,12 +8,13 @@ anchors by derivative-free coordinate descent with shrinking steps.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .control import BuoyancyState, GaitCommand, PidGains, step_schedule
+from .control import BuoyancyState, DepthSchedule, GaitCommand, PidGains, step_schedule
 from .controllers import SwimController
 from .errors import ConfigError, DomainError, MorphfinError, SimulationFault
 from .hydro import FishParams, FishState, NoiseConfig, simulate
@@ -106,20 +107,30 @@ def run_condition(
     seed: int,
     *,
     initial_state: FishState | None = None,
+    depth_schedule: DepthSchedule | None = None,
 ) -> list[TelemetryRecord]:
-    """One seeded simulation of a single gait condition."""
-    schedule = None
-    buoyancy = env.buoyancy
-    if env.depth_hold and env.pid is not None and env.buoyancy is not None:
-        schedule = step_schedule([(0.0, env.target_depth)])
+    """One seeded simulation of a single gait condition.
+
+    The depth loop tracks `depth_schedule` when one is given (it then needs
+    `env.pid` and `env.buoyancy`); otherwise, with `env.depth_hold`, it holds
+    `env.target_depth` from a start at that depth.
+    """
+    if (
+        depth_schedule is None
+        and env.depth_hold
+        and env.pid is not None
+        and env.buoyancy is not None
+    ):
+        depth_schedule = step_schedule([(0.0, env.target_depth)])
         if initial_state is None:
             initial_state = FishState(depth=env.target_depth)
+    hold = depth_schedule is not None
     controller = SwimController(
         env.params,
         gait,
-        gains=env.pid if schedule else None,
-        buoyancy=buoyancy if schedule else None,
-        depth_schedule=schedule,
+        gains=env.pid if hold else None,
+        buoyancy=env.buoyancy if hold else None,
+        depth_schedule=depth_schedule,
         control_period=env.control_period,
         depth_resolution=env.depth_resolution,
     )
@@ -261,34 +272,36 @@ def _aggregate(
     )
 
 
+def _sweep_rows(
+    env: RunEnvironment, spec: ExperimentSpec, kind: str, keep_records: list | None
+) -> list[SweepRow]:
+    """One aggregated row per (fin state, amplitude, frequency) cell of the grid."""
+    if spec.kind != kind:
+        raise DomainError(f"spec kind must be {kind}, got {spec.kind!r}")
+    spec.validate()
+    cells = itertools.product(spec.fin_states, spec.amplitudes, spec.frequencies)
+    return [
+        _aggregate(
+            env,
+            frequency,
+            amplitude,
+            fin_state,
+            spec.duration,
+            spec.repeats,
+            spec.seed + 1000 * run_index,
+            keep_records,
+        )
+        for run_index, (fin_state, amplitude, frequency) in enumerate(cells)
+    ]
+
+
 def run_speed_sweep(
     env: RunEnvironment,
     spec: ExperimentSpec,
     keep_records: list | None = None,
 ) -> SweepResult:
     """Speed/power/COT over the frequency grid for each fin state."""
-    if spec.kind != "speed_sweep":
-        raise DomainError(f"spec kind must be speed_sweep, got {spec.kind!r}")
-    spec.validate()
-    rows = []
-    run_index = 0
-    for fin_state in spec.fin_states:
-        for amplitude in spec.amplitudes:
-            for frequency in spec.frequencies:
-                rows.append(
-                    _aggregate(
-                        env,
-                        frequency,
-                        amplitude,
-                        fin_state,
-                        spec.duration,
-                        spec.repeats,
-                        spec.seed + 1000 * run_index,
-                        keep_records,
-                    )
-                )
-                run_index += 1
-    return SweepResult(rows=rows)
+    return SweepResult(rows=_sweep_rows(env, spec, "speed_sweep", keep_records))
 
 
 @dataclass(frozen=True)
@@ -323,34 +336,14 @@ def run_yaw_study(
     keep_records: list | None = None,
 ) -> YawStudyReport:
     """Peak-to-peak yaw per gait condition, folded vs erect fin."""
-    if spec.kind != "yaw_study":
-        raise DomainError(f"spec kind must be yaw_study, got {spec.kind!r}")
-    spec.validate()
-    rows = []
-    run_index = 0
-    by_condition: dict[tuple[float, float, str], SweepRow] = {}
-    for fin_state in spec.fin_states:
-        for amplitude in spec.amplitudes:
-            for frequency in spec.frequencies:
-                row = _aggregate(
-                    env,
-                    frequency,
-                    amplitude,
-                    fin_state,
-                    spec.duration,
-                    spec.repeats,
-                    spec.seed + 1000 * run_index,
-                    keep_records,
-                )
-                rows.append(row)
-                by_condition[(amplitude, frequency, fin_state)] = row
-                run_index += 1
+    rows = _sweep_rows(env, spec, "yaw_study", keep_records)
     table = []
     if set(spec.fin_states) == set(FIN_STATES):
+        p2p = {(r.amplitude, r.frequency, r.fin_state): r.p2p_yaw for r in rows}
         for amplitude in spec.amplitudes:
             for frequency in spec.frequencies:
-                folded = by_condition[(amplitude, frequency, "folded")].p2p_yaw
-                erect = by_condition[(amplitude, frequency, "erect")].p2p_yaw
+                folded = p2p[(amplitude, frequency, "folded")]
+                erect = p2p[(amplitude, frequency, "erect")]
                 table.append(
                     YawConditionRow(
                         amplitude=amplitude,
@@ -388,25 +381,13 @@ def run_depth_step(
         raise ConfigError("depth step needs PID gains and a buoyancy state", "env")
     gait = gait if gait is not None else GaitCommand(frequency=0.0, amplitude=0.0)
     start_depth = initial_depth if initial_depth is not None else schedule[0][1]
-    controller = SwimController(
-        env.params,
+    records = run_condition(
+        env,
         gait,
-        gains=env.pid,
-        buoyancy=env.buoyancy,
-        depth_schedule=step_schedule(list(schedule)),
-        control_period=env.control_period,
-        depth_resolution=env.depth_resolution,
-    )
-    records = simulate(
-        env.params,
-        controller,
         duration,
-        env.dt,
         seed,
         initial_state=FishState(depth=start_depth),
-        power_model=env.power,
-        record_every=env.record_every,
-        noise=env.noise,
+        depth_schedule=step_schedule(list(schedule)),
     )
     ordered = sorted(schedule)
     reports = []

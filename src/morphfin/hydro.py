@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Protocol
 
 from .errors import ConfigError, DomainError, SimulationFault
@@ -22,6 +22,9 @@ from .telemetry import TelemetryRecord
 MAX_DT = 0.01  # s, stability envelope of the fixed-step integrator
 
 _DEG = math.pi / 180.0
+
+# FishState fields the integrator advances, in the order of its flat tuple
+_STATE_FIELDS = ("x", "y", "depth", "yaw", "surge_vel", "sway_vel", "yaw_rate", "heave_vel")
 
 
 @dataclass(frozen=True)
@@ -93,22 +96,24 @@ class FishState:
     time: float = 0.0  # s
 
     def validate(self) -> None:
-        for name in (
-            "x",
-            "y",
-            "depth",
-            "yaw",
-            "surge_vel",
-            "sway_vel",
-            "yaw_rate",
-            "heave_vel",
-            "servo_angle",
-            "time",
-        ):
+        for name in (*_STATE_FIELDS, "servo_angle", "time"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"state field {name} is not finite")
         if self.depth < 0.0:
             raise DomainError(f"depth must be >= 0, got {self.depth}")
+
+    def vector(self):
+        """The integrated fields as the flat tuple the integrator advances."""
+        return (
+            self.x,
+            self.y,
+            self.depth,
+            self.yaw,
+            self.surge_vel,
+            self.sway_vel,
+            self.yaw_rate,
+            self.heave_vel,
+        )
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,7 @@ class ControlInput:
                 self.gait_amplitude,
                 self.erection,
                 self.buoyancy,
+                self.syringe_volume,
             )
         )
 
@@ -179,63 +185,70 @@ def mean_thrust(params: FishParams, freq: float, amp: float) -> float:
     )
 
 
-def net_forces(
-    params: FishParams, state: FishState, control: ControlInput
-) -> ForceBreakdown:
-    """Quasi-steady force and moment breakdown for one instant."""
+def control_loads(params: FishParams, control: ControlInput):
+    """Loads of a control held over a step: (thrust, tail_moment, damping, buoyancy).
+
+    thrust (N) is the cycle-mean gait thrust; tail_moment (N*m) is the
+    reaction moment of the oscillating tail plus thrust vectoring from the
+    instantaneous tail deflection (zero-mean over a symmetric cycle, it
+    carries the turning bias into a mean yaw drift); damping (N*m per
+    (rad/s)^2) is the quadratic yaw-damping coefficient, which grows with
+    dorsal-fin erection; buoyancy (N, positive up) is the syringe force.
+    """
     if not (0.0 <= control.erection <= 1.0):
         raise DomainError(f"erection must be in [0, 1], got {control.erection}")
     thrust = mean_thrust(params, control.gait_frequency, control.gait_amplitude)
-    sr = control.servo_rate
-    # Reaction moment of the oscillating tail plus thrust-vectoring from the
-    # instantaneous tail deflection; the second term is zero-mean over a
-    # symmetric cycle and carries the turning bias into a mean yaw drift.
-    tail_moment = params.tail_reaction_coeff * sr * abs(sr) + thrust * math.sin(
-        control.servo_angle
-    ) * (params.tail_length / 2.0)
-    damping_coeff = params.yaw_damping_body + control.erection * params.yaw_damping_fin
-    yaw_damping = -damping_coeff * state.yaw_rate * abs(state.yaw_rate)
-    return ForceBreakdown(
-        thrust=thrust,
-        drag=drag_force(params, state.surge_vel),
-        tail_yaw_moment=tail_moment,
-        yaw_damping_moment=yaw_damping,
-        net_buoyancy=control.buoyancy,
-        heave_drag=-params.heave_drag_coeff * state.heave_vel * abs(state.heave_vel),
-    )
-
-
-# Internal fast path: state as a flat tuple (x, y, depth, yaw, u, v, r, w).
-
-
-def _derivs(params: FishParams, sv, control: ControlInput, thrust: float):
-    x, y, depth, yaw, u, v, r, w = sv
-    rho_cda = 0.5 * params.water_density * params.frontal_drag_coeff * params.frontal_area
-    du = (thrust - rho_cda * u * abs(u)) / params.mass
-    dv = -rho_cda * v * abs(v) / params.mass  # lightly damped, unforced at zero bias
     sr = control.servo_rate
     tail_moment = params.tail_reaction_coeff * sr * abs(sr) + thrust * math.sin(
         control.servo_angle
     ) * (params.tail_length / 2.0)
     damping = params.yaw_damping_body + control.erection * params.yaw_damping_fin
+    return thrust, tail_moment, damping, control.buoyancy
+
+
+def net_forces(
+    params: FishParams, state: FishState, control: ControlInput
+) -> ForceBreakdown:
+    """Quasi-steady force and moment breakdown for one instant."""
+    thrust, tail_moment, damping, buoyancy = control_loads(params, control)
+    r, w = state.yaw_rate, state.heave_vel
+    return ForceBreakdown(
+        thrust=thrust,
+        drag=drag_force(params, state.surge_vel),
+        tail_yaw_moment=tail_moment,
+        yaw_damping_moment=-damping * r * abs(r),
+        net_buoyancy=buoyancy,
+        heave_drag=-params.heave_drag_coeff * w * abs(w),
+    )
+
+
+# Internal fast path: state as a flat tuple (x, y, depth, yaw, u, v, r, w),
+# loads as the tuple control_loads returns.
+
+
+def _derivs(params: FishParams, sv, loads):
+    x, y, depth, yaw, u, v, r, w = sv
+    thrust, tail_moment, damping, buoyancy = loads
+    rho_cda = 0.5 * params.water_density * params.frontal_drag_coeff * params.frontal_area
+    du = (thrust - rho_cda * u * abs(u)) / params.mass
+    dv = -rho_cda * v * abs(v) / params.mass  # lightly damped, unforced at zero bias
     dr = (tail_moment - damping * r * abs(r)) / params.yaw_inertia
-    dw = (-control.buoyancy - params.heave_drag_coeff * w * abs(w)) / (
+    dw = (-buoyancy - params.heave_drag_coeff * w * abs(w)) / (
         params.mass + params.heave_added_mass
     )
     cos_y, sin_y = math.cos(yaw), math.sin(yaw)
     return (u * cos_y - v * sin_y, u * sin_y + v * cos_y, w, r, du, dv, dr, dw)
 
 
-def _rk4(params: FishParams, sv, control: ControlInput, dt: float):
-    thrust = mean_thrust(params, control.gait_frequency, control.gait_amplitude)
-    k1 = _derivs(params, sv, control, thrust)
+def _rk4(params: FishParams, sv, loads, dt: float):
+    k1 = _derivs(params, sv, loads)
     half = dt / 2.0
     s2 = tuple(s + half * k for s, k in zip(sv, k1))
-    k2 = _derivs(params, s2, control, thrust)
+    k2 = _derivs(params, s2, loads)
     s3 = tuple(s + half * k for s, k in zip(sv, k2))
-    k3 = _derivs(params, s3, control, thrust)
+    k3 = _derivs(params, s3, loads)
     s4 = tuple(s + dt * k for s, k in zip(sv, k3))
-    k4 = _derivs(params, s4, control, thrust)
+    k4 = _derivs(params, s4, loads)
     sixth = dt / 6.0
     out = tuple(
         s + sixth * (a + 2.0 * b + 2.0 * c + d)
@@ -247,35 +260,18 @@ def _rk4(params: FishParams, sv, control: ControlInput, dt: float):
     return out
 
 
+def _check_dt(dt: float) -> None:
+    if not (0.0 < dt <= MAX_DT):
+        raise ConfigError(f"dt must be in (0, {MAX_DT}] s, got {dt}", "sim.dt")
+
+
 def step(
     params: FishParams, state: FishState, control: ControlInput, dt: float
 ) -> FishState:
     """Advance the state by exactly dt with one RK4 step (controls held)."""
-    if not (0.0 < dt <= MAX_DT):
-        raise ConfigError(f"dt must be in (0, {MAX_DT}] s, got {dt}", "sim.dt")
-    sv = (
-        state.x,
-        state.y,
-        state.depth,
-        state.yaw,
-        state.surge_vel,
-        state.sway_vel,
-        state.yaw_rate,
-        state.heave_vel,
-    )
-    x, y, depth, yaw, u, v, r, w = _rk4(params, sv, control, dt)
-    new = FishState(
-        x=x,
-        y=y,
-        depth=depth,
-        yaw=yaw,
-        surge_vel=u,
-        sway_vel=v,
-        yaw_rate=r,
-        heave_vel=w,
-        servo_angle=control.servo_angle,
-        time=state.time + dt,
-    )
+    _check_dt(dt)
+    sv = _rk4(params, state.vector(), control_loads(params, control), dt)
+    new = FishState(*sv, servo_angle=control.servo_angle, time=state.time + dt)
     new.validate()
     return new
 
@@ -322,8 +318,7 @@ def simulate(
     """
     if duration <= 0.0:
         raise ConfigError("duration must be > 0", "sim.duration")
-    if not (0.0 < dt <= MAX_DT):
-        raise ConfigError(f"dt must be in (0, {MAX_DT}] s, got {dt}", "sim.dt")
+    _check_dt(dt)
     if record_every < 1:
         raise ConfigError("record_every must be >= 1", "sim.record_every")
     params.validate()
@@ -334,35 +329,27 @@ def simulate(
     rng = random.Random(seed)
 
     n_steps = math.ceil(duration / dt)
-    sv = (
-        state.x,
-        state.y,
-        state.depth,
-        state.yaw,
-        state.surge_vel,
-        state.sway_vel,
-        state.yaw_rate,
-        state.heave_vel,
-    )
+    sv = state.vector()
     t0 = state.time
     records: list[TelemetryRecord] = []
 
-    def measure(t: float, sv) -> Measurement:
+    def hold(t: float, sv):
+        """The controller's command at time t and the loads it holds over the next step."""
         depth, yaw = sv[2], sv[3]
         if noise.enabled:
             yaw = yaw + rng.gauss(0.0, noise.yaw_std_deg * _DEG)
             depth = max(0.0, depth + rng.gauss(0.0, noise.depth_std_m))
-        return Measurement(time=t, depth=depth, yaw=yaw)
+        control = controller.command(Measurement(time=t, depth=depth, yaw=yaw))
+        if not control.is_finite():
+            raise SimulationFault(t)
+        return control, control_loads(params, control)
 
-    def emit(t: float, sv, control: ControlInput) -> None:
+    def emit(t: float, sv, control: ControlInput, tail_moment: float) -> None:
+        for name, value in zip(_STATE_FIELDS, sv):
+            if not math.isfinite(value):
+                raise SimulationFault(t, f"non-finite state {name}")
         x, y, depth, yaw, u, v, r, w = sv
-        sr = control.servo_rate
-        torque = abs(
-            params.tail_reaction_coeff * sr * abs(sr)
-            + mean_thrust(params, control.gait_frequency, control.gait_amplitude)
-            * math.sin(control.servo_angle)
-            * (params.tail_length / 2.0)
-        )
+        torque = abs(tail_moment)
         records.append(
             TelemetryRecord(
                 time_s=t,
@@ -375,40 +362,22 @@ def simulate(
                 sway_mps=v,
                 servo_deg=control.servo_angle / _DEG,
                 torque_nm=torque,
-                power_w=servo_power(pm, torque, abs(sr)),
+                power_w=servo_power(pm, torque, abs(control.servo_rate)),
                 erection=control.erection,
                 syringe_ml=control.syringe_volume * 1e6,
             )
         )
 
-    control = controller.command(measure(t0, sv))
-    if not control.is_finite():
-        raise SimulationFault(t0)
-    emit(t0, sv, control)
+    control, loads = hold(t0, sv)
+    emit(t0, sv, control, loads[1])
 
     for i in range(n_steps):
-        sv = _rk4(params, sv, control, dt)
         t = t0 + (i + 1) * dt
-        control = controller.command(measure(t, sv))
-        if not control.is_finite():
-            raise SimulationFault(t)
+        try:
+            sv = _rk4(params, sv, loads, dt)
+        except ValueError as exc:  # math.cos/sin of an infinite yaw
+            raise SimulationFault(t, "non-finite state yaw") from exc
+        control, loads = hold(t, sv)
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
-            emit(t, sv, control)
+            emit(t, sv, control, loads[1])
     return records
-
-
-def final_state(params: FishParams, records: list[TelemetryRecord]) -> FishState:
-    """Reconstruct a FishState from the last telemetry record."""
-    r = records[-1]
-    return FishState(
-        x=r.x_m,
-        y=r.y_m,
-        depth=r.depth_m,
-        yaw=r.yaw_deg * _DEG,
-        surge_vel=r.surge_mps,
-        sway_vel=r.sway_mps,
-        yaw_rate=r.yaw_rate_dps * _DEG,
-        heave_vel=0.0,
-        servo_angle=r.servo_deg * _DEG,
-        time=r.time_s,
-    )

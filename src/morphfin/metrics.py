@@ -35,13 +35,6 @@ class PowerModel:
             raise ConfigError("idle_power must be >= 0", "power.idle_power")
 
 
-@dataclass(frozen=True)
-class CotReport:
-    mean_power: float  # W
-    mean_speed: float  # m/s
-    cot: float
-
-
 def servo_power(model: PowerModel, torque: float, angular_vel: float) -> float:
     """Instantaneous electrical power (W) drawn by the tail servo.
 

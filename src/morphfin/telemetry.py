@@ -35,12 +35,8 @@ class TelemetryRecord:
     syringe_ml: float
 
     def row(self) -> str:
+        """One CSV row (no newline), 9 significant digits per field."""
         return ",".join(format(getattr(self, c), ".9g") for c in _COLUMNS)
-
-
-def format_record(record: TelemetryRecord) -> str:
-    """One CSV row (no newline), 9 significant digits per field."""
-    return record.row()
 
 
 def write_telemetry(records: Iterable[TelemetryRecord], destination) -> int:

@@ -47,6 +47,15 @@ class TestExitCodes:
         rc = main(["--config", str(bad), "run", ])
         assert rc == 1
 
+    def test_diverging_state_is_an_error(self, tmp_path, capsys):
+        stiff = tmp_path / "stiff.json"
+        stiff.write_text('{"fish": {"yaw_inertia": 1e-300}}')
+        rc = main(["--config", str(stiff), "--out", str(tmp_path / "out"), "run"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: non-finite state")
+        assert "Traceback" not in err
+
 
 class TestRun:
     def test_run_writes_telemetry_and_metrics(self, fast_config, tmp_path, capsys):
@@ -123,6 +132,30 @@ class TestSweepAndStudy:
         assert lines[0].startswith("frequency_hz,")
         assert len(lines) == 1 + 2 * 2  # 2 frequencies x 2 fin states
         assert (out / "speed_vs_frequency.svg").exists()
+
+    def test_seed_override_reaches_sweep(self, tmp_path, capsys):
+        # with sensor noise on, a run's telemetry depends on its seed
+        config = tmp_path / "noisy.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "sim": {"dt": 0.005, "noise_enabled": True},
+                    "experiment": {
+                        "frequencies": [2.0],
+                        "fin_states": ["folded"],
+                        "repeats": 1,
+                        "duration": 7.0,
+                    },
+                }
+            )
+        )
+        runs = {}
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            argv = ["--config", str(config), "--seed", seed, "--out", str(out)]
+            assert main(argv + ["sweep-speed"]) == 0
+            runs[seed] = (out / "run_f2.00_a20_folded.csv").read_bytes()
+        assert runs["0"] != runs["7"]
 
     def test_yaw_study_outputs(self, fast_config, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,18 @@ def test_default_config_loads_and_validates():
     assert config.fish.gravity == pytest.approx(9.81)
     assert config.fin.height_erect == pytest.approx(0.201)
     assert config.fin.height_folded == pytest.approx(0.128)
+
+
+def test_empty_config_is_the_default():
+    # every section a partial config leaves out falls back to the committed default
+    assert config_from_dict({}) == load_default_config()
+
+
+def test_partial_section_keeps_the_other_fields():
+    config = config_from_dict({"pid": {"kp": 0.001}, "gait": {"frequency": 1.5}})
+    default = load_default_config()
+    assert config.pid == replace(default.pid, kp=0.001)
+    assert config.gait == replace(default.gait, frequency=1.5)
 
 
 def test_unknown_top_level_key_rejected():

@@ -233,6 +233,23 @@ class TestSimulate:
         drift = yaw_at[30.0] - yaw_at[10.0]
         assert drift > 1.0
 
+    def test_non_finite_syringe_volume_faults(self):
+        controller = ConstantController(ControlInput(syringe_volume=math.nan))
+        with pytest.raises(SimulationFault):
+            simulate(FishParams(), controller, 1.0, 0.001, seed=0)
+
+    def test_erection_out_of_range_raises(self):
+        controller = ConstantController(ControlInput(erection=1.5))
+        with pytest.raises(DomainError):
+            simulate(FishParams(), controller, 1.0, 0.001, seed=0)
+
+    def test_diverging_state_faults_with_field(self):
+        # finite actuation whose heave response overflows within one step
+        controller = ConstantController(ControlInput(buoyancy=1e308))
+        with pytest.raises(SimulationFault) as exc:
+            simulate(FishParams(), controller, 1.0, 0.001, seed=0)
+        assert "non-finite state depth" in str(exc.value)
+
     def test_constant_controller_neutral(self):
         records = simulate(
             FishParams(), ConstantController(ControlInput()), 1.0, 0.001, seed=0
