@@ -42,8 +42,17 @@ class SimSettings:
             raise ConfigError(f"dt must be in (0, {MAX_DT}] s", "sim.dt")
         if not (self.duration > 0.0):
             raise ConfigError("duration must be > 0", "sim.duration")
-        if not (self.record_hz > 0.0 and self.control_hz > 0.0):
-            raise ConfigError("record_hz and control_hz must be > 0", "sim.record_hz")
+        for name in ("record_hz", "control_hz"):
+            hz = getattr(self, name)
+            if not (hz > 0.0):
+                raise ConfigError("must be > 0", f"sim.{name}")
+            steps = 1.0 / (hz * self.dt)
+            whole = round(steps) if math.isfinite(steps) else 0
+            if not (whole >= 1 and abs(steps - whole) <= 1e-9 * steps):
+                raise ConfigError(
+                    f"1/({name}*dt) must be a whole number of steps >= 1, got {steps:.6g}",
+                    f"sim.{name}",
+                )
         if self.target_depth < 0.0 or self.initial_depth < 0.0:
             raise ConfigError("depths must be >= 0", "sim.target_depth")
         if self.depth_resolution_m < 0.0:

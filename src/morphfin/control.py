@@ -22,8 +22,10 @@ __all__ = [
     "servo_rate",
     "pid_step",
     "buoyancy_force",
+    "syringe_buoyancy",
     "depth_controller",
     "apply_volume_rate",
+    "slew_volume",
 ]
 
 
@@ -142,16 +144,32 @@ def pid_step(
     return u, PidMemory(integral=integral, prev_error=error)
 
 
+def syringe_buoyancy(
+    water_density: float, gravity: float, volume: float, neutral_volume: float
+) -> float:
+    """Net buoyancy in N, positive up, of a syringe volume; zero at neutral."""
+    return -water_density * gravity * (volume - neutral_volume)
+
+
 def buoyancy_force(water_density: float, gravity: float, buoy: BuoyancyState) -> float:
     """Net buoyancy in N, positive up; zero at the neutral syringe volume."""
-    return -water_density * gravity * (buoy.syringe_volume - buoy.neutral_volume)
+    return syringe_buoyancy(water_density, gravity, buoy.syringe_volume, buoy.neutral_volume)
+
+
+def slew_volume(
+    volume: float, rate: float, dt: float, volume_min: float, volume_max: float, max_rate: float
+) -> float:
+    """Syringe volume after dt at a rate command, honoring rate and range limits."""
+    rate = _clamp(rate, -max_rate, max_rate)
+    return _clamp(volume + rate * dt, volume_min, volume_max)
 
 
 def apply_volume_rate(buoy: BuoyancyState, rate: float, dt: float) -> BuoyancyState:
     """Advance the syringe volume by a rate command, honoring rate and range limits."""
-    rate = _clamp(rate, -buoy.max_rate, buoy.max_rate)
-    vol = _clamp(buoy.syringe_volume + rate * dt, buoy.volume_min, buoy.volume_max)
-    return replace(buoy, syringe_volume=vol)
+    volume = slew_volume(
+        buoy.syringe_volume, rate, dt, buoy.volume_min, buoy.volume_max, buoy.max_rate
+    )
+    return replace(buoy, syringe_volume=volume)
 
 
 def depth_controller(

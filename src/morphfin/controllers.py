@@ -8,26 +8,36 @@ commanded servo angle is evaluated analytically every simulation step.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
-from .control import (
+# apply_volume_rate is unused here but stays importable: perfbench's tracer
+# wraps controllers.apply_volume_rate by that name.
+from .control import (  # noqa: F401
     BuoyancyState,
     DepthSchedule,
     GaitCommand,
     PidGains,
     PidMemory,
     apply_volume_rate,
-    buoyancy_force,
     depth_controller,
-    servo_angle,
-    servo_rate,
+    slew_volume,
+    syringe_buoyancy,
 )
+from .errors import DomainError
 from .hydro import ControlInput, FishParams, Measurement
 
 _DEG = math.pi / 180.0
 
 
 class SwimController:
-    """Gait generation plus optional depth hold through the buoyancy syringe."""
+    """Gait generation plus optional depth hold through the buoyancy syringe.
+
+    `command` runs every simulation step, so it keeps the syringe volume as a
+    float and builds a BuoyancyState only for the PID updates. The servo
+    angle and rate are control.servo_angle/servo_rate with 2*pi*f and
+    amplitude*2*pi*f computed once, in the same association, so the
+    commands are bit-identical to theirs.
+    """
 
     def __init__(
         self,
@@ -52,6 +62,7 @@ class SwimController:
         self.depth_schedule = depth_schedule
         self.control_period = control_period
         self.depth_resolution = depth_resolution
+        self._volume = buoyancy.syringe_volume if buoyancy is not None else 0.0
         self._memory = PidMemory()
         self._rate = 0.0
         self._last_update: float | None = None
@@ -59,22 +70,27 @@ class SwimController:
         self.depth_hold = (
             gains is not None and buoyancy is not None and depth_schedule is not None
         )
+        self._update_after = control_period - 1e-12
+        self._omega = 2.0 * math.pi * gait.frequency
+        self._amp_omega = gait.amplitude * self._omega
+        self._amplitude_rad = gait.amplitude * _DEG
 
     def command(self, measurement: Measurement) -> ControlInput:
         t = measurement.time
+        if t < 0.0:
+            raise DomainError(f"time must be >= 0, got {t}")
         buoyancy_n = 0.0
-        volume = self.buoyancy.syringe_volume if self.buoyancy is not None else 0.0
         if self.depth_hold:
+            buoy = self.buoyancy
             # integrate the syringe between calls, then refresh the PID at
             # the control rate on the quantized depth measurement
-            if self._last_time is not None and t > self._last_time:
-                self.buoyancy = apply_volume_rate(
-                    self.buoyancy, self._rate, t - self._last_time
+            last = self._last_time
+            if last is not None and t > last:
+                self._volume = slew_volume(
+                    self._volume, self._rate, t - last,
+                    buoy.volume_min, buoy.volume_max, buoy.max_rate,
                 )
-            if (
-                self._last_update is None
-                or t - self._last_update >= self.control_period - 1e-12
-            ):
+            if self._last_update is None or t - self._last_update >= self._update_after:
                 quantum = self.depth_resolution
                 measured = (
                     round(measurement.depth / quantum) * quantum
@@ -90,24 +106,25 @@ class SwimController:
                     self.depth_schedule(t),
                     measured,
                     self.gains,
-                    self.buoyancy,
+                    replace(buoy, syringe_volume=self._volume),
                     dt,
                     self._memory,
                 )
                 self._last_update = t
-            buoyancy_n = buoyancy_force(
-                self.params.water_density, self.params.gravity, self.buoyancy
+            self._last_time = t
+            buoyancy_n = syringe_buoyancy(
+                self.params.water_density, self.params.gravity, self._volume, buoy.neutral_volume
             )
-            volume = self.buoyancy.syringe_volume
-        self._last_time = t
+        gait = self.gait
+        wt = self._omega * t
         return ControlInput(
-            servo_angle=servo_angle(self.gait, t) * _DEG,
-            servo_rate=servo_rate(self.gait, t) * _DEG,
-            gait_frequency=self.gait.frequency,
-            gait_amplitude=self.gait.amplitude * _DEG,
-            erection=self.gait.fin_erection_setpoint,
+            servo_angle=(gait.bias + gait.amplitude * math.sin(wt)) * _DEG,
+            servo_rate=self._amp_omega * math.cos(wt) * _DEG,
+            gait_frequency=gait.frequency,
+            gait_amplitude=self._amplitude_rad,
+            erection=gait.fin_erection_setpoint,
             buoyancy=buoyancy_n,
-            syringe_volume=volume,
+            syringe_volume=self._volume,
         )
 
 

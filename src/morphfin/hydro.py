@@ -139,30 +139,26 @@ class ControlInput:
     syringe_volume: float = 0.0  # m^3, carried for telemetry only
 
     def is_finite(self) -> bool:
-        return all(
-            math.isfinite(v)
-            for v in (
-                self.servo_angle,
-                self.servo_rate,
-                self.gait_frequency,
-                self.gait_amplitude,
-                self.erection,
-                self.buoyancy,
-                self.syringe_volume,
-            )
+        isfinite = math.isfinite
+        return (
+            isfinite(self.servo_angle)
+            and isfinite(self.servo_rate)
+            and isfinite(self.gait_frequency)
+            and isfinite(self.gait_amplitude)
+            and isfinite(self.erection)
+            and isfinite(self.buoyancy)
+            and isfinite(self.syringe_volume)
         )
+
+
+def _rho_cda(params: FishParams) -> float:
+    """Hull-drag coefficient 0.5*rho*Cd*A (N per (m/s)^2) of surge and sway."""
+    return 0.5 * params.water_density * params.frontal_drag_coeff * params.frontal_area
 
 
 def drag_force(params: FishParams, speed: float) -> float:
     """Quadratic hull drag, signed so it always opposes the motion."""
-    return (
-        -0.5
-        * params.water_density
-        * speed
-        * abs(speed)
-        * params.frontal_drag_coeff
-        * params.frontal_area
-    )
+    return -_rho_cda(params) * speed * abs(speed)
 
 
 def mean_thrust(params: FishParams, freq: float, amp: float) -> float:
@@ -223,41 +219,55 @@ def net_forces(
 
 
 # Internal fast path: state as a flat tuple (x, y, depth, yaw, u, v, r, w),
-# loads as the tuple control_loads returns.
+# loads as the tuple control_loads returns. The per-step loop works on scalar
+# locals and allocates nothing but the returned tuples. Every expression keeps
+# the association of the tuple-form oracle in tests/test_hydro.py, so the
+# output stays bit-identical to it.
 
 
-def _derivs(params: FishParams, sv, loads):
-    x, y, depth, yaw, u, v, r, w = sv
+def _derivs(params: FishParams, loads, yaw, u, v, r, w):
+    """(dx, dy, du, dv, dr, dw) at one state; d(depth) is w and d(yaw) is r."""
     thrust, tail_moment, damping, buoyancy = loads
-    rho_cda = 0.5 * params.water_density * params.frontal_drag_coeff * params.frontal_area
-    du = (thrust - rho_cda * u * abs(u)) / params.mass
-    dv = -rho_cda * v * abs(v) / params.mass  # lightly damped, unforced at zero bias
-    dr = (tail_moment - damping * r * abs(r)) / params.yaw_inertia
-    dw = (-buoyancy - params.heave_drag_coeff * w * abs(w)) / (
-        params.mass + params.heave_added_mass
-    )
+    rho_cda = _rho_cda(params)
+    mass = params.mass
     cos_y, sin_y = math.cos(yaw), math.sin(yaw)
-    return (u * cos_y - v * sin_y, u * sin_y + v * cos_y, w, r, du, dv, dr, dw)
+    return (
+        u * cos_y - v * sin_y,
+        u * sin_y + v * cos_y,
+        (thrust - rho_cda * u * abs(u)) / mass,
+        -rho_cda * v * abs(v) / mass,  # lightly damped, unforced at zero bias
+        (tail_moment - damping * r * abs(r)) / params.yaw_inertia,
+        (-buoyancy - params.heave_drag_coeff * w * abs(w)) / (mass + params.heave_added_mass),
+    )
 
 
 def _rk4(params: FishParams, sv, loads, dt: float):
-    k1 = _derivs(params, sv, loads)
+    x, y, depth, yaw, u, v, r, w = sv
     half = dt / 2.0
-    s2 = tuple(s + half * k for s, k in zip(sv, k1))
-    k2 = _derivs(params, s2, loads)
-    s3 = tuple(s + half * k for s, k in zip(sv, k2))
-    k3 = _derivs(params, s3, loads)
-    s4 = tuple(s + dt * k for s, k in zip(sv, k3))
-    k4 = _derivs(params, s4, loads)
+    dx1, dy1, du1, dv1, dr1, dw1 = _derivs(params, loads, yaw, u, v, r, w)
+    u2, v2, r2, w2 = u + half * du1, v + half * dv1, r + half * dr1, w + half * dw1
+    dx2, dy2, du2, dv2, dr2, dw2 = _derivs(params, loads, yaw + half * r, u2, v2, r2, w2)
+    u3, v3, r3, w3 = u + half * du2, v + half * dv2, r + half * dr2, w + half * dw2
+    dx3, dy3, du3, dv3, dr3, dw3 = _derivs(params, loads, yaw + half * r2, u3, v3, r3, w3)
+    u4, v4, r4, w4 = u + dt * du3, v + dt * dv3, r + dt * dr3, w + dt * dw3
+    dx4, dy4, du4, dv4, dr4, dw4 = _derivs(params, loads, yaw + dt * r3, u4, v4, r4, w4)
     sixth = dt / 6.0
-    out = tuple(
-        s + sixth * (a + 2.0 * b + 2.0 * c + d)
-        for s, a, b, c, d in zip(sv, k1, k2, k3, k4)
-    )
+    depth = depth + sixth * (w + 2.0 * w2 + 2.0 * w3 + w4)
+    w = w + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
     # hard free-surface boundary: clamp depth, kill upward heave on contact
-    if out[2] < 0.0:
-        out = out[:2] + (0.0,) + out[3:7] + (max(out[7], 0.0),)
-    return out
+    if depth < 0.0:
+        depth = 0.0
+        w = max(w, 0.0)
+    return (
+        x + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
+        y + sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4),
+        depth,
+        yaw + sixth * (r + 2.0 * r2 + 2.0 * r3 + r4),
+        u + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4),
+        v + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
+        r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4),
+        w,
+    )
 
 
 def _check_dt(dt: float) -> None:

@@ -56,6 +56,16 @@ class TestExitCodes:
         assert err.startswith("error: non-finite state")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["record_hz", "control_hz"])
+    def test_rate_not_dividing_step_rate_is_an_error(self, tmp_path, capsys, field):
+        config = tmp_path / "rate.json"
+        config.write_text(json.dumps({"sim": {field: 300.0}}))
+        rc = main(["--config", str(config), "--out", str(tmp_path / "out"), "run"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: sim.{field}:")
+        assert "Traceback" not in err
+
 
 class TestRun:
     def test_run_writes_telemetry_and_metrics(self, fast_config, tmp_path, capsys):

@@ -99,3 +99,18 @@ def test_record_every_arithmetic():
 def test_dt_bounds_enforced():
     with pytest.raises(ConfigError):
         config_from_dict({"sim": {"dt": 0.02}})
+
+
+@pytest.mark.parametrize("field", ["record_hz", "control_hz"])
+@pytest.mark.parametrize("hz", [300.0, 2000.0, 0.0, -50.0])
+def test_rate_must_divide_step_rate(field, hz):
+    # 300 Hz at dt = 1 ms is 3.33 steps per sample; 2000 Hz is half a step
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"sim": {field: hz}})
+    assert exc.value.field == f"sim.{field}"
+
+
+@pytest.mark.parametrize("field", ["record_hz", "control_hz"])
+def test_rate_dividing_step_rate_accepted(field):
+    for dt, hz in ((0.001, 1000.0), (0.001, 250.0), (0.005, 40.0), (0.002, 100.0)):
+        config_from_dict({"sim": {"dt": dt, field: hz}})

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,12 @@ from morphfin.control import (
     depth_controller,
     pid_step,
     servo_angle,
+    servo_rate,
     step_schedule,
 )
+from morphfin.controllers import SwimController
 from morphfin.errors import ConfigError, DomainError
+from morphfin.hydro import ControlInput, FishParams, FishState, Measurement, simulate
 
 
 def default_buoyancy(volume=3e-5):
@@ -158,3 +162,89 @@ class TestGaitValidation:
     def test_bias_range(self):
         with pytest.raises(ConfigError):
             GaitCommand(frequency=1.0, amplitude=20.0, bias=35.0).validate()
+
+
+class _ReferenceController:
+    """SwimController's law rebuilt from the public per-state functions.
+
+    The syringe is a BuoyancyState advanced by apply_volume_rate every call,
+    the buoyancy comes from buoyancy_force, and the servo from servo_angle
+    and servo_rate: the straightforward form the controller must match.
+    """
+
+    def __init__(self, params, gait, gains, buoyancy, schedule, period=0.02, quantum=0.001):
+        self.params, self.gait, self.gains = params, gait, gains
+        self.buoyancy, self.schedule = buoyancy, schedule
+        self.period, self.quantum = period, quantum
+        self.memory = PidMemory()
+        self.rate = 0.0
+        self.last_update = None
+        self.last_time = None
+
+    def command(self, m):
+        t = m.time
+        if self.last_time is not None and t > self.last_time:
+            self.buoyancy = apply_volume_rate(self.buoyancy, self.rate, t - self.last_time)
+        if self.last_update is None or t - self.last_update >= self.period - 1e-12:
+            measured = round(m.depth / self.quantum) * self.quantum
+            dt = self.period if self.last_update is None else t - self.last_update
+            self.rate, self.memory = depth_controller(
+                self.schedule(t), measured, self.gains, self.buoyancy, dt, self.memory
+            )
+            self.last_update = t
+        self.last_time = t
+        deg = math.pi / 180.0
+        return ControlInput(
+            servo_angle=servo_angle(self.gait, t) * deg,
+            servo_rate=servo_rate(self.gait, t) * deg,
+            gait_frequency=self.gait.frequency,
+            gait_amplitude=self.gait.amplitude * deg,
+            erection=self.gait.fin_erection_setpoint,
+            buoyancy=buoyancy_force(
+                self.params.water_density, self.params.gravity, self.buoyancy
+            ),
+            syringe_volume=self.buoyancy.syringe_volume,
+        )
+
+
+def _bits(control):
+    return struct.pack("<7d", *control.__dict__.values())
+
+
+class TestSwimControllerOracle:
+    GAINS = PidGains(4e-4, 5e-7, 5e-4, 1.0, 3e-5)
+
+    def test_control_stream_bit_identical_to_public_laws(self):
+        # 2 s depth hold whose target steps from 0.1 m to 0.3 m at 1 s: the
+        # syringe slews at its rate limit, then the PID settles
+        params = FishParams()
+        gait = GaitCommand(frequency=1.65, amplitude=23.0, bias=4.0, fin_erection_setpoint=0.7)
+        schedule = step_schedule([(0.0, 0.1), (1.0, 0.3)])
+        controller = SwimController(
+            params,
+            gait,
+            gains=self.GAINS,
+            buoyancy=default_buoyancy(),
+            depth_schedule=schedule,
+        )
+        reference = _ReferenceController(
+            params, gait, self.GAINS, default_buoyancy(), schedule
+        )
+        streams = ([], [])
+
+        class Both:
+            def command(self, measurement):
+                streams[1].append(reference.command(measurement))
+                streams[0].append(controller.command(measurement))
+                return streams[0][-1]
+
+        simulate(params, Both(), 2.0, 0.001, initial_state=FishState(depth=0.1))
+        got, expected = streams
+        assert len(got) == 2001
+        assert len({c.syringe_volume for c in got}) > 100  # the syringe moved
+        assert [_bits(c) for c in got] == [_bits(c) for c in expected]
+
+    def test_negative_time_is_a_domain_error(self):
+        controller = SwimController(FishParams(), GaitCommand(frequency=1.0, amplitude=20.0))
+        with pytest.raises(DomainError):
+            controller.command(Measurement(time=-0.001, depth=0.0, yaw=0.0))

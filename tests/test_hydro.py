@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from morphfin.control import GaitCommand
 from morphfin.controllers import ConstantController, SwimController
 from morphfin.errors import ConfigError, DomainError, SimulationFault
 from morphfin.hydro import (
+    _rk4,
     ControlInput,
     FishParams,
     FishState,
@@ -256,3 +258,95 @@ class TestSimulate:
         )
         last = records[-1]
         assert last.x_m == 0.0 and last.depth_m == 0.0 and last.yaw_deg == 0.0
+
+
+# The tuple-form integrator the scalar _rk4 replaced, kept as its oracle:
+# the scalar form must reproduce it bit for bit.
+
+
+def _oracle_derivs(params, sv, loads):
+    x, y, depth, yaw, u, v, r, w = sv
+    thrust, tail_moment, damping, buoyancy = loads
+    rho_cda = 0.5 * params.water_density * params.frontal_drag_coeff * params.frontal_area
+    du = (thrust - rho_cda * u * abs(u)) / params.mass
+    dv = -rho_cda * v * abs(v) / params.mass
+    dr = (tail_moment - damping * r * abs(r)) / params.yaw_inertia
+    dw = (-buoyancy - params.heave_drag_coeff * w * abs(w)) / (
+        params.mass + params.heave_added_mass
+    )
+    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
+    return (u * cos_y - v * sin_y, u * sin_y + v * cos_y, w, r, du, dv, dr, dw)
+
+
+def _oracle_rk4(params, sv, loads, dt):
+    k1 = _oracle_derivs(params, sv, loads)
+    half = dt / 2.0
+    s2 = tuple(s + half * k for s, k in zip(sv, k1))
+    k2 = _oracle_derivs(params, s2, loads)
+    s3 = tuple(s + half * k for s, k in zip(sv, k2))
+    k3 = _oracle_derivs(params, s3, loads)
+    s4 = tuple(s + dt * k for s, k in zip(sv, k3))
+    k4 = _oracle_derivs(params, s4, loads)
+    sixth = dt / 6.0
+    out = tuple(
+        s + sixth * (a + 2.0 * b + 2.0 * c + d)
+        for s, a, b, c, d in zip(sv, k1, k2, k3, k4)
+    )
+    if out[2] < 0.0:
+        out = out[:2] + (0.0,) + out[3:7] + (max(out[7], 0.0),)
+    return out
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+_params = st.builds(
+    FishParams,
+    mass=st.floats(0.5, 5.0),
+    yaw_inertia=st.floats(0.005, 0.1),
+    frontal_drag_coeff=st.floats(0.05, 1.0),
+    heave_drag_coeff=st.floats(0.0, 200.0),
+    heave_added_mass=st.floats(0.0, 3.0),
+)
+_loads = st.tuples(
+    st.floats(0.0, 5.0), st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.floats(-2.0, 2.0)
+)
+_vel = st.floats(-2.0, 2.0)
+
+
+class TestScalarRk4Oracle:
+    @given(
+        _params,
+        st.tuples(
+            st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(0.0, 2.0),
+            st.floats(-7.0, 7.0), _vel, _vel, _vel, _vel,
+        ),
+        _loads,
+        st.floats(1e-5, 0.01),
+    )
+    @settings(max_examples=300)
+    def test_bit_identical_to_tuple_form(self, params, sv, loads, dt):
+        assert _bits(_rk4(params, sv, loads, dt)) == _bits(_oracle_rk4(params, sv, loads, dt))
+
+    @given(
+        st.floats(0.0, 20.0),
+        st.floats(0.0, 1e-4),
+        st.floats(-7.0, 7.0),
+        _vel,
+        _vel,
+        st.floats(-3.0, -0.5),
+        st.floats(0.0, 2.0),
+        st.floats(1e-3, 0.01),
+    )
+    @settings(max_examples=200)
+    def test_bit_identical_at_the_free_surface(
+        self, heave_drag, depth, yaw, u, r, w, buoyancy, dt
+    ):
+        # rising fast from just below the surface, buoyant, lightly damped
+        params = FishParams(heave_drag_coeff=heave_drag)
+        sv = (0.0, 0.0, depth, yaw, u, 0.0, r, w)
+        loads = (0.3, 0.01, 0.4, buoyancy)
+        expected = _oracle_rk4(params, sv, loads, dt)
+        assert expected[2] == 0.0  # the clamp acted
+        assert _bits(_rk4(params, sv, loads, dt)) == _bits(expected)
