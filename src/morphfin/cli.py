@@ -193,6 +193,7 @@ def _cmd_calibrate(config: RunConfig, out: Path) -> int:
         initial,
         xp.DEFAULT_BOUNDS,
         seed=config.sim.seed,
+        step_fraction=0.05,
         verbose=True,
     )
     out.mkdir(parents=True, exist_ok=True)
@@ -215,18 +216,14 @@ def _cmd_calibrate(config: RunConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_replay(config: RunConfig, telemetry_path: str, out: Path | None) -> int:
+def _cmd_replay(config: RunConfig, telemetry_path: str, out: Path) -> int:
     records = read_telemetry(telemetry_path)
     metrics = _replay_metrics(
         records, config.gait.frequency, config.fish.mass, config.fish.gravity
     )
-    text = json.dumps(metrics, indent=2) + "\n"
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "replay_metrics.json").write_text(text)
-        print(f"wrote {out / 'replay_metrics.json'}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "replay_metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
+    print(f"wrote {out / 'replay_metrics.json'}", file=sys.stderr)
     return 0
 
 
@@ -256,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="path to a JSON run config")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--out", default="results", help="output directory")
+    parser.add_argument("--out", help="output directory (default: config output_dir)")
     sub = parser.add_subparsers(dest="command")
     run = sub.add_parser("run", help="single simulation of the configured gait")
     run.add_argument("--stream", action="store_true", help="stream records to stdout")
@@ -291,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
                 sim=replace(config.sim, seed=args.seed),
                 experiment=replace(config.experiment, seed=args.seed),
             )
-        out = Path(args.out)
+        out = Path(args.out if args.out is not None else config.output_dir)
         if args.command == "run":
             return _cmd_run(config, out, args.stream)
         if args.command == "sweep-speed":

@@ -111,20 +111,17 @@ def run_condition(
 ) -> list[TelemetryRecord]:
     """One seeded simulation of a single gait condition.
 
-    The depth loop tracks `depth_schedule` when one is given (it then needs
-    `env.pid` and `env.buoyancy`); otherwise, with `env.depth_hold`, it holds
-    `env.target_depth` from a start at that depth.
+    The depth loop tracks `depth_schedule` when one is given; otherwise, with
+    `env.depth_hold`, it holds `env.target_depth` from a start at that depth.
+    Either needs `env.pid` and `env.buoyancy`.
     """
-    if (
-        depth_schedule is None
-        and env.depth_hold
-        and env.pid is not None
-        and env.buoyancy is not None
-    ):
+    if depth_schedule is None and env.depth_hold:
         depth_schedule = step_schedule([(0.0, env.target_depth)])
         if initial_state is None:
             initial_state = FishState(depth=env.target_depth)
     hold = depth_schedule is not None
+    if hold and (env.pid is None or env.buoyancy is None):
+        raise ConfigError("depth control needs PID gains and a buoyancy state", "env")
     controller = SwimController(
         env.params,
         gait,
@@ -377,8 +374,6 @@ def run_depth_step(
     """Closed-loop depth tracking of a target schedule, with per-step analysis."""
     if not schedule:
         raise DomainError("schedule must be nonempty")
-    if env.pid is None or env.buoyancy is None:
-        raise ConfigError("depth step needs PID gains and a buoyancy state", "env")
     gait = gait if gait is not None else GaitCommand(frequency=0.0, amplitude=0.0)
     start_depth = initial_depth if initial_depth is not None else schedule[0][1]
     records = run_condition(

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ConfigError, DomainError, InsufficientDataError, UndefinedCotError
 
 # Initial portion of every run excluded from averaged metrics: the larger of
@@ -97,25 +95,52 @@ def improvement(folded_p2p: float, erect_p2p: float) -> float:
     return (folded_p2p - erect_p2p) / folded_p2p * 100.0
 
 
+def _det3(c0, c1, c2) -> float:
+    """Determinant of the 3x3 matrix with columns c0, c1, c2."""
+    (a, d, g), (b, e, h), (c, f, i) = c0, c1, c2
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def fit_quadratic(
     points: Sequence[tuple[float, float]]
 ) -> tuple[float, float, float, float]:
     """Least-squares degree-2 polynomial through (x, y) points.
 
-    Returns (c2, c1, c0, r_squared).
+    Returns (c2, c1, c0, r_squared). Solves the normal equations of
+    y = a d^2 + b d + c on the centred abscissae d = x - mean(x), then maps
+    (a, b, c) back to the coefficients of x.
     """
     if len(points) < 4:
         raise DomainError(f"need >= 4 points, got {len(points)}")
-    xs = np.array([p[0] for p in points], dtype=float)
-    ys = np.array([p[1] for p in points], dtype=float)
-    if np.unique(xs).size < 3:
+    xs = [float(p[0]) for p in points]
+    ys = [float(p[1]) for p in points]
+    if not all(math.isfinite(v) for v in xs + ys):
+        raise DomainError("points must be finite")
+    if len(set(xs)) < 3:
         raise DomainError("abscissae are degenerate (fewer than 3 distinct values)")
-    c2, c1, c0 = np.polyfit(xs, ys, 2)
-    residuals = ys - (c2 * xs * xs + c1 * xs + c0)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    n = len(xs)
+    mean = math.fsum(xs) / n
+    # an exact power-of-two scale keeps the sums finite and every rounding as it was
+    _, exp = math.frexp(max(abs(x - mean) for x in xs))
+    ds = [math.ldexp(x - mean, -exp) for x in xs]
+    s1, s2, s3, s4 = (math.fsum(d**k for d in ds) for k in (1, 2, 3, 4))
+    rhs = (
+        math.fsum(d * d * y for d, y in zip(ds, ys)),
+        math.fsum(d * y for d, y in zip(ds, ys)),
+        math.fsum(ys),
+    )
+    cols = ((s4, s3, s2), (s3, s2, s1), (s2, s1, float(n)))
+    det = _det3(*cols)
+    if not det > 0.0:
+        raise DomainError("abscissae are too close together to fit a quadratic")
+    a = math.ldexp(_det3(rhs, cols[1], cols[2]) / det, -2 * exp)
+    b = math.ldexp(_det3(cols[0], rhs, cols[2]) / det, -exp)
+    c = _det3(cols[0], cols[1], rhs) / det
+    c2, c1, c0 = a, b - 2.0 * a * mean, (a * mean - b) * mean + c
+    ss_res = math.fsum((y - (c2 * x * x + c1 * x + c0)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = math.fsum((y - rhs[2] / n) ** 2 for y in ys)
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(c2), float(c1), float(c0), r_squared
+    return c2, c1, c0, r_squared
 
 
 def mean_displacement_speed(

@@ -94,6 +94,20 @@ class TestRun:
         assert main(["--config", str(fast_config), "--out", str(out_b), "run"]) == 0
         assert (out_a / "run.csv").read_bytes() == (out_b / "run.csv").read_bytes()
 
+    def test_output_dir_from_config(self, fast_config, tmp_path, capsys):
+        config = json.loads(fast_config.read_text())
+        config["output_dir"] = str(tmp_path / "configured")
+        fast_config.write_text(json.dumps(config))
+        assert main(["--config", str(fast_config), "run"]) == 0
+        assert (tmp_path / "configured" / "run.csv").exists()
+        # --out overrides the setting
+        out = tmp_path / "out"
+        assert main(["--config", str(fast_config), "--out", str(out), "run"]) == 0
+        assert (out / "run.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "configured", "out"
+        ]
+
     def test_seed_override_changes_nothing_without_noise(
         self, fast_config, tmp_path, capsys
     ):

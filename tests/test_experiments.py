@@ -5,7 +5,7 @@ import math
 import pytest
 
 from morphfin.control import GaitCommand
-from morphfin.errors import MorphfinError
+from morphfin.errors import ConfigError, MorphfinError
 from morphfin.experiments import (
     DEFAULT_FREQUENCIES,
     YAW_AMPLITUDES,
@@ -111,20 +111,37 @@ class TestDeterminism:
         assert row.power_std == 0.0
         assert row.p2p_std == 0.0
 
-    def test_repeats_differ_with_noise(self):
+    def test_noise_reaches_the_depth_loop_only(self):
+        # depth noise drives the depth PID and so the syringe and heave; no
+        # controller reads the yaw measurement, so the planar motion and every
+        # sweep metric stay as without noise
         from morphfin.hydro import NoiseConfig
+
+        noisy = fast_env(noise=NoiseConfig(enabled=True), depth_hold=True)
+        gait = GaitCommand(frequency=1.5, amplitude=20.0)
+        a = run_condition(noisy, gait, 12.0, seed=0)
+        b = run_condition(noisy, gait, 12.0, seed=1)
+        assert [r.depth_m for r in a] != [r.depth_m for r in b]
+        assert [r.syringe_ml for r in a] != [r.syringe_ml for r in b]
 
         spec = ExperimentSpec(
             frequencies=[1.5], amplitudes=[20.0], fin_states=["folded"],
             repeats=3, duration=12.0,
         )
-        env = fast_env(noise=NoiseConfig(enabled=True), depth_hold=True)
-        row = run_speed_sweep(env, spec).rows[0]
-        assert row.speed_std >= 0.0  # finite, computed
-        assert math.isfinite(row.speed_std)
+        row = run_speed_sweep(noisy, spec).rows[0]
+        quiet = run_speed_sweep(fast_env(depth_hold=True), spec).rows[0]
+        assert row == quiet
+        assert row.speed_std == row.power_std == row.p2p_std == 0.0
 
 
 class TestDepthStep:
+    def test_depth_hold_needs_pid_and_buoyancy(self):
+        gait = GaitCommand(frequency=1.0, amplitude=20.0)
+        for missing in ("pid", "buoyancy"):
+            env = fast_env(depth_hold=True, target_depth=0.3, **{missing: None})
+            with pytest.raises(ConfigError):
+                run_condition(env, gait, 12.0, seed=0)
+
     def test_constant_schedule_holds_depth(self):
         env = fast_env(depth_hold=True, target_depth=0.2)
         records, reports = run_depth_step(env, [(0.0, 0.2)], 20.0, initial_depth=0.2)

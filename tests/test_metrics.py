@@ -164,6 +164,28 @@ class TestFitQuadratic:
             fit_quadratic([(1.0, 1.0), (1.0, 2.0), (2.0, 3.0), (2.0, 4.0)])
         with pytest.raises(DomainError):
             fit_quadratic([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
+        # three distinct abscissae, but two a rounding step apart
+        with pytest.raises(DomainError):
+            fit_quadratic([(0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (1.0 + 2**-52, 1.0)])
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e30, 1e120])
+    def test_abscissa_scale(self, scale):
+        # the fit of y = 2 u^2 - 3 u + 1 at x = scale * u does not depend on scale
+        us = (0.5, 1.0, 1.5, 2.0, 3.0)
+        points = [(scale * u, 2.0 * u * u - 3.0 * u + 1.0) for u in us]
+        c2, c1, c0, r2 = fit_quadratic(points)
+        assert c2 * scale * scale == pytest.approx(2.0, rel=1e-12)
+        assert c1 * scale == pytest.approx(-3.0, rel=1e-12)
+        assert c0 == pytest.approx(1.0, rel=1e-12)
+        assert r2 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_point_is_a_domain_error(self, bad, column):
+        points = [[x, 0.5 * x * x] for x in (0.0, 1.0, 2.0, 3.0, 4.0)]
+        points[2][column] = bad
+        with pytest.raises(DomainError):
+            fit_quadratic([tuple(p) for p in points])
 
 
 class TestWindows:
