@@ -51,8 +51,8 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.kind not in ("speed_sweep", "yaw_study", "depth_step", "single_run"):
             raise ConfigError(f"unknown kind {self.kind!r}", "experiment.kind")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1", "experiment.repeats")
+        if not 1 <= self.repeats <= 1000:  # the seed stride between sweep cells
+            raise ConfigError("repeats must be in [1, 1000]", "experiment.repeats")
         if not self.frequencies or any(f <= 0.0 for f in self.frequencies):
             raise ConfigError("frequencies must be positive", "experiment.frequencies")
         for state in self.fin_states:
@@ -233,23 +233,31 @@ def _aggregate(
     base_seed: int,
     keep_records: list | None = None,
 ) -> SweepRow:
+    """Mean and population std of each metric over `repeats` seeded runs of one cell.
+
+    Repeat `rep` runs with seed `base_seed + rep`. Without sensor noise the
+    seed is never read, so every repeat is the same trajectory: only repeat 0
+    is simulated, its metrics stand for all `repeats`, and the stds are 0.
+    """
     gait = GaitCommand(
         frequency=frequency,
         amplitude=amplitude,
         fin_erection_setpoint=_erection(fin_state),
     )
+    runs = repeats if env.noise.enabled else 1
     speeds, powers, cots, p2ps = [], [], [], []
     for rep in range(repeats):
-        try:
-            records = run_condition(env, gait, duration, base_seed + rep)
-        except SimulationFault as exc:
-            raise MorphfinError(
-                f"sweep aborted: condition (f={frequency} Hz, amp={amplitude} deg, "
-                f"{fin_state}) repeat {rep} faulted: {exc}"
-            ) from exc
-        if keep_records is not None and rep == 0:
-            keep_records.append((frequency, amplitude, fin_state, records))
-        m = _metrics_with_cot(env, records, frequency)
+        if rep < runs:
+            try:
+                records = run_condition(env, gait, duration, base_seed + rep)
+            except SimulationFault as exc:
+                raise MorphfinError(
+                    f"sweep aborted: condition (f={frequency} Hz, amp={amplitude} deg, "
+                    f"{fin_state}) repeat {rep} faulted: {exc}"
+                ) from exc
+            if keep_records is not None and rep == 0:
+                keep_records.append((frequency, amplitude, fin_state, records))
+            m = _metrics_with_cot(env, records, frequency)
         speeds.append(m.mean_speed)
         powers.append(m.mean_power)
         cots.append(m.cot)

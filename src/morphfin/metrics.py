@@ -118,6 +118,13 @@ def fit_quadratic(
         raise DomainError("points must be finite")
     if len(set(xs)) < 3:
         raise DomainError("abscissae are degenerate (fewer than 3 distinct values)")
+    try:
+        return _centred_fit(xs, ys)
+    except OverflowError:  # from math.ldexp or **: a coefficient or a sum of squares
+        raise DomainError("the fit leaves the double range") from None
+
+
+def _centred_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float, float]:
     n = len(xs)
     mean = math.fsum(xs) / n
     # an exact power-of-two scale keeps the sums finite and every rounding as it was

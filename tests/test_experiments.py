@@ -1,9 +1,15 @@
 """Tests for the experiment harness: sweeps, yaw study, depth steps, calibration."""
 
+import dataclasses
 import math
+import statistics
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from morphfin import experiments
 from morphfin.control import GaitCommand
 from morphfin.errors import ConfigError, MorphfinError
 from morphfin.experiments import (
@@ -21,8 +27,8 @@ from morphfin.experiments import (
     speed_sweep_spec,
     yaw_study_spec,
 )
-from morphfin.hydro import FishParams
-from morphfin.metrics import PowerModel
+from morphfin.hydro import FishParams, NoiseConfig
+from morphfin.metrics import PowerModel, cot
 
 
 def fast_env(**overrides) -> RunEnvironment:
@@ -58,6 +64,14 @@ class TestProtocolShape:
     def test_duration_guard(self):
         with pytest.raises(MorphfinError):
             ExperimentSpec(frequencies=[0.5], duration=5.0).validate()  # < 10 / 0.5
+
+    def test_repeats_stay_below_the_cell_seed_stride(self):
+        # cell i's repeat r runs with seed + 1000*i + r, so a 1001st repeat
+        # would rerun cell i+1's repeat 0
+        ExperimentSpec(repeats=1000).validate()
+        with pytest.raises(ConfigError) as info:
+            ExperimentSpec(repeats=1001).validate()
+        assert info.value.field == "experiment.repeats"
 
     def test_sweep_row_count_and_order(self):
         spec = ExperimentSpec(
@@ -132,6 +146,97 @@ class TestDeterminism:
         quiet = run_speed_sweep(fast_env(depth_hold=True), spec).rows[0]
         assert row == quiet
         assert row.speed_std == row.power_std == row.p2p_std == 0.0
+
+
+def _packed(*values: float) -> bytes:
+    """The bits of a float sequence, so that -0.0 != 0.0 and nan == nan."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _telemetry_bits(records) -> bytes:
+    return b"".join(_packed(*dataclasses.astuple(r)) for r in records)
+
+
+def _counting_run_condition(monkeypatch) -> list[tuple[int, list]]:
+    """Route the sweep's run_condition through a recorder of (seed, records)."""
+    calls = []
+    original = experiments.run_condition
+
+    def counted(env, gait, duration, seed, **kwargs):
+        records = original(env, gait, duration, seed, **kwargs)
+        calls.append((seed, records))
+        return records
+
+    monkeypatch.setattr(experiments, "run_condition", counted)
+    return calls
+
+
+class TestRepeatDedupe:
+    SPEC = ExperimentSpec(
+        frequencies=[1.0, 2.0], amplitudes=[20.0], fin_states=["folded"],
+        repeats=5, duration=12.0, seed=3,
+    )
+
+    def test_noise_free_row_is_bit_equal_to_every_repeat_run(self, monkeypatch):
+        env = fast_env()
+        calls = _counting_run_condition(monkeypatch)
+        rows = run_speed_sweep(env, self.SPEC).rows
+        assert len(calls) == len(rows) == 2  # one simulation per cell
+        for cell, row in enumerate(rows):
+            base = self.SPEC.seed + 1000 * cell
+            speeds, powers, cots, p2ps = [], [], [], []
+            for rep in range(self.SPEC.repeats):
+                gait = GaitCommand(frequency=row.frequency, amplitude=row.amplitude)
+                records = run_condition(env, gait, self.SPEC.duration, base + rep)
+                m = experiments.condition_metrics(records, row.frequency)
+                speeds.append(m.mean_speed)
+                powers.append(m.mean_power)
+                cots.append(cot(m.mean_power, env.params.mass, env.params.gravity, m.mean_speed))
+                p2ps.append(m.p2p_yaw)
+            expected = [
+                f(values)
+                for values in (speeds, powers, cots, p2ps)
+                for f in (statistics.fmean, statistics.pstdev)
+            ]
+            got = [
+                row.mean_speed, row.speed_std, row.mean_power, row.power_std,
+                row.cot, row.cot_std, row.p2p_yaw, row.p2p_std,
+            ]
+            assert _packed(*got) == _packed(*expected)
+
+    @pytest.mark.parametrize("noise_on", [False, True], ids=["noise_off", "noise_on"])
+    def test_runs_seeds_and_kept_records_per_cell(self, monkeypatch, noise_on):
+        # without noise only repeat 0 of each cell is simulated; with it, all are
+        env = fast_env(noise=NoiseConfig(enabled=noise_on), depth_hold=True)
+        calls = _counting_run_condition(monkeypatch)
+        kept = []
+        run_speed_sweep(env, self.SPEC, keep_records=kept)
+        runs = self.SPEC.repeats if noise_on else 1
+        bases = [self.SPEC.seed + 1000 * cell for cell in range(2)]
+        assert [seed for seed, _ in calls] == [b + rep for b in bases for rep in range(runs)]
+        assert [f for f, _, _, _ in kept] == [1.0, 2.0]
+        assert kept[0][3] is calls[0][1] and kept[1][3] is calls[runs][1]
+
+
+class TestSeedProperties:
+    GAIT = GaitCommand(frequency=1.5, amplitude=20.0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**64))
+    def test_noise_free_telemetry_does_not_read_the_seed(self, seed):
+        # the sweep simulates one repeat per noise-free cell on this invariant
+        env = fast_env(depth_hold=True)
+        got = run_condition(env, self.GAIT, 1.0, seed)
+        assert _telemetry_bits(got) == _telemetry_bits(run_condition(env, self.GAIT, 1.0, 0))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**64))
+    def test_noisy_telemetry_is_a_function_of_the_seed(self, seed):
+        env = fast_env(noise=NoiseConfig(enabled=True), depth_hold=True)
+        first = _telemetry_bits(run_condition(env, self.GAIT, 1.0, seed))
+        assert first == _telemetry_bits(run_condition(env, self.GAIT, 1.0, seed))
+        quiet = run_condition(fast_env(depth_hold=True), self.GAIT, 1.0, seed)
+        assert first != _telemetry_bits(quiet)
 
 
 class TestDepthStep:

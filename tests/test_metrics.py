@@ -179,6 +179,20 @@ class TestFitQuadratic:
         assert c0 == pytest.approx(1.0, rel=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # c2 = 2e400 overflows the power-of-two rescaling
+            [(1e-200 * u, 2.0 * u * u - 3.0 * u + 1.0) for u in range(5)],
+            # the ordinates' squared deviations overflow
+            [(2.0**52 + u, 1e300 * u * u) for u in range(5)],
+        ],
+        ids=["coefficient", "sum_of_squares"],
+    )
+    def test_out_of_double_range_is_a_domain_error(self, points):
+        with pytest.raises(DomainError):
+            fit_quadratic(points)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column", [0, 1])
     def test_non_finite_point_is_a_domain_error(self, bad, column):
