@@ -18,7 +18,7 @@ from .control import GaitCommand
 from .errors import MorphfinError
 from .metrics import steady_window
 from .plotting import PlotStyle, Series, emit_plot
-from .telemetry import read_telemetry, stream_records, write_telemetry
+from .telemetry import _COLUMNS, read_telemetry, stream_records, write_telemetry
 
 
 def _environment(config: RunConfig) -> xp.RunEnvironment:
@@ -229,11 +229,8 @@ def _cmd_replay(config: RunConfig, telemetry_path: str, out: Path) -> int:
 
 def _cmd_plot(telemetry_path: str, x: str, ys: list[str], out: Path) -> int:
     records = read_telemetry(telemetry_path)
-    from dataclasses import fields as dc_fields
-
-    names = {f.name for f in dc_fields(records[0])}
     for col in [x, *ys]:
-        if col not in names:
+        if col not in _COLUMNS:
             raise MorphfinError(f"unknown telemetry column {col!r}")
     series = [
         Series(name=col, x=[getattr(r, x) for r in records], y=[getattr(r, col) for r in records])

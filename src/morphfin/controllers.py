@@ -117,14 +117,15 @@ class SwimController:
             )
         gait = self.gait
         wt = self._omega * t
+        # positional, in ControlInput's field order
         return ControlInput(
-            servo_angle=(gait.bias + gait.amplitude * math.sin(wt)) * _DEG,
-            servo_rate=self._amp_omega * math.cos(wt) * _DEG,
-            gait_frequency=gait.frequency,
-            gait_amplitude=self._amplitude_rad,
-            erection=gait.fin_erection_setpoint,
-            buoyancy=buoyancy_n,
-            syringe_volume=self._volume,
+            (gait.bias + gait.amplitude * math.sin(wt)) * _DEG,
+            self._amp_omega * math.cos(wt) * _DEG,
+            gait.frequency,
+            self._amplitude_rad,
+            gait.fin_erection_setpoint,
+            buoyancy_n,
+            self._volume,
         )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .errors import ConfigError, DomainError, SimulationFault
 from .metrics import PowerModel, servo_power
@@ -126,9 +126,12 @@ class ForceBreakdown:
     heave_drag: float  # N, signed against heave
 
 
-@dataclass(frozen=True)
-class ControlInput:
-    """Instantaneous actuation fed to the force model for one step."""
+class ControlInput(NamedTuple):
+    """Instantaneous actuation fed to the force model for one step.
+
+    A NamedTuple, so the per-step controller can build it positionally at
+    the cost of a tuple; the field order is part of its interface.
+    """
 
     servo_angle: float = 0.0  # rad
     servo_rate: float = 0.0  # rad/s
@@ -140,14 +143,15 @@ class ControlInput:
 
     def is_finite(self) -> bool:
         isfinite = math.isfinite
+        angle, rate, frequency, amplitude, erection, buoyancy, volume = self
         return (
-            isfinite(self.servo_angle)
-            and isfinite(self.servo_rate)
-            and isfinite(self.gait_frequency)
-            and isfinite(self.gait_amplitude)
-            and isfinite(self.erection)
-            and isfinite(self.buoyancy)
-            and isfinite(self.syringe_volume)
+            isfinite(angle)
+            and isfinite(rate)
+            and isfinite(frequency)
+            and isfinite(amplitude)
+            and isfinite(erection)
+            and isfinite(buoyancy)
+            and isfinite(volume)
         )
 
 
@@ -225,49 +229,66 @@ def net_forces(
 # output stays bit-identical to it.
 
 
-def _derivs(params: FishParams, loads, yaw, u, v, r, w):
-    """(dx, dy, du, dv, dr, dw) at one state; d(depth) is w and d(yaw) is r."""
-    thrust, tail_moment, damping, buoyancy = loads
+def _integrator(params: FishParams, dt: float):
+    """The RK4 step advance(sv, loads) -> sv for fixed params and dt.
+
+    The coefficients are read from params once here, not in each of the four
+    derivative evaluations of every step; simulate builds one per run.
+    """
     rho_cda = _rho_cda(params)
     mass = params.mass
-    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
-    return (
-        u * cos_y - v * sin_y,
-        u * sin_y + v * cos_y,
-        (thrust - rho_cda * u * abs(u)) / mass,
-        -rho_cda * v * abs(v) / mass,  # lightly damped, unforced at zero bias
-        (tail_moment - damping * r * abs(r)) / params.yaw_inertia,
-        (-buoyancy - params.heave_drag_coeff * w * abs(w)) / (mass + params.heave_added_mass),
-    )
+    yaw_inertia = params.yaw_inertia
+    heave_drag_coeff = params.heave_drag_coeff
+    heave_mass = mass + params.heave_added_mass
+    cos, sin = math.cos, math.sin
+    half = dt / 2.0
+    sixth = dt / 6.0
+
+    def derivs(thrust, tail_moment, damping, buoyancy, yaw, u, v, r, w):
+        """(dx, dy, du, dv, dr, dw) at one state; d(depth) is w and d(yaw) is r."""
+        cos_y, sin_y = cos(yaw), sin(yaw)
+        return (
+            u * cos_y - v * sin_y,
+            u * sin_y + v * cos_y,
+            (thrust - rho_cda * u * abs(u)) / mass,
+            -rho_cda * v * abs(v) / mass,  # lightly damped, unforced at zero bias
+            (tail_moment - damping * r * abs(r)) / yaw_inertia,
+            (-buoyancy - heave_drag_coeff * w * abs(w)) / heave_mass,
+        )
+
+    def advance(sv, loads):
+        x, y, depth, yaw, u, v, r, w = sv
+        f, m, c, b = loads
+        dx1, dy1, du1, dv1, dr1, dw1 = derivs(f, m, c, b, yaw, u, v, r, w)
+        u2, v2, r2, w2 = u + half * du1, v + half * dv1, r + half * dr1, w + half * dw1
+        dx2, dy2, du2, dv2, dr2, dw2 = derivs(f, m, c, b, yaw + half * r, u2, v2, r2, w2)
+        u3, v3, r3, w3 = u + half * du2, v + half * dv2, r + half * dr2, w + half * dw2
+        dx3, dy3, du3, dv3, dr3, dw3 = derivs(f, m, c, b, yaw + half * r2, u3, v3, r3, w3)
+        u4, v4, r4, w4 = u + dt * du3, v + dt * dv3, r + dt * dr3, w + dt * dw3
+        dx4, dy4, du4, dv4, dr4, dw4 = derivs(f, m, c, b, yaw + dt * r3, u4, v4, r4, w4)
+        depth = depth + sixth * (w + 2.0 * w2 + 2.0 * w3 + w4)
+        w = w + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+        # hard free-surface boundary: clamp depth, kill upward heave on contact
+        if depth < 0.0:
+            depth = 0.0
+            w = max(w, 0.0)
+        return (
+            x + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
+            y + sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4),
+            depth,
+            yaw + sixth * (r + 2.0 * r2 + 2.0 * r3 + r4),
+            u + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4),
+            v + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
+            r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4),
+            w,
+        )
+
+    return advance
 
 
 def _rk4(params: FishParams, sv, loads, dt: float):
-    x, y, depth, yaw, u, v, r, w = sv
-    half = dt / 2.0
-    dx1, dy1, du1, dv1, dr1, dw1 = _derivs(params, loads, yaw, u, v, r, w)
-    u2, v2, r2, w2 = u + half * du1, v + half * dv1, r + half * dr1, w + half * dw1
-    dx2, dy2, du2, dv2, dr2, dw2 = _derivs(params, loads, yaw + half * r, u2, v2, r2, w2)
-    u3, v3, r3, w3 = u + half * du2, v + half * dv2, r + half * dr2, w + half * dw2
-    dx3, dy3, du3, dv3, dr3, dw3 = _derivs(params, loads, yaw + half * r2, u3, v3, r3, w3)
-    u4, v4, r4, w4 = u + dt * du3, v + dt * dv3, r + dt * dr3, w + dt * dw3
-    dx4, dy4, du4, dv4, dr4, dw4 = _derivs(params, loads, yaw + dt * r3, u4, v4, r4, w4)
-    sixth = dt / 6.0
-    depth = depth + sixth * (w + 2.0 * w2 + 2.0 * w3 + w4)
-    w = w + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
-    # hard free-surface boundary: clamp depth, kill upward heave on contact
-    if depth < 0.0:
-        depth = 0.0
-        w = max(w, 0.0)
-    return (
-        x + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
-        y + sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4),
-        depth,
-        yaw + sixth * (r + 2.0 * r2 + 2.0 * r3 + r4),
-        u + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4),
-        v + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
-        r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4),
-        w,
-    )
+    """One RK4 step of sv under held loads; the same step simulate takes."""
+    return _integrator(params, dt)(sv, loads)
 
 
 def _check_dt(dt: float) -> None:
@@ -286,8 +307,7 @@ def step(
     return new
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(NamedTuple):
     """Sensor view of the state handed to controllers (possibly noisy/quantized)."""
 
     time: float
@@ -339,6 +359,7 @@ def simulate(
     rng = random.Random(seed)
 
     n_steps = math.ceil(duration / dt)
+    advance = _integrator(params, dt)
     sv = state.vector()
     t0 = state.time
     records: list[TelemetryRecord] = []
@@ -349,7 +370,7 @@ def simulate(
         if noise.enabled:
             yaw = yaw + rng.gauss(0.0, noise.yaw_std_deg * _DEG)
             depth = max(0.0, depth + rng.gauss(0.0, noise.depth_std_m))
-        control = controller.command(Measurement(time=t, depth=depth, yaw=yaw))
+        control = controller.command(Measurement(t, depth, yaw))
         if not control.is_finite():
             raise SimulationFault(t)
         return control, control_loads(params, control)
@@ -384,7 +405,7 @@ def simulate(
     for i in range(n_steps):
         t = t0 + (i + 1) * dt
         try:
-            sv = _rk4(params, sv, loads, dt)
+            sv = advance(sv, loads)
         except ValueError as exc:  # math.cos/sin of an infinite yaw
             raise SimulationFault(t, "non-finite state yaw") from exc
         control, loads = hold(t, sv)

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -15,7 +15,12 @@ HEADER = (
     "servo_deg,torque_nm,power_w,erection,syringe_ml"
 )
 
-_COLUMNS = HEADER.split(",")
+_COLUMNS = tuple(HEADER.split(","))
+
+# 9 significant digits per field: '%.9g' % v is format(v, '.9g') for every
+# float, so one %-format of all the columns writes the same bytes
+_ROW_FORMAT = ",".join(["%.9g"] * len(_COLUMNS))
+_row_values = operator.attrgetter(*_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,7 @@ class TelemetryRecord:
 
     def row(self) -> str:
         """One CSV row (no newline), 9 significant digits per field."""
-        return ",".join(format(getattr(self, c), ".9g") for c in _COLUMNS)
+        return _ROW_FORMAT % _row_values(self)
 
 
 def write_telemetry(records: Iterable[TelemetryRecord], destination) -> int:
@@ -63,9 +68,9 @@ def stream_records(records: Iterable[TelemetryRecord], out: TextIO) -> None:
 def _validate(records: list[TelemetryRecord]) -> None:
     prev = -math.inf
     for i, r in enumerate(records):
-        for f in fields(TelemetryRecord):
-            if not math.isfinite(getattr(r, f.name)):
-                raise TelemetryFormatError(f"non-finite {f.name} in record {i}")
+        for name in _COLUMNS:
+            if not math.isfinite(getattr(r, name)):
+                raise TelemetryFormatError(f"non-finite {name} in record {i}")
         if not r.time_s > prev:
             raise TelemetryFormatError(f"time not strictly increasing at record {i}")
         prev = r.time_s

@@ -228,6 +228,16 @@ class TestPlot:
         svg = (out / "plot.svg").read_text()
         assert svg.count("<polyline") == 2
 
+    @pytest.mark.parametrize("axis", ["--x", "--y"])
+    def test_unknown_column_is_an_error(self, fast_config, tmp_path, capsys, axis):
+        out = tmp_path / "out"
+        main(["--config", str(fast_config), "--out", str(out), "run"])
+        capsys.readouterr()
+        rc = main(["--out", str(out), "plot", str(out / "run.csv"), axis, "speed"])
+        assert rc == 1
+        assert "unknown telemetry column 'speed'" in capsys.readouterr().err
+        assert not (out / "plot.svg").exists()
+
 
 def test_default_config_is_packaged():
     cfg = load_default_config()

@@ -208,7 +208,7 @@ class _ReferenceController:
 
 
 def _bits(control):
-    return struct.pack("<7d", *control.__dict__.values())
+    return struct.pack("<7d", *tuple(control))
 
 
 class TestSwimControllerOracle:

@@ -350,3 +350,52 @@ class TestScalarRk4Oracle:
         expected = _oracle_rk4(params, sv, loads, dt)
         assert expected[2] == 0.0  # the clamp acted
         assert _bits(_rk4(params, sv, loads, dt)) == _bits(expected)
+
+
+# The per-step paths build ControlInput and Measurement positionally
+# (SwimController.command, simulate), so their field order is pinned here.
+
+_CONTROL_FIELDS = (
+    "servo_angle",
+    "servo_rate",
+    "gait_frequency",
+    "gait_amplitude",
+    "erection",
+    "buoyancy",
+    "syringe_volume",
+)
+
+
+class TestValueTypes:
+    def test_field_order_is_pinned(self):
+        assert ControlInput._fields == _CONTROL_FIELDS
+        assert Measurement._fields == ("time", "depth", "yaw")
+
+    def test_keyword_and_default_construction(self):
+        assert ControlInput() == ControlInput(*[0.0] * 7)
+        control = ControlInput(erection=1.0, servo_rate=-2.0)
+        assert control.erection == 1.0 and control.servo_rate == -2.0
+        assert control.buoyancy == 0.0 and control.servo_angle == 0.0
+        assert tuple(ControlInput(1.0, 2.0, 3.0, 4.0, 0.5, 6.0, 7.0)) == (
+            1.0, 2.0, 3.0, 4.0, 0.5, 6.0, 7.0
+        )
+        assert Measurement(time=0.5, yaw=0.25, depth=0.1) == Measurement(0.5, 0.1, 0.25)
+        with pytest.raises(TypeError):
+            Measurement(0.5, 0.1)
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=7, max_size=7),
+        st.dictionaries(
+            st.integers(0, 6), st.sampled_from([math.nan, math.inf, -math.inf]), max_size=7
+        ),
+    )
+    def test_is_finite_exactly_when_every_field_is(self, values, bad):
+        # `bad` puts a nan or an infinity at none, one or several fields
+        for i, value in bad.items():
+            values[i] = value
+        assert ControlInput(*values).is_finite() == (not bad)
+        # a single non-finite field is enough, whichever it is
+        for i, value in bad.items():
+            alone = [0.0] * 7
+            alone[i] = value
+            assert not ControlInput(*alone).is_finite()

@@ -1,7 +1,13 @@
+import dataclasses
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphfin.errors import TelemetryFormatError
 from morphfin.telemetry import (
+    _COLUMNS,
     HEADER,
     TelemetryRecord,
     read_telemetry,
@@ -60,6 +66,35 @@ class TestWrite:
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(TelemetryFormatError):
             write_telemetry([], tmp_path / "empty.csv")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", _COLUMNS)
+    def test_non_finite_value_names_column_and_record(self, tmp_path, column, value):
+        records = [record(0.5), dataclasses.replace(record(0.6), **{column: value})]
+        path = tmp_path / "bad.csv"
+        with pytest.raises(TelemetryFormatError, match=f"non-finite {column} in record 1$"):
+            write_telemetry(records, path)
+        assert not path.exists()
+
+
+def _oracle_row(r):
+    """The per-field format() join that row() replaced."""
+    return ",".join(format(getattr(r, c), ".9g") for c in _COLUMNS)
+
+
+# any finite double: subnormals, +-0.0 and the extremes included
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+class TestRowOracle:
+    @given(st.lists(_finite, min_size=13, max_size=13))
+    @settings(max_examples=500)
+    def test_row_matches_per_field_format(self, values):
+        r = TelemetryRecord(*values)
+        assert r.row() == _oracle_row(r)
 
 
 class TestRead:
