@@ -376,9 +376,9 @@ def simulate(
         return control, control_loads(params, control)
 
     def emit(t: float, sv, control: ControlInput, tail_moment: float) -> None:
-        for name, value in zip(_STATE_FIELDS, sv):
-            if not math.isfinite(value):
-                raise SimulationFault(t, f"non-finite state {name}")
+        if not all(map(math.isfinite, sv)):
+            name = next(n for n, v in zip(_STATE_FIELDS, sv) if not math.isfinite(v))
+            raise SimulationFault(t, f"non-finite state {name}")
         x, y, depth, yaw, u, v, r, w = sv
         torque = abs(tail_moment)
         records.append(

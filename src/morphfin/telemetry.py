@@ -23,8 +23,15 @@ _ROW_FORMAT = ",".join(["%.9g"] * len(_COLUMNS))
 _row_values = operator.attrgetter(*_COLUMNS)
 
 
-@dataclass(frozen=True)
+@dataclass
 class TelemetryRecord:
+    """One sampled instant; fields in CSV column order.
+
+    A plain dataclass: a frozen one costs about 8x as much to build, and
+    `read_telemetry` and `simulate` build one per row. Treat records as
+    values all the same.
+    """
+
     time_s: float
     x_m: float
     y_m: float
@@ -49,11 +56,11 @@ def write_telemetry(records: Iterable[TelemetryRecord], destination) -> int:
 
     Raises OSError (I/O error with path) on an unwritable destination.
     """
-    records = list(records)
-    if not records:
+    rows = list(map(_row_values, records))
+    if not rows:
         raise TelemetryFormatError("no records to write")
-    _validate(records)
-    text = HEADER + "\n" + "\n".join(r.row() for r in records) + "\n"
+    _validate(rows)
+    text = HEADER + "\n" + "\n".join([_ROW_FORMAT % values for values in rows]) + "\n"
     data = text.encode("ascii")
     Path(destination).write_bytes(data)
     return len(data)
@@ -65,24 +72,40 @@ def stream_records(records: Iterable[TelemetryRecord], out: TextIO) -> None:
         out.write(record.row() + "\n")
 
 
-def _validate(records: list[TelemetryRecord]) -> None:
+def _validate(rows: list[tuple[float, ...]]) -> None:
+    """Every value finite and time strictly increasing, per row of column values."""
     prev = -math.inf
-    for i, r in enumerate(records):
-        for name in _COLUMNS:
-            if not math.isfinite(getattr(r, name)):
-                raise TelemetryFormatError(f"non-finite {name} in record {i}")
-        if not r.time_s > prev:
+    for i, values in enumerate(rows):
+        if not all(map(math.isfinite, values)):
+            name = next(n for n, v in zip(_COLUMNS, values) if not math.isfinite(v))
+            raise TelemetryFormatError(f"non-finite {name} in record {i}")
+        if not values[0] > prev:
             raise TelemetryFormatError(f"time not strictly increasing at record {i}")
-        prev = r.time_s
+        prev = values[0]
 
 
 def read_telemetry(source) -> list[TelemetryRecord]:
-    """Parse a telemetry CSV, enforcing the exact header and monotone time."""
+    """Parse a telemetry CSV, enforcing the exact header and monotone time.
+
+    A path is read as ASCII, the only bytes `write_telemetry` writes; any other
+    byte is a TelemetryFormatError naming its line.
+    """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
+        text = _decode(Path(source).read_bytes())
     else:
         text = source.read()
     return _parse(text)
+
+
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one are ASCII; count lines as _parse does
+        line = len((data[: exc.start].decode("ascii") + "x").splitlines())
+        raise TelemetryFormatError(
+            f"non-ASCII byte 0x{data[exc.start]:02x}", line=line
+        ) from exc
 
 
 def _parse(text: str) -> list[TelemetryRecord]:
@@ -104,10 +127,10 @@ def _parse(text: str) -> list[TelemetryRecord]:
                 f"expected {len(_COLUMNS)} columns, got {len(parts)}", line=lineno
             )
         try:
-            values = [float(p) for p in parts]
+            values = list(map(float, parts))
         except ValueError as exc:
             raise TelemetryFormatError(str(exc), line=lineno) from exc
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise TelemetryFormatError("non-finite value", line=lineno)
         if not values[0] > prev_time:
             raise TelemetryFormatError("time not strictly increasing", line=lineno)

@@ -147,6 +147,18 @@ class TestReplay:
         assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["replay", "plot"])
+def test_undecodable_telemetry_is_an_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"time_s,x_m\n\xff\n")
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), command, str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: line 2: non-ASCII byte 0xff\n"
+    assert not out.exists()
+
+
 class TestSweepAndStudy:
     def test_sweep_speed_writes_summary(self, fast_config, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphfin.control import GaitCommand
+from morphfin.controllers import SwimController
 from morphfin.errors import TelemetryFormatError
+from morphfin.hydro import FishParams, simulate
 from morphfin.telemetry import (
     _COLUMNS,
     HEADER,
@@ -76,6 +80,30 @@ class TestWrite:
             write_telemetry(records, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", _COLUMNS)
+    def test_first_non_finite_in_last_record_wins_over_a_time_tie(
+        self, tmp_path, column, value
+    ):
+        records = [record(0.1 * i) for i in range(1, 5)]
+        # the last record repeats the previous time and holds bad values from
+        # `column` on: the first bad column is named
+        bad = dict.fromkeys(_COLUMNS[_COLUMNS.index(column) :], value)
+        records.append(dataclasses.replace(record(0.4), **bad))
+        path = tmp_path / "bad.csv"
+        with pytest.raises(TelemetryFormatError, match=f"non-finite {column} in record 4$"):
+            write_telemetry(records, path)
+        assert not path.exists()
+
+    def test_time_tie_at_last_record(self, tmp_path):
+        records = [record(0.1 * i) for i in range(1, 5)] + [record(0.4)]
+        path = tmp_path / "tie.csv"
+        with pytest.raises(
+            TelemetryFormatError, match="time not strictly increasing at record 4$"
+        ):
+            write_telemetry(records, path)
+        assert not path.exists()
+
 
 def _oracle_row(r):
     """The per-field format() join that row() replaced."""
@@ -95,6 +123,71 @@ class TestRowOracle:
     def test_row_matches_per_field_format(self, values):
         r = TelemetryRecord(*values)
         assert r.row() == _oracle_row(r)
+
+
+def _packed(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _increasing_times(raw):
+    """Strictly increasing times that stay strictly increasing at 9 significant digits."""
+    times, last = [], None
+    for t in sorted(set(raw)):
+        rounded = float("%.9g" % t)
+        if rounded != last:
+            times.append(t)
+            last = rounded
+    return times
+
+
+class TestRoundTrip:
+    @given(st.lists(st.lists(_finite, min_size=13, max_size=13), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_read_returns_written_values_at_9_digits(self, tmp_path_factory, rows):
+        times = _increasing_times(row[0] for row in rows)
+        records = [TelemetryRecord(t, *row[1:]) for t, row in zip(times, rows)]
+        path = tmp_path_factory.getbasetemp() / "trip.csv"
+        write_telemetry(records, path)
+        back = read_telemetry(path)
+        assert len(back) == len(records)
+        for written, read in zip(records, back):
+            expected = [float("%.9g" % v) for v in dataclasses.astuple(written)]
+            assert _packed(dataclasses.astuple(read)) == _packed(expected)
+
+
+class TestRecordContract:
+    """perfbench reads records through their instance __dict__, in column order."""
+
+    def assert_contract(self, r):
+        assert list(vars(r)) == list(_COLUMNS)
+
+    def test_fields_are_the_columns(self):
+        assert [f.name for f in dataclasses.fields(TelemetryRecord)] == list(_COLUMNS)
+
+    def test_built_by_keyword(self):
+        self.assert_contract(record())
+
+    def test_built_positionally(self):
+        self.assert_contract(TelemetryRecord(*range(len(_COLUMNS))))
+
+    def test_read_records(self, tmp_path):
+        path = tmp_path / "golden.csv"
+        path.write_text(HEADER + "\n" + GOLDEN_ROW + "\n")
+        (rec,) = read_telemetry(path)
+        self.assert_contract(rec)
+
+    def test_simulated_records(self):
+        gait = GaitCommand(frequency=1.0, amplitude=20.0)
+        records = simulate(FishParams(), SwimController(FishParams(), gait), 0.05, 0.001)
+        for rec in records:
+            self.assert_contract(rec)
+
+
+def _bad_row(column, token):
+    parts = GOLDEN_ROW.split(",")
+    parts[0] = "0.7"
+    parts[_COLUMNS.index(column)] = token
+    return ",".join(parts)
 
 
 class TestRead:
@@ -137,3 +230,38 @@ class TestRead:
         with pytest.raises(TelemetryFormatError) as exc:
             read_telemetry(path)
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("column", _COLUMNS)
+    def test_non_finite_token_names_line(self, tmp_path, column, token):
+        # 1e999 parses, overflowing to inf inside float()
+        path = tmp_path / "bad.csv"
+        rows = [GOLDEN_ROW, GOLDEN_ROW.replace("0.5,", "0.6,", 1), _bad_row(column, token)]
+        path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(TelemetryFormatError, match="^line 4: non-finite value$") as exc:
+            read_telemetry(path)
+        assert exc.value.line == 4
+
+    def test_column_count_wins_over_a_bad_token(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        short = _bad_row("x_m", "nan").rsplit(",", 1)[0]
+        path.write_text(HEADER + "\n" + GOLDEN_ROW + "\n" + short + "\n")
+        with pytest.raises(TelemetryFormatError, match="^line 3: expected 13 columns, got 12$"):
+            read_telemetry(path)
+
+    @pytest.mark.parametrize(
+        "prefix, line",
+        [
+            (b"", 1),
+            (HEADER.encode()[:7], 1),
+            (HEADER.encode() + b"\n", 2),
+            (HEADER.encode() + b"\r\n" + GOLDEN_ROW.encode() + b"\r\n0.6,", 3),
+        ],
+        ids=["first-byte", "in-header", "second-line", "crlf-third-line"],
+    )
+    def test_non_ascii_byte_names_its_line(self, tmp_path, prefix, line):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(prefix + b"\xff" + b"\n" + GOLDEN_ROW.encode() + b"\n")
+        with pytest.raises(TelemetryFormatError, match="non-ASCII byte 0xff$") as exc:
+            read_telemetry(path)
+        assert exc.value.line == line
