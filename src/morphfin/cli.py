@@ -72,88 +72,68 @@ def _cmd_run(config: RunConfig, out: Path, stream: bool) -> int:
     return 0
 
 
-def _cmd_sweep_speed(config: RunConfig, out: Path) -> int:
-    env = _environment(config)
-    spec = config.experiment
-    if spec.kind != "speed_sweep":
-        spec = xp.speed_sweep_spec(seed=config.sim.seed)
-    kept: list = []
-    result = xp.run_speed_sweep(env, spec, keep_records=kept)
+def _grid_spec(config: RunConfig, kind: str) -> xp.ExperimentSpec:
+    """The config's experiment if it is a `kind` grid, else the canonical one, seeded by sim.seed."""
+    if config.experiment.kind == kind:
+        return replace(config.experiment, seed=config.sim.seed)
+    canonical = xp.speed_sweep_spec if kind == "speed_sweep" else xp.yaw_study_spec
+    return canonical(seed=config.sim.seed)
+
+
+def _write_grid(
+    out: Path, table: str, csv: str, kept: list, prefix: str, series, style, chart: str
+) -> None:
+    """The grid's table, the first-repeat telemetry of each cell, and its chart."""
     out.mkdir(parents=True, exist_ok=True)
-    (out / "speed_sweep.csv").write_text(result.to_csv())
+    (out / table).write_text(csv)
     for freq, amp, fin_state, records in kept:
-        write_telemetry(
-            records, out / f"run_f{freq:.2f}_a{amp:.0f}_{fin_state}.csv"
-        )
+        write_telemetry(records, out / f"{prefix}_f{freq:.2f}_a{amp:.0f}_{fin_state}.csv")
+    emit_plot(series, style, out / chart)
+    print(f"wrote {out / table}", file=sys.stderr)
+
+
+def _cmd_sweep_speed(config: RunConfig, out: Path) -> int:
+    spec = _grid_spec(config, "speed_sweep")
+    kept: list = []
+    result = xp.run_speed_sweep(_environment(config), spec, keep_records=kept)
     series = []
     for fin_state in spec.fin_states:
         rows = [r for r in result.rows if r.fin_state == fin_state]
         series.append(
-            Series(
-                name=fin_state,
-                x=[r.frequency for r in rows],
-                y=[r.mean_speed for r in rows],
-            )
+            Series(fin_state, [r.frequency for r in rows], [r.mean_speed for r in rows])
         )
-    emit_plot(
-        series,
-        PlotStyle(
-            title="Mean speed vs gait frequency",
-            x_label="frequency (Hz)",
-            y_label="speed (m/s)",
-        ),
-        out / "speed_vs_frequency.svg",
+    style = PlotStyle("Mean speed vs gait frequency", "frequency (Hz)", "speed (m/s)")
+    _write_grid(
+        out, "speed_sweep.csv", result.to_csv(), kept, "run", series, style,
+        "speed_vs_frequency.svg",
     )
-    print(f"wrote {out / 'speed_sweep.csv'}", file=sys.stderr)
     return 0
 
 
 def _cmd_yaw_study(config: RunConfig, out: Path) -> int:
-    env = _environment(config)
-    spec = config.experiment
-    if spec.kind != "yaw_study":
-        spec = xp.yaw_study_spec(seed=config.sim.seed)
+    spec = _grid_spec(config, "yaw_study")
     kept: list = []
-    report = xp.run_yaw_study(env, spec, keep_records=kept)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "yaw_study.csv").write_text(report.table_csv())
-    for freq, amp, fin_state, records in kept:
-        write_telemetry(
-            records, out / f"yaw_f{freq:.2f}_a{amp:.0f}_{fin_state}.csv"
-        )
+    report = xp.run_yaw_study(_environment(config), spec, keep_records=kept)
+    index = list(range(len(report.table)))
     series = [
-        Series(
-            name="folded",
-            x=list(range(len(report.table))),
-            y=[r.folded_p2p for r in report.table],
-        ),
-        Series(
-            name="erect",
-            x=list(range(len(report.table))),
-            y=[r.erect_p2p for r in report.table],
-        ),
+        Series("folded", index, [r.folded_p2p for r in report.table]),
+        Series("erect", index, [r.erect_p2p for r in report.table]),
     ]
-    emit_plot(
-        series,
-        PlotStyle(
-            title="Peak-to-peak yaw per condition",
-            x_label="condition index",
-            y_label="yaw p2p (deg)",
-        ),
-        out / "yaw_p2p.svg",
+    style = PlotStyle("Peak-to-peak yaw per condition", "condition index", "yaw p2p (deg)")
+    _write_grid(
+        out, "yaw_study.csv", report.table_csv(), kept, "yaw", series, style,
+        "yaw_p2p.svg",
     )
-    print(f"wrote {out / 'yaw_study.csv'}", file=sys.stderr)
     return 0
 
 
 def _cmd_depth_step(config: RunConfig, out: Path) -> int:
     env = _environment(config)
     schedule = [(t, d) for t, d in config.depth_schedule]
-    duration = config.sim.duration
     records, reports = xp.run_depth_step(
         env,
         schedule,
-        duration,
+        config.sim.duration,
         config.sim.seed,
         initial_depth=config.sim.initial_depth,
     )
@@ -181,11 +161,8 @@ def _cmd_depth_step(config: RunConfig, out: Path) -> int:
 def _cmd_calibrate(config: RunConfig, out: Path) -> int:
     env = _environment(config)
     initial = {
-        "thrust_coeff": config.fish.thrust_coeff,
-        "tail_reaction_coeff": config.fish.tail_reaction_coeff,
-        "yaw_damping_body": config.fish.yaw_damping_body,
-        "yaw_damping_fin": config.fish.yaw_damping_fin,
-        "efficiency": config.power.efficiency,
+        name: getattr(config.power if name in xp._POWER_FIELDS else config.fish, name)
+        for name in xp.DEFAULT_BOUNDS
     }
     result = xp.calibrate(
         xp.default_targets(),
@@ -249,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Free-swimming robotic tuna simulator with a morphing dorsal fin",
     )
     parser.add_argument("--config", help="path to a JSON run config")
-    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--seed", type=int, help="override the config's sim.seed")
     parser.add_argument("--out", help="output directory (default: config output_dir)")
     sub = parser.add_subparsers(dest="command")
     run = sub.add_parser("run", help="single simulation of the configured gait")
@@ -280,11 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config) if args.config else load_default_config()
         if args.seed is not None:
-            config = replace(
-                config,
-                sim=replace(config.sim, seed=args.seed),
-                experiment=replace(config.experiment, seed=args.seed),
-            )
+            config = replace(config, sim=replace(config.sim, seed=args.seed))
         out = Path(args.out if args.out is not None else config.output_dir)
         if args.command == "run":
             return _cmd_run(config, out, args.stream)

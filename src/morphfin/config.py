@@ -2,14 +2,13 @@
 
 Every type invariant is checked at load time with a field-path diagnostic;
 unknown keys are rejected. The committed default config corresponds to the
-calibrated robot.
+calibrated robot. Annotations here are evaluated, not postponed, so that the
+loader's type-hint lookups compile no strings.
 """
-
-from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
@@ -46,7 +45,8 @@ class SimSettings:
             hz = getattr(self, name)
             if not (hz > 0.0):
                 raise ConfigError("must be > 0", f"sim.{name}")
-            steps = 1.0 / (hz * self.dt)
+            # a subnormal hz*dt would divide by zero: its step count is no finite number
+            steps = 1.0 / (hz * self.dt) if hz * self.dt > 0.0 else math.inf
             whole = round(steps) if math.isfinite(steps) else 0
             if not (whole >= 1 and abs(steps - whole) <= 1e-9 * steps):
                 raise ConfigError(
@@ -77,7 +77,7 @@ class SimSettings:
 @dataclass(frozen=True)
 class RunConfig:
     fish: FishParams = field(default_factory=FishParams)
-    power: PowerModel = field(default_factory=lambda: PowerModel(0.740078125, 0.5))
+    power: PowerModel = field(default_factory=PowerModel)
     pid: PidGains = field(
         default_factory=lambda: PidGains(4e-4, 5e-7, 5e-4, 1.0, 3e-5)
     )
@@ -109,15 +109,10 @@ class RunConfig:
     output_dir: str = "results"
 
     def validate(self) -> None:
-        self.fish.validate()
-        self.power.validate()
-        self.pid.validate()
-        self.buoyancy.validate()
-        self.linkage.validate()
-        self.fin.validate()
-        self.gait.validate()
-        self.experiment.validate()
-        self.sim.validate()
+        for f in fields(self):
+            section = getattr(self, f.name)
+            if is_dataclass(section):
+                section.validate()
         for i, entry in enumerate(self.depth_schedule):
             if len(entry) != 2 or not all(math.isfinite(v) for v in entry):
                 raise ConfigError(
@@ -127,25 +122,15 @@ class RunConfig:
                 raise ConfigError("target must be >= 0", f"depth_schedule[{i}]")
 
 
-_SECTIONS = (
-    "fish",
-    "power",
-    "pid",
-    "buoyancy",
-    "linkage",
-    "fin",
-    "gait",
-    "experiment",
-    "sim",
-)
-
-
 def _coerce(value: Any, hint: Any, path: str) -> Any:
     origin = get_origin(hint)
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"expected a number, got {value!r}", path)
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the double range
+            raise ConfigError("number out of the double range", path) from None
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"expected an integer, got {value!r}", path)
@@ -173,42 +158,31 @@ def _coerce(value: Any, hint: Any, path: str) -> Any:
     raise ConfigError(f"unsupported config type {hint!r}", path)
 
 
-def _build(default, data: Any, path: str):
-    """The section `default` with the fields `data` gives replaced."""
+def _build(default, data: Any, path: str = ""):
+    """`default` with the fields `data` gives replaced; a dataclass field merges the same way."""
     if not isinstance(data, dict):
         raise ConfigError("expected an object", path)
-    cls = type(default)
-    hints = get_type_hints(cls)
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(default)}
     if unknown:
-        raise ConfigError(f"unknown key(s): {sorted(unknown)}", path)
-    kwargs = {
-        name: _coerce(value, hints[name], f"{path}.{name}")
-        for name, value in data.items()
-    }
+        raise ConfigError(f"unknown key(s): {sorted(unknown)}", path or "config")
+    hints = get_type_hints(type(default))
+    kwargs = {}
+    for name, value in data.items():
+        sub = f"{path}.{name}" if path else name
+        current = getattr(default, name)
+        if is_dataclass(current):
+            kwargs[name] = _build(current, value, sub)
+        else:
+            kwargs[name] = _coerce(value, hints[name], sub)
     return replace(default, **kwargs)
 
 
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be an object")
-    known = set(_SECTIONS) | {"depth_schedule", "output_dir"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown key(s): {sorted(unknown)}", "config")
-    defaults = RunConfig()
-    kwargs = {}
-    for name in _SECTIONS:
-        if name in data:
-            kwargs[name] = _build(getattr(defaults, name), data[name], name)
-    if "depth_schedule" in data:
-        kwargs["depth_schedule"] = _coerce(
-            data["depth_schedule"], list[list[float]], "depth_schedule"
-        )
-    if "output_dir" in data:
-        kwargs["output_dir"] = _coerce(data["output_dir"], str, "output_dir")
-    config = RunConfig(**kwargs)
+    if isinstance(data.get("experiment"), dict) and "seed" in data["experiment"]:
+        raise ConfigError("the run seed is sim.seed; set it there", "experiment.seed")
+    config = _build(RunConfig(), data)
     config.validate()
     return config
 
@@ -216,12 +190,8 @@ def config_from_dict(data: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     """Load and validate a JSON config file."""
     try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or bytes that are not text
         raise ConfigError(f"invalid JSON: {exc}", str(path)) from exc
     return config_from_dict(data)
 

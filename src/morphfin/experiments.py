@@ -38,7 +38,7 @@ YAW_AMPLITUDES = [10.0, 20.0, 30.0]
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one protocol run."""
+    """One protocol grid; `kind` is the protocol that runs it, speed_sweep or yaw_study."""
 
     kind: str = "speed_sweep"
     frequencies: list[float] = field(default_factory=lambda: list(DEFAULT_FREQUENCIES))
@@ -46,20 +46,23 @@ class ExperimentSpec:
     fin_states: list[str] = field(default_factory=lambda: list(FIN_STATES))
     repeats: int = 5
     duration: float = 25.0
-    seed: int = 0
+    seed: int = 0  # not a config key: the CLI runs every spec with sim.seed
 
     def validate(self) -> None:
-        if self.kind not in ("speed_sweep", "yaw_study", "depth_step", "single_run"):
+        if self.kind not in ("speed_sweep", "yaw_study"):
             raise ConfigError(f"unknown kind {self.kind!r}", "experiment.kind")
         if not 1 <= self.repeats <= 1000:  # the seed stride between sweep cells
             raise ConfigError("repeats must be in [1, 1000]", "experiment.repeats")
-        if not self.frequencies or any(f <= 0.0 for f in self.frequencies):
+        if not self.frequencies or not all(f > 0.0 for f in self.frequencies):
             raise ConfigError("frequencies must be positive", "experiment.frequencies")
-        for state in self.fin_states:
-            if state not in FIN_STATES:
-                raise ConfigError(
-                    f"fin states must be one of {FIN_STATES}", "experiment.fin_states"
-                )
+        if not self.amplitudes:
+            raise ConfigError("need at least one amplitude", "experiment.amplitudes")
+        if not self.fin_states:
+            raise ConfigError("need at least one fin state", "experiment.fin_states")
+        if any(state not in FIN_STATES for state in self.fin_states):
+            raise ConfigError(f"fin states must be one of {FIN_STATES}", "experiment.fin_states")
+        if self.kind == "yaw_study" and set(self.fin_states) != set(FIN_STATES):
+            raise ConfigError("a yaw study compares both fin states", "experiment.fin_states")
         lowest = min(self.frequencies)
         if self.duration < 10.0 / lowest:
             raise ConfigError(
@@ -68,17 +71,16 @@ class ExperimentSpec:
             )
 
 
-def speed_sweep_spec(repeats: int = 5, duration: float = 25.0, seed: int = 0) -> ExperimentSpec:
-    return ExperimentSpec(kind="speed_sweep", repeats=repeats, duration=duration, seed=seed)
+def speed_sweep_spec(seed: int = 0) -> ExperimentSpec:
+    return ExperimentSpec(kind="speed_sweep", seed=seed)
 
 
-def yaw_study_spec(repeats: int = 1, duration: float = 25.0, seed: int = 0) -> ExperimentSpec:
+def yaw_study_spec(seed: int = 0) -> ExperimentSpec:
     return ExperimentSpec(
         kind="yaw_study",
         frequencies=list(YAW_FREQUENCIES),
         amplitudes=list(YAW_AMPLITUDES),
-        repeats=repeats,
-        duration=duration,
+        repeats=1,
         seed=seed,
     )
 
@@ -88,7 +90,7 @@ class RunEnvironment:
     """Everything besides the gait needed to run one simulation."""
 
     params: FishParams = field(default_factory=FishParams)
-    power: PowerModel = field(default_factory=lambda: PowerModel(0.740078125, 0.5))
+    power: PowerModel = field(default_factory=PowerModel)
     pid: PidGains | None = None
     buoyancy: BuoyancyState | None = None
     dt: float = 1e-3
@@ -343,21 +345,20 @@ def run_yaw_study(
     """Peak-to-peak yaw per gait condition, folded vs erect fin."""
     rows = _sweep_rows(env, spec, "yaw_study", keep_records)
     table = []
-    if set(spec.fin_states) == set(FIN_STATES):
-        p2p = {(r.amplitude, r.frequency, r.fin_state): r.p2p_yaw for r in rows}
-        for amplitude in spec.amplitudes:
-            for frequency in spec.frequencies:
-                folded = p2p[(amplitude, frequency, "folded")]
-                erect = p2p[(amplitude, frequency, "erect")]
-                table.append(
-                    YawConditionRow(
-                        amplitude=amplitude,
-                        frequency=frequency,
-                        folded_p2p=folded,
-                        erect_p2p=erect,
-                        improvement_pct=improvement(folded, erect),
-                    )
+    p2p = {(r.amplitude, r.frequency, r.fin_state): r.p2p_yaw for r in rows}
+    for amplitude in spec.amplitudes:
+        for frequency in spec.frequencies:
+            folded = p2p[(amplitude, frequency, "folded")]
+            erect = p2p[(amplitude, frequency, "erect")]
+            table.append(
+                YawConditionRow(
+                    amplitude=amplitude,
+                    frequency=frequency,
+                    folded_p2p=folded,
+                    erect_p2p=erect,
+                    improvement_pct=improvement(folded, erect),
                 )
+            )
     return YawStudyReport(sweep=SweepResult(rows=rows), table=table)
 
 

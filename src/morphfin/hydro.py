@@ -116,16 +116,6 @@ class FishState:
         )
 
 
-@dataclass(frozen=True)
-class ForceBreakdown:
-    thrust: float  # N, forward
-    drag: float  # N, signed against surge
-    tail_yaw_moment: float  # N*m
-    yaw_damping_moment: float  # N*m
-    net_buoyancy: float  # N, positive up
-    heave_drag: float  # N, signed against heave
-
-
 class ControlInput(NamedTuple):
     """Instantaneous actuation fed to the force model for one step.
 
@@ -204,22 +194,6 @@ def control_loads(params: FishParams, control: ControlInput):
     ) * (params.tail_length / 2.0)
     damping = params.yaw_damping_body + control.erection * params.yaw_damping_fin
     return thrust, tail_moment, damping, control.buoyancy
-
-
-def net_forces(
-    params: FishParams, state: FishState, control: ControlInput
-) -> ForceBreakdown:
-    """Quasi-steady force and moment breakdown for one instant."""
-    thrust, tail_moment, damping, buoyancy = control_loads(params, control)
-    r, w = state.yaw_rate, state.heave_vel
-    return ForceBreakdown(
-        thrust=thrust,
-        drag=drag_force(params, state.surge_vel),
-        tail_yaw_moment=tail_moment,
-        yaw_damping_moment=-damping * r * abs(r),
-        net_buoyancy=buoyancy,
-        heave_drag=-params.heave_drag_coeff * w * abs(w),
-    )
 
 
 # Internal fast path: state as a flat tuple (x, y, depth, yaw, u, v, r, w),
@@ -336,7 +310,7 @@ def simulate(
     seed: int = 0,
     *,
     initial_state: FishState | None = None,
-    power_model: PowerModel | None = None,
+    power_model: PowerModel = PowerModel(),
     record_every: int = 1,
     noise: NoiseConfig | None = None,
 ) -> list[TelemetryRecord]:
@@ -354,7 +328,6 @@ def simulate(
     params.validate()
     state = initial_state if initial_state is not None else FishState()
     state.validate()
-    pm = power_model if power_model is not None else PowerModel(efficiency=0.740078125, idle_power=0.5)
     noise = noise if noise is not None else NoiseConfig()
     rng = random.Random(seed)
 
@@ -393,7 +366,7 @@ def simulate(
                 sway_mps=v,
                 servo_deg=control.servo_angle / _DEG,
                 torque_nm=torque,
-                power_w=servo_power(pm, torque, abs(control.servo_rate)),
+                power_w=servo_power(power_model, torque, abs(control.servo_rate)),
                 erection=control.erection,
                 syringe_ml=control.syringe_volume * 1e6,
             )

@@ -21,10 +21,10 @@ TRANSIENT_CYCLES = 5.0
 
 @dataclass(frozen=True)
 class PowerModel:
-    """Electrical surrogate for the measured servo power draw."""
+    """Electrical surrogate for the measured servo power draw (calibrated defaults)."""
 
-    efficiency: float
-    idle_power: float
+    efficiency: float = 0.740078125
+    idle_power: float = 0.5
 
     def validate(self) -> None:
         if not (0.0 < self.efficiency <= 1.0):

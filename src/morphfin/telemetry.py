@@ -87,14 +87,12 @@ def _validate(rows: list[tuple[float, ...]]) -> None:
 def read_telemetry(source) -> list[TelemetryRecord]:
     """Parse a telemetry CSV, enforcing the exact header and monotone time.
 
-    A path is read as ASCII, the only bytes `write_telemetry` writes; any other
-    byte is a TelemetryFormatError naming its line.
+    A path or a binary stream is read as ASCII, the only bytes `write_telemetry`
+    writes; any other byte is a TelemetryFormatError naming its line. A text
+    stream is parsed as it reads.
     """
-    if isinstance(source, (str, Path)):
-        text = _decode(Path(source).read_bytes())
-    else:
-        text = source.read()
-    return _parse(text)
+    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+    return _parse(_decode(data) if isinstance(data, bytes) else data)
 
 
 def _decode(data: bytes) -> str:

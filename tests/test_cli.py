@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from morphfin import experiments as xp
 from morphfin.cli import main
 from morphfin.config import load_default_config
 
@@ -65,6 +66,24 @@ class TestExitCodes:
         assert rc == 1
         assert err.startswith(f"error: sim.{field}:")
         assert "Traceback" not in err
+
+
+    def test_subnormal_rate_is_an_error(self, tmp_path, capsys):
+        # record_hz * dt underflows to 0.0
+        config = tmp_path / "rate.json"
+        config.write_text(json.dumps({"sim": {"record_hz": 5e-324}}))
+        rc = main(["--config", str(config), "--out", str(tmp_path / "out"), "run"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: sim.record_hz:")
+        assert "Traceback" not in err
+
+    def test_undecodable_config_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "binary.json"
+        config.write_bytes(b"\xff\xfe{")
+        rc = main(["--config", str(config), "--out", str(tmp_path / "out"), "run"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: invalid JSON:")
 
 
 class TestRun:
@@ -193,6 +212,61 @@ class TestSweepAndStudy:
             runs[seed] = (out / "run_f2.00_a20_folded.csv").read_bytes()
         assert runs["0"] != runs["7"]
 
+    @pytest.mark.parametrize(
+        "command, kind, telemetry",
+        [
+            ("sweep-speed", "speed_sweep", "run_f2.00_a20_folded.csv"),
+            ("yaw-study", "yaw_study", "yaw_f2.00_a20_folded.csv"),
+        ],
+    )
+    def test_config_seed_reaches_grid(self, tmp_path, capsys, command, kind, telemetry):
+        # sim.seed is the one seed: set in the config, with no --seed, it
+        # reaches every cell of the grid the config's experiment section gives
+        runs = {}
+        for seed in (0, 7):
+            config = tmp_path / f"noisy{seed}.json"
+            config.write_text(
+                json.dumps(
+                    {
+                        "sim": {"dt": 0.005, "noise_enabled": True, "seed": seed},
+                        "experiment": {
+                            "kind": kind,
+                            "frequencies": [2.0],
+                            "repeats": 1,
+                            "duration": 7.0,
+                        },
+                    }
+                )
+            )
+            out = tmp_path / str(seed)
+            assert main(["--config", str(config), "--out", str(out), command]) == 0
+            runs[seed] = (out / telemetry).read_bytes()
+        assert runs[0] != runs[7]
+
+    @pytest.mark.parametrize("command", ["sweep-speed", "yaw-study"])
+    @pytest.mark.parametrize(
+        "experiment, field",
+        [
+            ({"seed": 7}, "experiment.seed"),
+            ({"kind": "depth_step"}, "experiment.kind"),
+            ({"kind": "single_run"}, "experiment.kind"),
+            ({"fin_states": []}, "experiment.fin_states"),
+            ({"amplitudes": []}, "experiment.amplitudes"),
+            ({"kind": "yaw_study", "fin_states": ["folded"]}, "experiment.fin_states"),
+        ],
+    )
+    def test_rejected_experiment_writes_nothing(
+        self, tmp_path, capsys, command, experiment, field
+    ):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"experiment": experiment}))
+        out = tmp_path / "out"
+        rc = main(["--config", str(config), "--out", str(out), command])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {field}:")
+        assert not out.exists()
+
     def test_yaw_study_outputs(self, fast_config, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["--config", str(fast_config), "--out", str(out), "yaw-study"])
@@ -249,6 +323,25 @@ class TestPlot:
         assert rc == 1
         assert "unknown telemetry column 'speed'" in capsys.readouterr().err
         assert not (out / "plot.svg").exists()
+
+
+def test_calibrate_starts_from_the_config(tmp_path, capsys, monkeypatch):
+    seen = {}
+
+    def fake_calibrate(targets, env, initial, bounds, **kwargs):
+        seen["initial"] = initial
+        return xp.CalibrationResult(parameters=initial, loss_trace=[0.0], residuals={})
+
+    monkeypatch.setattr(xp, "calibrate", fake_calibrate)
+    assert main(["--out", str(tmp_path), "calibrate"]) == 0
+    config = load_default_config()
+    assert list(seen["initial"].items()) == [
+        ("thrust_coeff", config.fish.thrust_coeff),
+        ("tail_reaction_coeff", config.fish.tail_reaction_coeff),
+        ("yaw_damping_body", config.fish.yaw_damping_body),
+        ("yaw_damping_fin", config.fish.yaw_damping_fin),
+        ("efficiency", config.power.efficiency),
+    ]
 
 
 def test_default_config_is_packaged():

@@ -60,6 +60,11 @@ class TestProtocolShape:
         assert spec.frequencies == YAW_FREQUENCIES == [0.5, 1.0]
         assert spec.amplitudes == YAW_AMPLITUDES == [10.0, 20.0, 30.0]
         assert spec.fin_states == ["folded", "erect"]
+        assert (spec.repeats, spec.duration) == (1, 25.0)
+        assert yaw_study_spec(seed=4).seed == speed_sweep_spec(seed=4).seed == 4
+
+    def test_power_defaults_are_the_calibrated_ones(self):
+        assert PowerModel() == RunEnvironment().power == PowerModel(0.740078125, 0.5)
 
     def test_duration_guard(self):
         with pytest.raises(MorphfinError):

@@ -14,9 +14,9 @@ from morphfin.hydro import (
     FishParams,
     FishState,
     Measurement,
+    control_loads,
     drag_force,
     mean_thrust,
-    net_forces,
     simulate,
     step,
 )
@@ -78,42 +78,39 @@ class TestMeanThrust:
             assert mean_thrust(p, hi, amp) > mean_thrust(p, lo, amp)
 
 
-class TestNetForces:
+class TestControlLoads:
+    """The loads `control_loads` gives; the integrator damps yaw by -damping * r * |r|."""
+
     def test_equilibrium_is_all_zero(self):
-        fb = net_forces(FishParams(), FishState(), ControlInput())
-        assert fb.thrust == 0.0
-        assert fb.drag == 0.0
-        assert fb.tail_yaw_moment == 0.0
-        assert fb.yaw_damping_moment == 0.0
-        assert fb.net_buoyancy == 0.0
-        assert fb.heave_drag == 0.0
+        p = FishParams()
+        thrust, tail_moment, _, buoyancy = control_loads(p, ControlInput())
+        assert (thrust, tail_moment, buoyancy) == (0.0, 0.0, 0.0)
+        assert drag_force(p, 0.0) == 0.0
+        # no drag, heave drag or yaw damping at rest: a step from rest stays at rest
+        assert step(p, FishState(), ControlInput(), 0.001) == FishState(time=0.001)
 
     def test_erect_fin_increases_yaw_damping(self):
         p = FishParams()
-        state = FishState(yaw_rate=0.8)
-        folded = net_forces(p, state, ControlInput(erection=0.0))
-        erect = net_forces(p, state, ControlInput(erection=1.0))
-        assert abs(erect.yaw_damping_moment) > abs(folded.yaw_damping_moment)
+        folded = control_loads(p, ControlInput(erection=0.0))[2]
+        erect = control_loads(p, ControlInput(erection=1.0))[2]
+        assert erect > folded
 
     def test_damping_hand_value(self):
         p = FishParams(yaw_damping_body=0.02, yaw_damping_fin=0.01)
-        fb = net_forces(p, FishState(yaw_rate=1.0), ControlInput(erection=1.0))
-        assert fb.yaw_damping_moment == pytest.approx(-0.03, rel=1e-12)
+        damping = control_loads(p, ControlInput(erection=1.0))[2]
+        assert damping == pytest.approx(0.03, rel=1e-12)
 
     def test_erection_out_of_range(self):
         with pytest.raises(DomainError):
-            net_forces(FishParams(), FishState(), ControlInput(erection=1.5))
+            control_loads(FishParams(), ControlInput(erection=1.5))
 
-    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 1.0))
+    @given(st.floats(-2.0, 2.0), st.floats(0.0, 1.0))
     @settings(max_examples=50)
-    def test_sign_correctness(self, surge, yaw_rate, erection):
-        fb = net_forces(
-            FishParams(),
-            FishState(surge_vel=surge, yaw_rate=yaw_rate),
-            ControlInput(erection=erection),
-        )
-        assert fb.drag * surge <= 0.0
-        assert fb.yaw_damping_moment * yaw_rate <= 0.0
+    def test_sign_correctness(self, surge, erection):
+        p = FishParams()
+        assert drag_force(p, surge) * surge <= 0.0
+        # a nonnegative coefficient makes the damping moment oppose the yaw rate
+        assert control_loads(p, ControlInput(erection=erection))[2] >= 0.0
 
 
 def _heave_params(coeff=0.95):

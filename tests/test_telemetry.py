@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import struct
 
@@ -259,9 +260,21 @@ class TestRead:
         ],
         ids=["first-byte", "in-header", "second-line", "crlf-third-line"],
     )
-    def test_non_ascii_byte_names_its_line(self, tmp_path, prefix, line):
+    @pytest.mark.parametrize("source", ["path", "binary stream"])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, prefix, line, source):
         path = tmp_path / "binary.csv"
         path.write_bytes(prefix + b"\xff" + b"\n" + GOLDEN_ROW.encode() + b"\n")
+        if source == "binary stream":
+            path = io.BytesIO(path.read_bytes())
         with pytest.raises(TelemetryFormatError, match="non-ASCII byte 0xff$") as exc:
             read_telemetry(path)
         assert exc.value.line == line
+
+    def test_binary_stream_reads_as_the_path(self, tmp_path):
+        path = tmp_path / "run.csv"
+        controller = SwimController(FishParams(), GaitCommand(1.0, 20.0))
+        write_telemetry(simulate(FishParams(), controller, 1.0, 0.01), path)
+        with open(path, "rb") as stream:
+            assert read_telemetry(stream) == read_telemetry(path)
+        with open(path) as stream:
+            assert read_telemetry(stream) == read_telemetry(path)
