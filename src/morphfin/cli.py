@@ -16,7 +16,7 @@ from . import experiments as xp
 from .config import RunConfig, load_config, load_default_config
 from .control import GaitCommand
 from .errors import MorphfinError
-from .metrics import steady_window
+from .metrics import cot, steady_window
 from .plotting import PlotStyle, Series, emit_plot
 from .telemetry import _COLUMNS, read_telemetry, stream_records, write_telemetry
 
@@ -42,13 +42,11 @@ def _replay_metrics(records, frequency: float, mass: float, gravity: float) -> d
     duration = records[-1].time_s - records[0].time_s
     window = steady_window(duration, frequency)
     m = xp.condition_metrics(records, frequency)
-    from .metrics import cot as cot_fn
-
     return {
         "window_s": list(window),
         "mean_speed_mps": m.mean_speed,
         "mean_power_w": m.mean_power,
-        "cot": cot_fn(m.mean_power, mass, gravity, m.mean_speed),
+        "cot": cot(m.mean_power, mass, gravity, m.mean_speed),
         "p2p_yaw_deg": m.p2p_yaw,
     }
 

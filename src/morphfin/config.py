@@ -41,6 +41,8 @@ class SimSettings:
             raise ConfigError(f"dt must be in (0, {MAX_DT}] s", "sim.dt")
         if not (self.duration > 0.0):
             raise ConfigError("duration must be > 0", "sim.duration")
+        if not (self.duration / self.dt < math.inf):
+            raise ConfigError("duration/dt must be finite", "sim.duration")
         for name in ("record_hz", "control_hz"):
             hz = getattr(self, name)
             if not (hz > 0.0):

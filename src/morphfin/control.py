@@ -28,6 +28,8 @@ __all__ = [
     "slew_volume",
 ]
 
+MAX_AMPLITUDE_DEG = 45.0  # largest caudal gait amplitude, deg
+
 
 @dataclass(frozen=True)
 class GaitCommand:
@@ -44,8 +46,10 @@ class GaitCommand:
     def validate(self) -> None:
         if not (self.frequency >= 0.0):
             raise ConfigError("frequency must be >= 0", "gait.frequency")
-        if not (0.0 <= self.amplitude <= 45.0):
-            raise ConfigError("amplitude must be in [0, 45] deg", "gait.amplitude")
+        if not (0.0 <= self.amplitude <= MAX_AMPLITUDE_DEG):
+            raise ConfigError(
+                f"amplitude must be in [0, {MAX_AMPLITUDE_DEG:g}] deg", "gait.amplitude"
+            )
         if not (abs(self.bias) <= 30.0):
             raise ConfigError("|bias| must be <= 30 deg", "gait.bias")
         if not (0.0 <= self.fin_erection_setpoint <= 1.0):
@@ -160,8 +164,9 @@ def slew_volume(
     volume: float, rate: float, dt: float, volume_min: float, volume_max: float, max_rate: float
 ) -> float:
     """Syringe volume after dt at a rate command, honoring rate and range limits."""
-    rate = _clamp(rate, -max_rate, max_rate)
-    return _clamp(volume + rate * dt, volume_min, volume_max)
+    rate = -max_rate if rate < -max_rate else max_rate if rate > max_rate else rate
+    volume = volume + rate * dt
+    return volume_min if volume < volume_min else volume_max if volume > volume_max else volume
 
 
 def apply_volume_rate(buoy: BuoyancyState, rate: float, dt: float) -> BuoyancyState:

@@ -117,8 +117,8 @@ class SwimController:
             )
         gait = self.gait
         wt = self._omega * t
-        # positional, in ControlInput's field order
-        return ControlInput(
+        # in ControlInput's field order; tuple.__new__ skips its generated Python __new__
+        return tuple.__new__(ControlInput, (
             (gait.bias + gait.amplitude * math.sin(wt)) * _DEG,
             self._amp_omega * math.cos(wt) * _DEG,
             gait.frequency,
@@ -126,7 +126,7 @@ class SwimController:
             gait.fin_erection_setpoint,
             buoyancy_n,
             self._volume,
-        )
+        ))
 
 
 class ConstantController:

@@ -14,7 +14,9 @@ import statistics
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .control import BuoyancyState, DepthSchedule, GaitCommand, PidGains, step_schedule
+from .control import (
+    MAX_AMPLITUDE_DEG, BuoyancyState, DepthSchedule, GaitCommand, PidGains, step_schedule,
+)
 from .controllers import SwimController
 from .errors import ConfigError, DomainError, MorphfinError, SimulationFault
 from .hydro import FishParams, FishState, NoiseConfig, simulate
@@ -57,12 +59,18 @@ class ExperimentSpec:
             raise ConfigError("frequencies must be positive", "experiment.frequencies")
         if not self.amplitudes:
             raise ConfigError("need at least one amplitude", "experiment.amplitudes")
+        if not all(0.0 <= a <= MAX_AMPLITUDE_DEG for a in self.amplitudes):
+            raise ConfigError(
+                f"amplitudes must be in [0, {MAX_AMPLITUDE_DEG:g}] deg", "experiment.amplitudes"
+            )
         if not self.fin_states:
             raise ConfigError("need at least one fin state", "experiment.fin_states")
         if any(state not in FIN_STATES for state in self.fin_states):
             raise ConfigError(f"fin states must be one of {FIN_STATES}", "experiment.fin_states")
         if self.kind == "yaw_study" and set(self.fin_states) != set(FIN_STATES):
             raise ConfigError("a yaw study compares both fin states", "experiment.fin_states")
+        if not math.isfinite(self.duration):
+            raise ConfigError("duration must be finite", "experiment.duration")
         lowest = min(self.frequencies)
         if self.duration < 10.0 / lowest:
             raise ConfigError(

@@ -104,16 +104,7 @@ class FishState:
 
     def vector(self):
         """The integrated fields as the flat tuple the integrator advances."""
-        return (
-            self.x,
-            self.y,
-            self.depth,
-            self.yaw,
-            self.surge_vel,
-            self.sway_vel,
-            self.yaw_rate,
-            self.heave_vel,
-        )
+        return tuple(getattr(self, name) for name in _STATE_FIELDS)
 
 
 class ControlInput(NamedTuple):
@@ -175,8 +166,8 @@ def mean_thrust(params: FishParams, freq: float, amp: float) -> float:
     )
 
 
-def control_loads(params: FishParams, control: ControlInput):
-    """Loads of a control held over a step: (thrust, tail_moment, damping, buoyancy).
+def _loads(params: FishParams):
+    """load(control) -> (thrust, tail_moment, damping, buoyancy) for fixed params.
 
     thrust (N) is the cycle-mean gait thrust; tail_moment (N*m) is the
     reaction moment of the oscillating tail plus thrust vectoring from the
@@ -184,16 +175,32 @@ def control_loads(params: FishParams, control: ControlInput):
     carries the turning bias into a mean yaw drift); damping (N*m per
     (rad/s)^2) is the quadratic yaw-damping coefficient, which grows with
     dorsal-fin erection; buoyancy (N, positive up) is the syringe force.
+    params is read once, and the last gait's thrust is kept.
     """
-    if not (0.0 <= control.erection <= 1.0):
-        raise DomainError(f"erection must be in [0, 1], got {control.erection}")
-    thrust = mean_thrust(params, control.gait_frequency, control.gait_amplitude)
-    sr = control.servo_rate
-    tail_moment = params.tail_reaction_coeff * sr * abs(sr) + thrust * math.sin(
-        control.servo_angle
-    ) * (params.tail_length / 2.0)
-    damping = params.yaw_damping_body + control.erection * params.yaw_damping_fin
-    return thrust, tail_moment, damping, control.buoyancy
+    reaction = params.tail_reaction_coeff
+    half_tail = params.tail_length / 2.0
+    damping_body, damping_fin = params.yaw_damping_body, params.yaw_damping_fin
+    sin = math.sin
+    # nan equals nothing, so the first call computes the thrust
+    last_frequency = last_amplitude = thrust = math.nan
+
+    def load(control):
+        nonlocal last_frequency, last_amplitude, thrust
+        angle, rate, frequency, amplitude, erection, buoyancy, _ = control
+        if not (0.0 <= erection <= 1.0):
+            raise DomainError(f"erection must be in [0, 1], got {erection}")
+        if frequency != last_frequency or amplitude != last_amplitude:
+            thrust = mean_thrust(params, frequency, amplitude)
+            last_frequency, last_amplitude = frequency, amplitude
+        moment = reaction * rate * abs(rate) + thrust * sin(angle) * half_tail
+        return thrust, moment, damping_body + erection * damping_fin, buoyancy
+
+    return load
+
+
+def control_loads(params: FishParams, control: ControlInput):
+    """Loads of a control held over a step, as simulate applies them (see _loads)."""
+    return _loads(params)(control)
 
 
 # Internal fast path: state as a flat tuple (x, y, depth, yaw, u, v, r, w),
@@ -207,7 +214,7 @@ def _integrator(params: FishParams, dt: float):
     """The RK4 step advance(sv, loads) -> sv for fixed params and dt.
 
     The coefficients are read from params once here, not in each of the four
-    derivative evaluations of every step; simulate builds one per run.
+    derivative stages of every step; simulate builds one per run.
     """
     rho_cda = _rho_cda(params)
     mass = params.mass
@@ -218,28 +225,37 @@ def _integrator(params: FishParams, dt: float):
     half = dt / 2.0
     sixth = dt / 6.0
 
-    def derivs(thrust, tail_moment, damping, buoyancy, yaw, u, v, r, w):
-        """(dx, dy, du, dv, dr, dw) at one state; d(depth) is w and d(yaw) is r."""
-        cos_y, sin_y = cos(yaw), sin(yaw)
-        return (
-            u * cos_y - v * sin_y,
-            u * sin_y + v * cos_y,
-            (thrust - rho_cda * u * abs(u)) / mass,
-            -rho_cda * v * abs(v) / mass,  # lightly damped, unforced at zero bias
-            (tail_moment - damping * r * abs(r)) / yaw_inertia,
-            (-buoyancy - heave_drag_coeff * w * abs(w)) / heave_mass,
-        )
-
     def advance(sv, loads):
+        # Four derivative stages: stage k's d(depth) is w_k, d(yaw) is r_k, and
+        # its dx, dy are summed below from c_k, s_k, the cos and sin of its yaw.
         x, y, depth, yaw, u, v, r, w = sv
         f, m, c, b = loads
-        dx1, dy1, du1, dv1, dr1, dw1 = derivs(f, m, c, b, yaw, u, v, r, w)
+        c1, s1 = cos(yaw), sin(yaw)
+        du1 = (f - rho_cda * u * abs(u)) / mass
+        dv1 = -rho_cda * v * abs(v) / mass  # lightly damped, unforced at zero bias
+        dr1 = (m - c * r * abs(r)) / yaw_inertia
+        dw1 = (-b - heave_drag_coeff * w * abs(w)) / heave_mass
         u2, v2, r2, w2 = u + half * du1, v + half * dv1, r + half * dr1, w + half * dw1
-        dx2, dy2, du2, dv2, dr2, dw2 = derivs(f, m, c, b, yaw + half * r, u2, v2, r2, w2)
+        yaw_k = yaw + half * r
+        c2, s2 = cos(yaw_k), sin(yaw_k)
+        du2 = (f - rho_cda * u2 * abs(u2)) / mass
+        dv2 = -rho_cda * v2 * abs(v2) / mass
+        dr2 = (m - c * r2 * abs(r2)) / yaw_inertia
+        dw2 = (-b - heave_drag_coeff * w2 * abs(w2)) / heave_mass
         u3, v3, r3, w3 = u + half * du2, v + half * dv2, r + half * dr2, w + half * dw2
-        dx3, dy3, du3, dv3, dr3, dw3 = derivs(f, m, c, b, yaw + half * r2, u3, v3, r3, w3)
+        yaw_k = yaw + half * r2
+        c3, s3 = cos(yaw_k), sin(yaw_k)
+        du3 = (f - rho_cda * u3 * abs(u3)) / mass
+        dv3 = -rho_cda * v3 * abs(v3) / mass
+        dr3 = (m - c * r3 * abs(r3)) / yaw_inertia
+        dw3 = (-b - heave_drag_coeff * w3 * abs(w3)) / heave_mass
         u4, v4, r4, w4 = u + dt * du3, v + dt * dv3, r + dt * dr3, w + dt * dw3
-        dx4, dy4, du4, dv4, dr4, dw4 = derivs(f, m, c, b, yaw + dt * r3, u4, v4, r4, w4)
+        yaw_k = yaw + dt * r3
+        c4, s4 = cos(yaw_k), sin(yaw_k)
+        du4 = (f - rho_cda * u4 * abs(u4)) / mass
+        dv4 = -rho_cda * v4 * abs(v4) / mass
+        dr4 = (m - c * r4 * abs(r4)) / yaw_inertia
+        dw4 = (-b - heave_drag_coeff * w4 * abs(w4)) / heave_mass
         depth = depth + sixth * (w + 2.0 * w2 + 2.0 * w3 + w4)
         w = w + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
         # hard free-surface boundary: clamp depth, kill upward heave on contact
@@ -247,8 +263,10 @@ def _integrator(params: FishParams, dt: float):
             depth = 0.0
             w = max(w, 0.0)
         return (
-            x + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
-            y + sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4),
+            x + sixth * ((u * c1 - v * s1) + 2.0 * (u2 * c2 - v2 * s2)
+                         + 2.0 * (u3 * c3 - v3 * s3) + (u4 * c4 - v4 * s4)),
+            y + sixth * ((u * s1 + v * c1) + 2.0 * (u2 * s2 + v2 * c2)
+                         + 2.0 * (u3 * s3 + v3 * c3) + (u4 * s4 + v4 * c4)),
             depth,
             yaw + sixth * (r + 2.0 * r2 + 2.0 * r3 + r4),
             u + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4),
@@ -320,33 +338,28 @@ def simulate(
     duration/dt steps yields ceil(duration/dt)+1 records, the first being the
     initial state). Reproducible bit-for-bit for a fixed seed.
     """
-    if duration <= 0.0:
+    if not (duration > 0.0):
         raise ConfigError("duration must be > 0", "sim.duration")
     _check_dt(dt)
+    if not (duration / dt < math.inf):
+        raise ConfigError("duration/dt must be finite", "sim.duration")
     if record_every < 1:
         raise ConfigError("record_every must be >= 1", "sim.record_every")
     params.validate()
     state = initial_state if initial_state is not None else FishState()
     state.validate()
     noise = noise if noise is not None else NoiseConfig()
-    rng = random.Random(seed)
+    noisy, gauss = noise.enabled, random.Random(seed).gauss
+    yaw_std, depth_std = noise.yaw_std_deg * _DEG, noise.depth_std_m
 
     n_steps = math.ceil(duration / dt)
     advance = _integrator(params, dt)
+    load = _loads(params)
+    # bound once per run; a tracer that wraps the class method wraps this too
+    command = controller.command
     sv = state.vector()
     t0 = state.time
     records: list[TelemetryRecord] = []
-
-    def hold(t: float, sv):
-        """The controller's command at time t and the loads it holds over the next step."""
-        depth, yaw = sv[2], sv[3]
-        if noise.enabled:
-            yaw = yaw + rng.gauss(0.0, noise.yaw_std_deg * _DEG)
-            depth = max(0.0, depth + rng.gauss(0.0, noise.depth_std_m))
-        control = controller.command(Measurement(t, depth, yaw))
-        if not control.is_finite():
-            raise SimulationFault(t)
-        return control, control_loads(params, control)
 
     def emit(t: float, sv, control: ControlInput, tail_moment: float) -> None:
         if not all(map(math.isfinite, sv)):
@@ -354,34 +367,30 @@ def simulate(
             raise SimulationFault(t, f"non-finite state {name}")
         x, y, depth, yaw, u, v, r, w = sv
         torque = abs(tail_moment)
-        records.append(
-            TelemetryRecord(
-                time_s=t,
-                x_m=x,
-                y_m=y,
-                depth_m=depth,
-                yaw_deg=yaw / _DEG,
-                yaw_rate_dps=r / _DEG,
-                surge_mps=u,
-                sway_mps=v,
-                servo_deg=control.servo_angle / _DEG,
-                torque_nm=torque,
-                power_w=servo_power(power_model, torque, abs(control.servo_rate)),
-                erection=control.erection,
-                syringe_ml=control.syringe_volume * 1e6,
-            )
-        )
+        records.append(TelemetryRecord(  # positional, in CSV column order
+            t, x, y, depth, yaw / _DEG, r / _DEG, u, v, control.servo_angle / _DEG, torque,
+            servo_power(power_model, torque, abs(control.servo_rate)),
+            control.erection, control.syringe_volume * 1e6,
+        ))
 
-    control, loads = hold(t0, sv)
-    emit(t0, sv, control, loads[1])
-
-    for i in range(n_steps):
-        t = t0 + (i + 1) * dt
-        try:
-            sv = advance(sv, loads)
-        except ValueError as exc:  # math.cos/sin of an infinite yaw
-            raise SimulationFault(t, "non-finite state yaw") from exc
-        control, loads = hold(t, sv)
-        if (i + 1) % record_every == 0 or i + 1 == n_steps:
+    # Step i > 0 advances to t0 + i*dt under the loads held since step i-1. The
+    # Measurement is built by tuple.__new__, skipping its generated Python __new__.
+    t = t0
+    for i in range(n_steps + 1):
+        if i:
+            t = t0 + i * dt
+            try:
+                sv = advance(sv, loads)
+            except ValueError as exc:  # math.cos/sin of an infinite yaw
+                raise SimulationFault(t, "non-finite state yaw") from exc
+        depth, yaw = sv[2], sv[3]
+        if noisy:
+            yaw = yaw + gauss(0.0, yaw_std)
+            depth = max(0.0, depth + gauss(0.0, depth_std))
+        control = command(tuple.__new__(Measurement, (t, depth, yaw)))
+        if not control.is_finite():
+            raise SimulationFault(t)
+        loads = load(control)
+        if i % record_every == 0 or i == n_steps:
             emit(t, sv, control, loads[1])
     return records

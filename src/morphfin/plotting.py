@@ -79,13 +79,12 @@ def emit_plot(series: list[Series], style: PlotStyle, destination) -> Path:
         f"{{{_SVG_NS}}}svg",
         {"width": str(w), "height": str(h), "viewBox": f"0 0 {w} {h}"},
     )
+
+    def text(content: str, attrs: dict[str, str]) -> None:
+        ET.SubElement(svg, f"{{{_SVG_NS}}}text", attrs).text = content
+
     if style.title:
-        title = ET.SubElement(
-            svg,
-            f"{{{_SVG_NS}}}text",
-            {"x": str(w / 2), "y": "22", "text-anchor": "middle", "font-size": "15"},
-        )
-        title.text = style.title
+        text(style.title, {"x": str(w / 2), "y": "22", "text-anchor": "middle", "font-size": "15"})
 
     # axes
     ET.SubElement(
@@ -102,18 +101,8 @@ def emit_plot(series: list[Series], style: PlotStyle, destination) -> Path:
     )
 
     def tick_text(x: float, y: float, value: float, anchor: str, cls: str) -> None:
-        el = ET.SubElement(
-            svg,
-            f"{{{_SVG_NS}}}text",
-            {
-                "x": format(x, ".1f"),
-                "y": format(y, ".1f"),
-                "text-anchor": anchor,
-                "font-size": "11",
-                "class": cls,
-            },
-        )
-        el.text = format(value, ".6g")
+        place = {"x": format(x, ".1f"), "y": format(y, ".1f"), "text-anchor": anchor}
+        text(format(value, ".6g"), {**place, "font-size": "11", "class": cls})
 
     n_ticks = 5
     for i in range(n_ticks):
@@ -122,31 +111,12 @@ def emit_plot(series: list[Series], style: PlotStyle, destination) -> Path:
         tick_text(sx(fx), mt + ph + 16, fx, "middle", "x-tick")
         tick_text(ml - 6, sy(fy) + 4, fy, "end", "y-tick")
 
-    xlab = ET.SubElement(
-        svg,
-        f"{{{_SVG_NS}}}text",
-        {
-            "x": str(ml + pw / 2),
-            "y": str(h - 12),
-            "text-anchor": "middle",
-            "font-size": "13",
-            "class": "x-label",
-        },
-    )
-    xlab.text = style.x_label
-    ylab = ET.SubElement(
-        svg,
-        f"{{{_SVG_NS}}}text",
-        {
-            "x": "16",
-            "y": str(mt + ph / 2),
-            "text-anchor": "middle",
-            "font-size": "13",
-            "class": "y-label",
-            "transform": f"rotate(-90 16 {mt + ph / 2})",
-        },
-    )
-    ylab.text = style.y_label
+    label = {"text-anchor": "middle", "font-size": "13"}
+    text(style.x_label, {"x": str(ml + pw / 2), "y": str(h - 12), **label, "class": "x-label"})
+    text(style.y_label, {
+        "x": "16", "y": str(mt + ph / 2), **label, "class": "y-label",
+        "transform": f"rotate(-90 16 {mt + ph / 2})",
+    })
 
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
@@ -178,17 +148,7 @@ def emit_plot(series: list[Series], style: PlotStyle, destination) -> Path:
                 "stroke-width": "2",
             },
         )
-        label = ET.SubElement(
-            svg,
-            f"{{{_SVG_NS}}}text",
-            {
-                "x": str(ml + pw - 84),
-                "y": str(ly),
-                "font-size": "11",
-                "class": "legend",
-            },
-        )
-        label.text = s.name
+        text(s.name, {"x": str(ml + pw - 84), "y": str(ly), "font-size": "11", "class": "legend"})
 
     dest = Path(destination)
     ET.ElementTree(svg).write(dest, xml_declaration=True, encoding="utf-8")

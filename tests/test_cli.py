@@ -78,6 +78,21 @@ class TestExitCodes:
         assert err.startswith("error: sim.record_hz:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, section",
+        [("run", "sim"), ("depth-step", "sim"), ("sweep-speed", "experiment")],
+    )
+    def test_infinite_duration_is_an_error(self, tmp_path, capsys, command, section):
+        config = tmp_path / "forever.json"
+        config.write_text('{"%s": {"duration": 1e400}}' % section)  # JSON reads inf
+        out = tmp_path / "out"
+        rc = main(["--config", str(config), "--out", str(out), command])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {section}.duration:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_undecodable_config_is_an_error(self, tmp_path, capsys):
         config = tmp_path / "binary.json"
         config.write_bytes(b"\xff\xfe{")
@@ -252,6 +267,7 @@ class TestSweepAndStudy:
             ({"kind": "single_run"}, "experiment.kind"),
             ({"fin_states": []}, "experiment.fin_states"),
             ({"amplitudes": []}, "experiment.amplitudes"),
+            ({"amplitudes": [50.0]}, "experiment.amplitudes"),
             ({"kind": "yaw_study", "fin_states": ["folded"]}, "experiment.fin_states"),
         ],
     )

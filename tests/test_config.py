@@ -186,10 +186,15 @@ PINNED_ERRORS = [
      "experiment.frequencies: frequencies must be positive"),
     ({"experiment": {"fin_states": ["half"]}}, "experiment.fin_states",
      "experiment.fin_states: fin states must be one of ('folded', 'erect')"),
+    ({"experiment": {"amplitudes": [20.0, 50.0]}}, "experiment.amplitudes",
+     "experiment.amplitudes: amplitudes must be in [0, 45] deg"),
     ({"experiment": {"duration": 5.0}}, "experiment.duration",
      "experiment.duration: duration must cover >= 10 cycles at 0.8 Hz"),
+    ({"experiment": {"duration": math.inf}}, "experiment.duration",
+     "experiment.duration: duration must be finite"),
     ({"sim": {"dt": 0.02}}, "sim.dt", "sim.dt: dt must be in (0, 0.01] s"),
     ({"sim": {"duration": 0.0}}, "sim.duration", "sim.duration: duration must be > 0"),
+    ({"sim": {"duration": math.inf}}, "sim.duration", "sim.duration: duration/dt must be finite"),
     ({"sim": {"control_hz": 0.0}}, "sim.control_hz", "sim.control_hz: must be > 0"),
     ({"sim": {"record_hz": 300.0}}, "sim.record_hz",
      "sim.record_hz: 1/(record_hz*dt) must be a whole number of steps >= 1, got 3.33333"),
@@ -226,6 +231,14 @@ def test_config_error_message_and_field(data, field, message):
         ({"experiment": {"amplitudes": []}}, "experiment.amplitudes"),
         ({"experiment": {"frequencies": [math.nan]}}, "experiment.frequencies"),
         ({"experiment": {"frequencies": [1.0, math.nan]}}, "experiment.frequencies"),
+        # amplitudes outside GaitCommand's [0, 45] deg, checked at load
+        ({"experiment": {"amplitudes": [-1.0]}}, "experiment.amplitudes"),
+        ({"experiment": {"amplitudes": [45.000001]}}, "experiment.amplitudes"),
+        ({"experiment": {"amplitudes": [math.nan]}}, "experiment.amplitudes"),
+        # durations with no finite step count
+        ({"sim": {"duration": math.nan}}, "sim.duration"),
+        ({"sim": {"duration": 1e307}}, "sim.duration"),  # finite, but duration/dt is not
+        ({"experiment": {"duration": math.nan}}, "experiment.duration"),
         # hz*dt underflows to 0.0
         ({"sim": {"record_hz": 5e-324}}, "sim.record_hz"),
         ({"sim": {"control_hz": 5e-324}}, "sim.control_hz"),

@@ -2,9 +2,10 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from morphfin import hydro
 from morphfin.control import GaitCommand
 from morphfin.controllers import ConstantController, SwimController
 from morphfin.errors import ConfigError, DomainError, SimulationFault
@@ -249,6 +250,13 @@ class TestSimulate:
             simulate(FishParams(), controller, 1.0, 0.001, seed=0)
         assert "non-finite state depth" in str(exc.value)
 
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, 1e307])
+    def test_duration_without_finite_step_count_is_config_error(self, duration):
+        # 1e307 is finite, but 1e307 / 1e-3 is not: math.ceil would overflow
+        with pytest.raises(ConfigError) as exc:
+            simulate(FishParams(), ConstantController(ControlInput()), duration, 0.001)
+        assert exc.value.field == "sim.duration"
+
     def test_constant_controller_neutral(self):
         records = simulate(
             FishParams(), ConstantController(ControlInput()), 1.0, 0.001, seed=0
@@ -396,3 +404,104 @@ class TestValueTypes:
             alone = [0.0] * 7
             alone[i] = value
             assert not ControlInput(*alone).is_finite()
+
+
+# The load laws as control_loads computed them before simulate kept the last
+# gait's thrust, kept as the oracle of the memoized _loads.
+
+
+def _oracle_control_loads(params, control):
+    if not (0.0 <= control.erection <= 1.0):
+        raise DomainError(f"erection must be in [0, 1], got {control.erection}")
+    thrust = mean_thrust(params, control.gait_frequency, control.gait_amplitude)
+    sr = control.servo_rate
+    tail_moment = params.tail_reaction_coeff * sr * abs(sr) + thrust * math.sin(
+        control.servo_angle
+    ) * (params.tail_length / 2.0)
+    damping = params.yaw_damping_body + control.erection * params.yaw_damping_fin
+    return thrust, tail_moment, damping, control.buoyancy
+
+
+# gait values that repeat, switch, go to zero (either sign) and back, and
+# now and then leave the domain
+_gait_value = st.sampled_from([0.0, -0.0, 1.0, 0.35, 2.33, -0.5]) | st.floats(0.0, 3.0)
+_controls = st.builds(
+    ControlInput,
+    st.floats(-1.0, 1.0),
+    st.floats(-10.0, 10.0),
+    _gait_value,
+    _gait_value,
+    st.sampled_from([0.0, 1.0, -0.0, -0.5, 1.5]) | st.floats(0.0, 1.0),
+    st.floats(-2.0, 2.0),
+    st.floats(0.0, 1e-4),
+)
+
+
+class TestLoadsMemo:
+    @given(
+        st.builds(
+            FishParams,
+            tail_length=st.floats(0.0, 0.5),
+            tail_reaction_coeff=st.floats(0.0, 0.2),
+            thrust_freq_exponent=st.floats(0.5, 3.0),
+            yaw_damping_fin=st.floats(0.0, 1.0),
+        ),
+        st.lists(_controls, min_size=1, max_size=40),
+    )
+    @settings(max_examples=200)
+    def test_each_load_equals_the_formula(self, params, controls):
+        # one _loads applied in order, as simulate applies it
+        load = hydro._loads(params)
+        for control in controls:
+            try:
+                expected = _oracle_control_loads(params, control)
+            except DomainError as error:
+                with pytest.raises(DomainError) as got:
+                    load(control)
+                assert str(got.value) == str(error)
+            else:
+                assert _bits(load(control)) == _bits(expected)
+
+    def test_erection_is_checked_before_the_gait(self):
+        load = hydro._loads(FishParams())
+        both_bad = ControlInput(gait_frequency=-1.0, erection=1.5)
+        with pytest.raises(DomainError, match="erection"):
+            load(both_bad)
+        with pytest.raises(DomainError, match="freq and amp"):
+            load(both_bad._replace(erection=1.0))
+        # a failed call leaves the kept thrust as it was
+        steady = ControlInput(gait_frequency=1.0, gait_amplitude=0.35)
+        assert _bits(load(steady)) == _bits(_oracle_control_loads(FishParams(), steady))
+
+
+class _Clock:
+    """A neutral controller that notes the time of every measurement."""
+
+    def __init__(self):
+        self.times = []
+
+    def command(self, measurement):
+        self.times.append(measurement.time)
+        return ControlInput()
+
+
+class TestRecordSchedule:
+    @given(
+        st.floats(1e-4, 0.3), st.floats(1e-4, 0.01), st.integers(1, 40), st.floats(0.0, 100.0)
+    )
+    @example(0.0105, 0.001, 4, 0.0)  # 11 steps: records at 0, 4, 8 and the last
+    @example(0.01, 0.001, 5, 0.0)  # 10 steps: the last is also on the schedule
+    @settings(max_examples=100, deadline=None)
+    def test_times_and_count(self, duration, dt, every, t0):
+        clock = _Clock()
+        records = simulate(
+            FishParams(), clock, duration, dt,
+            initial_state=FishState(time=t0), record_every=every,
+        )
+        n = math.ceil(duration / dt)
+        step_times = [t0 if i == 0 else t0 + i * dt for i in range(n + 1)]
+        kept = [t for i, t in enumerate(step_times) if i % every == 0 or i == n]
+        assert len(records) == 1 + n // every + (n % every > 0)
+        assert _bits([r.time_s for r in records]) == _bits(kept)
+        # the controller is asked once per step, at the step's time
+        assert _bits(clock.times) == _bits(step_times)
