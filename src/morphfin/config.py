@@ -115,6 +115,9 @@ class RunConfig:
             section = getattr(self, f.name)
             if is_dataclass(section):
                 section.validate()
+        # each grid cell runs experiment.duration at sim.dt
+        if not (self.experiment.duration / self.sim.dt < math.inf):
+            raise ConfigError("duration/sim.dt must be finite", "experiment.duration")
         for i, entry in enumerate(self.depth_schedule):
             if len(entry) != 2 or not all(math.isfinite(v) for v in entry):
                 raise ConfigError(

@@ -13,21 +13,6 @@ from typing import Callable, NamedTuple
 
 from .errors import ConfigError, DomainError
 
-__all__ = [
-    "GaitCommand",
-    "PidGains",
-    "PidMemory",
-    "BuoyancyState",
-    "servo_angle",
-    "servo_rate",
-    "pid_step",
-    "buoyancy_force",
-    "syringe_buoyancy",
-    "depth_controller",
-    "apply_volume_rate",
-    "slew_volume",
-]
-
 MAX_AMPLITUDE_DEG = 45.0  # largest caudal gait amplitude, deg
 
 

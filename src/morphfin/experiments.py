@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Sequence
 
 from .control import (
@@ -212,15 +212,15 @@ class SweepResult:
     )
 
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.frequency:.9g},{r.amplitude:.9g},{r.fin_state},"
-                f"{r.mean_speed:.9g},{r.speed_std:.9g},{r.mean_power:.9g},"
-                f"{r.power_std:.9g},{r.cot:.9g},{r.cot_std:.9g},"
-                f"{r.p2p_yaw:.9g},{r.p2p_std:.9g}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_table(self.CSV_HEADER, self.rows)
+
+
+def _csv_table(header: str, rows) -> str:
+    """The header, then each dataclass row's fields in order, numbers to 9 significant digits."""
+    lines = [header] + [
+        ",".join(v if isinstance(v, str) else format(v, ".9g") for v in astuple(r)) for r in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _erection(fin_state: str) -> float:
@@ -272,19 +272,9 @@ def _aggregate(
         powers.append(m.mean_power)
         cots.append(m.cot)
         p2ps.append(m.p2p_yaw)
-    return SweepRow(
-        frequency=frequency,
-        amplitude=amplitude,
-        fin_state=fin_state,
-        mean_speed=statistics.fmean(speeds),
-        speed_std=_std(speeds),
-        mean_power=statistics.fmean(powers),
-        power_std=_std(powers),
-        cot=statistics.fmean(cots),
-        cot_std=_std(cots),
-        p2p_yaw=statistics.fmean(p2ps),
-        p2p_std=_std(p2ps),
-    )
+    # SweepRow holds each metric's mean, then its std
+    stats = [f(v) for v in (speeds, powers, cots, p2ps) for f in (statistics.fmean, _std)]
+    return SweepRow(frequency, amplitude, fin_state, *stats)
 
 
 def _sweep_rows(
@@ -336,13 +326,7 @@ class YawStudyReport:
     CSV_HEADER = "amplitude_deg,frequency_hz,folded_p2p_deg,erect_p2p_deg,improvement_pct"
 
     def table_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.table:
-            lines.append(
-                f"{r.amplitude:.9g},{r.frequency:.9g},{r.folded_p2p:.9g},"
-                f"{r.erect_p2p:.9g},{r.improvement_pct:.9g}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_table(self.CSV_HEADER, self.table)
 
 
 def run_yaw_study(
@@ -354,19 +338,11 @@ def run_yaw_study(
     rows = _sweep_rows(env, spec, "yaw_study", keep_records)
     table = []
     p2p = {(r.amplitude, r.frequency, r.fin_state): r.p2p_yaw for r in rows}
-    for amplitude in spec.amplitudes:
-        for frequency in spec.frequencies:
-            folded = p2p[(amplitude, frequency, "folded")]
-            erect = p2p[(amplitude, frequency, "erect")]
-            table.append(
-                YawConditionRow(
-                    amplitude=amplitude,
-                    frequency=frequency,
-                    folded_p2p=folded,
-                    erect_p2p=erect,
-                    improvement_pct=improvement(folded, erect),
-                )
-            )
+    for amplitude, frequency in itertools.product(spec.amplitudes, spec.frequencies):
+        folded, erect = p2p[(amplitude, frequency, "folded")], p2p[(amplitude, frequency, "erect")]
+        table.append(
+            YawConditionRow(amplitude, frequency, folded, erect, improvement(folded, erect))
+        )
     return YawStudyReport(sweep=SweepResult(rows=rows), table=table)
 
 
@@ -488,19 +464,10 @@ def default_targets() -> list[CalibrationTarget]:
         (30.0, 0.5, "erect", 23.32, 1.0),
         (30.0, 1.0, "folded", 26.47, 1.0),
     ]
-    for amp, freq, fin_state, value, weight in yaw_cells:
-        targets.append(
-            CalibrationTarget(
-                f"p2p_{int(amp)}deg_{freq}hz_{fin_state}",
-                "p2p_yaw",
-                freq,
-                amp,
-                fin_state,
-                value,
-                weight,
-            )
-        )
-    return targets
+    return targets + [
+        CalibrationTarget(f"p2p_{int(amp)}deg_{freq}hz_{fin}", "p2p_yaw", freq, amp, fin, value, w)
+        for amp, freq, fin, value, w in yaw_cells
+    ]
 
 
 @dataclass(frozen=True)

@@ -80,25 +80,20 @@ def emit_plot(series: list[Series], style: PlotStyle, destination) -> Path:
         {"width": str(w), "height": str(h), "viewBox": f"0 0 {w} {h}"},
     )
 
+    def element(tag: str, attrs: dict[str, str]) -> ET.Element:
+        return ET.SubElement(svg, f"{{{_SVG_NS}}}{tag}", attrs)
+
     def text(content: str, attrs: dict[str, str]) -> None:
-        ET.SubElement(svg, f"{{{_SVG_NS}}}text", attrs).text = content
+        element("text", attrs).text = content
 
     if style.title:
         text(style.title, {"x": str(w / 2), "y": "22", "text-anchor": "middle", "font-size": "15"})
 
     # axes
-    ET.SubElement(
-        svg,
-        f"{{{_SVG_NS}}}rect",
-        {
-            "x": str(ml),
-            "y": str(mt),
-            "width": str(pw),
-            "height": str(ph),
-            "fill": "none",
-            "stroke": "#333",
-        },
-    )
+    element("rect", {
+        "x": str(ml), "y": str(mt), "width": str(pw), "height": str(ph),
+        "fill": "none", "stroke": "#333",
+    })
 
     def tick_text(x: float, y: float, value: float, anchor: str, cls: str) -> None:
         place = {"x": format(x, ".1f"), "y": format(y, ".1f"), "text-anchor": anchor}
@@ -120,34 +115,17 @@ def emit_plot(series: list[Series], style: PlotStyle, destination) -> Path:
 
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s.x, s.y)
-        )
-        ET.SubElement(
-            svg,
-            f"{{{_SVG_NS}}}polyline",
-            {
-                "points": points,
-                "fill": "none",
-                "stroke": color,
-                "stroke-width": "1.5",
-                "data-name": s.name,
-            },
-        )
+        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s.x, s.y))
+        element("polyline", {
+            "points": points, "fill": "none", "stroke": color, "stroke-width": "1.5",
+            "data-name": s.name,
+        })
         # legend entry
         ly = mt + 14 + 16 * i
-        ET.SubElement(
-            svg,
-            f"{{{_SVG_NS}}}line",
-            {
-                "x1": str(ml + pw - 110),
-                "x2": str(ml + pw - 90),
-                "y1": str(ly - 4),
-                "y2": str(ly - 4),
-                "stroke": color,
-                "stroke-width": "2",
-            },
-        )
+        element("line", {
+            "x1": str(ml + pw - 110), "x2": str(ml + pw - 90), "y1": str(ly - 4),
+            "y2": str(ly - 4), "stroke": color, "stroke-width": "2",
+        })
         text(s.name, {"x": str(ml + pw - 84), "y": str(ly), "font-size": "11", "class": "legend"})
 
     dest = Path(destination)

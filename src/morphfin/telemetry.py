@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -16,11 +17,17 @@ HEADER = (
 )
 
 _COLUMNS = tuple(HEADER.split(","))
+_WIDTH = len(_COLUMNS)
 
 # 9 significant digits per field: '%.9g' % v is format(v, '.9g') for every
 # float, so one %-format of all the columns writes the same bytes
-_ROW_FORMAT = ",".join(["%.9g"] * len(_COLUMNS))
+_ROW_FORMAT = ",".join(["%.9g"] * _WIDTH)
 _row_values = operator.attrgetter(*_COLUMNS)
+
+# Characters (or bytes) per read and records per formatted block: the reader
+# holds one block of text, the writer one plus the file's encoded bytes.
+_READ_BLOCK = 1 << 16
+_WRITE_BLOCK = 1024
 
 
 @dataclass
@@ -54,16 +61,26 @@ class TelemetryRecord:
 def write_telemetry(records: Iterable[TelemetryRecord], destination) -> int:
     """Write records as CSV; returns the byte count written.
 
-    Raises OSError (I/O error with path) on an unwritable destination.
+    A record that fails the checks creates no file: all are checked before the
+    file opens. Raises OSError (I/O error with path) on an unwritable destination.
     """
-    rows = list(map(_row_values, records))
-    if not rows:
+    line = _ROW_FORMAT + "\n"
+    blocks = [(HEADER + "\n").encode("ascii")]
+    records = iter(records)
+    start, prev = 0, -math.inf
+    while block := list(islice(records, _WRITE_BLOCK)):
+        text = "".join([line % _row_values(r) for r in block])
+        times = [r.time_s for r in block]
+        # '%.9g' writes an "n" only in inf and nan
+        if "n" in text or not all(map(operator.lt, chain((prev,), times), times)):
+            _validate(map(_row_values, block), start, prev)
+        blocks.append(text.encode("ascii"))
+        start, prev = start + len(block), times[-1]
+    if not start:
         raise TelemetryFormatError("no records to write")
-    _validate(rows)
-    text = HEADER + "\n" + "\n".join([_ROW_FORMAT % values for values in rows]) + "\n"
-    data = text.encode("ascii")
-    Path(destination).write_bytes(data)
-    return len(data)
+    with open(destination, "wb") as out:
+        out.writelines(blocks)
+    return sum(map(len, blocks))
 
 
 def stream_records(records: Iterable[TelemetryRecord], out: TextIO) -> None:
@@ -72,10 +89,11 @@ def stream_records(records: Iterable[TelemetryRecord], out: TextIO) -> None:
         out.write(record.row() + "\n")
 
 
-def _validate(rows: list[tuple[float, ...]]) -> None:
-    """Every value finite and time strictly increasing, per row of column values."""
-    prev = -math.inf
-    for i, values in enumerate(rows):
+def _validate(rows: Iterable[tuple[float, ...]], start: int, prev: float) -> None:
+    """Every value finite and time strictly increasing from `prev` on, per row
+    of column values; `start` is the index of the first row's record.
+    """
+    for i, values in enumerate(rows, start):
         if not all(map(math.isfinite, values)):
             name = next(n for n, v in zip(_COLUMNS, values) if not math.isfinite(v))
             raise TelemetryFormatError(f"non-finite {name} in record {i}")
@@ -88,52 +106,99 @@ def read_telemetry(source) -> list[TelemetryRecord]:
     """Parse a telemetry CSV, enforcing the exact header and monotone time.
 
     A path or a binary stream is read as ASCII, the only bytes `write_telemetry`
-    writes; any other byte is a TelemetryFormatError naming its line. A text
-    stream is parsed as it reads.
+    writes; any other byte is a TelemetryFormatError naming its line, raised
+    ahead of every other error in the file. A text stream is parsed as it reads.
     """
-    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
-    return _parse(_decode(data) if isinstance(data, bytes) else data)
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as stream:
+            return _read(stream)
+    return _read(source)
 
 
-def _decode(data: bytes) -> str:
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        # the bytes before the bad one are ASCII; count lines as _parse does
-        line = len((data[: exc.start].decode("ascii") + "x").splitlines())
-        raise TelemetryFormatError(
-            f"non-ASCII byte 0x{data[exc.start]:02x}", line=line
-        ) from exc
-
-
-def _parse(text: str) -> list[TelemetryRecord]:
-    lines = text.splitlines()
-    if not lines:
-        raise TelemetryFormatError("empty file: header row required", line=1)
-    if lines[0] != HEADER:
-        raise TelemetryFormatError(
-            f"header mismatch: expected {HEADER!r}, got {lines[0]!r}", line=1
-        )
+def _read(stream) -> list[TelemetryRecord]:
+    blocks = _line_blocks(stream)
     records: list[TelemetryRecord] = []
-    prev_time = -math.inf
-    for lineno, line in enumerate(lines[1:], start=2):
+    prev, header = -math.inf, False
+    try:
+        for lineno, lines in blocks:
+            if not header and lines:
+                if lines[0] != HEADER:
+                    raise TelemetryFormatError(
+                        f"header mismatch: expected {HEADER!r}, got {lines[0]!r}", line=1
+                    )
+                header, lineno, lines = True, 2, lines[1:]
+            prev = _parse_block(lines, lineno, prev, records)
+    except TelemetryFormatError:
+        for _ in blocks:  # a non-ASCII byte later in the file is raised instead
+            pass
+        raise
+    if not header:
+        raise TelemetryFormatError("empty file: header row required", line=1)
+    if not records:
+        raise TelemetryFormatError("file has a header but no records", line=2)
+    return records
+
+
+def _line_blocks(stream):
+    """(first line number, lines) per block read; a block ends after its last
+    complete line break, so the lines are those `str.splitlines` gives the text.
+    """
+    carry, lineno = "", 1
+    while chunk := stream.read(_READ_BLOCK):
+        if isinstance(chunk, bytes):
+            try:
+                chunk = chunk.decode("ascii")
+            except UnicodeDecodeError as exc:
+                # the bytes before the bad one are ASCII; count lines as splitlines does
+                head = carry + chunk[: exc.start].decode("ascii") + "x"
+                raise TelemetryFormatError(
+                    f"non-ASCII byte 0x{chunk[exc.start]:02x}",
+                    line=lineno - 1 + len(head.splitlines()),
+                ) from exc
+        text = carry + chunk
+        # a "\r" that ends the text may be the first half of a "\r\n"
+        cut = 1 + max(text.rfind("\n"), text.rfind("\r", 0, -1))
+        lines, carry = text[:cut].splitlines(), text[cut:]
+        yield lineno, lines
+        lineno += len(lines)
+    yield lineno, carry.splitlines()
+
+
+def _parse_block(lines: list[str], lineno: int, prev: float, records: list) -> float:
+    """Append the records of lines, numbered from lineno; returns the last time.
+
+    A block of 13-field rows of finite, increasing values is checked and built
+    by whole-block operations; any other is walked line by line.
+    """
+    if set(map(str.count, lines, repeat(","))) == {_WIDTH - 1}:
+        try:
+            values = list(map(float, ",".join(lines).split(",")))
+        except ValueError:
+            return _parse_lines(lines, lineno, prev, records)
+        times = values[0::_WIDTH]
+        increasing = all(map(operator.lt, chain((prev,), times), times))
+        if increasing and all(map(math.isfinite, values)):
+            records.extend(map(TelemetryRecord, *[values[i::_WIDTH] for i in range(_WIDTH)]))
+            return times[-1]
+    return _parse_lines(lines, lineno, prev, records)
+
+
+def _parse_lines(lines: list[str], lineno: int, prev: float, records: list) -> float:
+    """The per-line parse: appends each row's record, raises the first error."""
+    for lineno, line in enumerate(lines, start=lineno):
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != len(_COLUMNS):
-            raise TelemetryFormatError(
-                f"expected {len(_COLUMNS)} columns, got {len(parts)}", line=lineno
-            )
+        if len(parts) != _WIDTH:
+            raise TelemetryFormatError(f"expected {_WIDTH} columns, got {len(parts)}", line=lineno)
         try:
             values = list(map(float, parts))
         except ValueError as exc:
             raise TelemetryFormatError(str(exc), line=lineno) from exc
         if not all(map(math.isfinite, values)):
             raise TelemetryFormatError("non-finite value", line=lineno)
-        if not values[0] > prev_time:
+        if not values[0] > prev:
             raise TelemetryFormatError("time not strictly increasing", line=lineno)
-        prev_time = values[0]
+        prev = values[0]
         records.append(TelemetryRecord(*values))
-    if not records:
-        raise TelemetryFormatError("file has a header but no records", line=2)
-    return records
+    return prev

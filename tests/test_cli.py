@@ -269,6 +269,8 @@ class TestSweepAndStudy:
             ({"amplitudes": []}, "experiment.amplitudes"),
             ({"amplitudes": [50.0]}, "experiment.amplitudes"),
             ({"kind": "yaw_study", "fin_states": ["folded"]}, "experiment.fin_states"),
+            # finite, but duration/dt overflows
+            ({"duration": 1e307}, "experiment.duration"),
         ],
     )
     def test_rejected_experiment_writes_nothing(
@@ -281,6 +283,7 @@ class TestSweepAndStudy:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {field}:")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_yaw_study_outputs(self, fast_config, tmp_path, capsys):

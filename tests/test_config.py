@@ -192,6 +192,11 @@ PINNED_ERRORS = [
      "experiment.duration: duration must cover >= 10 cycles at 0.8 Hz"),
     ({"experiment": {"duration": math.inf}}, "experiment.duration",
      "experiment.duration: duration must be finite"),
+    # finite, but no finite step count at sim.dt: named in the experiment section
+    ({"experiment": {"duration": 1e307}}, "experiment.duration",
+     "experiment.duration: duration/sim.dt must be finite"),
+    ({"sim": {"dt": 1e-5}, "experiment": {"duration": 1e304}}, "experiment.duration",
+     "experiment.duration: duration/sim.dt must be finite"),
     ({"sim": {"dt": 0.02}}, "sim.dt", "sim.dt: dt must be in (0, 0.01] s"),
     ({"sim": {"duration": 0.0}}, "sim.duration", "sim.duration: duration must be > 0"),
     ({"sim": {"duration": math.inf}}, "sim.duration", "sim.duration: duration/dt must be finite"),

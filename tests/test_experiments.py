@@ -6,11 +6,13 @@ import statistics
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphfin import experiments
-from morphfin.control import GaitCommand
+from morphfin.cli import _environment
+from morphfin.config import load_default_config
+from morphfin.control import BuoyancyState, GaitCommand
 from morphfin.errors import ConfigError, MorphfinError
 from morphfin.experiments import (
     DEFAULT_FREQUENCIES,
@@ -27,7 +29,7 @@ from morphfin.experiments import (
     speed_sweep_spec,
     yaw_study_spec,
 )
-from morphfin.hydro import FishParams, NoiseConfig
+from morphfin.hydro import FishParams, FishState, NoiseConfig
 from morphfin.metrics import PowerModel, cot
 
 
@@ -273,6 +275,61 @@ class TestDepthStep:
         env = fast_env(depth_hold=True)
         records, _ = run_depth_step(env, [(0.0, 0.0)], 20.0, initial_depth=0.05)
         assert all(r.depth_m >= 0.0 for r in records)
+
+
+class TestPhysicalProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        # near the surface half the time, where an upward heave can cross it
+        initial_depth=st.one_of(st.floats(0.0, 0.05), st.floats(0.0, 1.0)),
+        target_depth=st.floats(0.0, 1.0),
+        volume=st.floats(0.0, 6e-5),
+        frequency=st.floats(0.0, 2.5),
+        amplitude=st.floats(0.0, 45.0),
+        bias=st.floats(-30.0, 30.0),
+        erection=st.floats(0.0, 1.0),
+        duration=st.floats(0.05, 3.0),
+        depth_hold=st.booleans(),
+    )
+    # at the surface with the syringe empty: the largest upward buoyancy
+    @example(0.0, 0.0, 0.0, 1.0, 20.0, 0.0, 0.0, 1.0, True)
+    def test_depth_never_goes_below_the_surface(
+        self, initial_depth, target_depth, volume, frequency, amplitude, bias, erection,
+        duration, depth_hold,
+    ):
+        env = fast_env(
+            dt=0.002,
+            depth_hold=depth_hold,
+            target_depth=target_depth,
+            buoyancy=BuoyancyState(volume, 0.0, 6e-5, 1.2e-5, 3e-5),
+        )
+        gait = GaitCommand(frequency, amplitude, bias, erection)
+        records = run_condition(
+            env, gait, duration, 0, initial_state=FishState(depth=initial_depth)
+        )
+        assert all(r.depth_m >= 0.0 for r in records)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        frequency=st.floats(0.5, 1.99),
+        amplitude=st.floats(10.0, 30.0),
+        erections=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=2, max_size=2),
+    )
+    def test_yaw_p2p_does_not_grow_with_erection(self, frequency, amplitude, erections):
+        # the yaw study's gait range and erection in quarter steps, at the
+        # default config's 1 ms step and 100 Hz records, over the steady window
+        # plus 8 gait cycles. It fails outside this range: at a 1 deg amplitude,
+        # and between erections 1e-16 apart, by an ulp (CHANGES.md, FOUND)
+        env = _environment(load_default_config())
+        duration = max(5.0, 5.0 / frequency) + 8.0 / frequency
+
+        def p2p(erection):
+            gait = GaitCommand(frequency, amplitude, fin_erection_setpoint=erection)
+            records = run_condition(env, gait, duration, 0)
+            return experiments.condition_metrics(records, frequency).p2p_yaw
+
+        low, high = sorted(erections)
+        assert p2p(high) <= p2p(low)
 
 
 class GoldenSection:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphfin import telemetry
 from morphfin.control import GaitCommand
 from morphfin.controllers import SwimController
 from morphfin.errors import TelemetryFormatError
@@ -278,3 +279,209 @@ class TestRead:
             assert read_telemetry(stream) == read_telemetry(path)
         with open(path) as stream:
             assert read_telemetry(stream) == read_telemetry(path)
+
+
+# The whole-text reader and single-pass writer the block-wise ones replaced,
+# kept as their oracles: the block-wise versions must return the same records
+# and bytes and raise the same first error with the same message and line.
+
+
+def _oracle_decode(data: bytes) -> str:
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("ascii") + "x").splitlines())
+        raise TelemetryFormatError(
+            f"non-ASCII byte 0x{data[exc.start]:02x}", line=line
+        ) from exc
+
+
+def _oracle_parse(text: str) -> list[TelemetryRecord]:
+    lines = text.splitlines()
+    if not lines:
+        raise TelemetryFormatError("empty file: header row required", line=1)
+    if lines[0] != HEADER:
+        raise TelemetryFormatError(
+            f"header mismatch: expected {HEADER!r}, got {lines[0]!r}", line=1
+        )
+    records: list[TelemetryRecord] = []
+    prev_time = -math.inf
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(_COLUMNS):
+            raise TelemetryFormatError(
+                f"expected {len(_COLUMNS)} columns, got {len(parts)}", line=lineno
+            )
+        try:
+            values = list(map(float, parts))
+        except ValueError as exc:
+            raise TelemetryFormatError(str(exc), line=lineno) from exc
+        if not all(map(math.isfinite, values)):
+            raise TelemetryFormatError("non-finite value", line=lineno)
+        if not values[0] > prev_time:
+            raise TelemetryFormatError("time not strictly increasing", line=lineno)
+        prev_time = values[0]
+        records.append(TelemetryRecord(*values))
+    if not records:
+        raise TelemetryFormatError("file has a header but no records", line=2)
+    return records
+
+
+def _oracle_write(records) -> bytes:
+    rows = [dataclasses.astuple(r) for r in records]
+    if not rows:
+        raise TelemetryFormatError("no records to write")
+    prev = -math.inf
+    for i, values in enumerate(rows):
+        if not all(map(math.isfinite, values)):
+            name = next(n for n, v in zip(_COLUMNS, values) if not math.isfinite(v))
+            raise TelemetryFormatError(f"non-finite {name} in record {i}")
+        if not values[0] > prev:
+            raise TelemetryFormatError(f"time not strictly increasing at record {i}")
+        prev = values[0]
+    text = HEADER + "\n" + "\n".join(",".join(format(v, ".9g") for v in row) for row in rows)
+    return (text + "\n").encode("ascii")
+
+
+def _outcome(call):
+    """("ok", bit patterns of the records) or ("error", message, line)."""
+    try:
+        return ("ok", [_packed(dataclasses.astuple(r)) for r in call()])
+    except TelemetryFormatError as exc:
+        return ("error", str(exc), exc.line)
+
+
+# short fields keep several rows inside one small block
+_short_field = st.one_of(
+    st.sampled_from(["0", "1", "-2.5", "0.125", "1e-05", "3e+08", "-0"]),
+    _finite.map(lambda v: "%.9g" % v),
+)
+_ENDINGS = ["\n", "\r\n", "\r"]
+_CORRUPTIONS = [
+    "none", "columns", "unparsable", "non-finite", "time", "non-ascii",
+    "blank-lines", "splitlines-break", "empty", "header-only", "header",
+]
+
+
+@st.composite
+def _telemetry_bytes(draw, corruption):
+    """A telemetry file as bytes, valid but for the named corruption."""
+    n = draw(st.integers(1, 12))
+    times = sorted(draw(st.sets(st.integers(-50, 10**6), min_size=n, max_size=n)))
+    rows = [[str(t)] + draw(st.lists(_short_field, min_size=12, max_size=12)) for t in times]
+    lines = [HEADER] + [",".join(row) for row in rows]
+    k = draw(st.integers(1, n))  # the row corrupted
+    if corruption == "columns":
+        fields = lines[k].split(",")
+        lines[k] = ",".join(fields[:-1] if draw(st.booleans()) else fields + ["1"])
+    elif corruption in ("unparsable", "non-finite"):
+        tokens = {
+            "unparsable": ["x", "", "1.2.3", "--1", "0x10", "1e", " "],
+            "non-finite": ["nan", "inf", "-inf", "1e400", "-1e400", "NaN"],
+        }
+        fields = lines[k].split(",")
+        fields[draw(st.integers(0, 12))] = draw(st.sampled_from(tokens[corruption]))
+        lines[k] = ",".join(fields)
+    elif corruption == "time":
+        # a copy of row k or an earlier one after row k: a time at or below the one before
+        lines.insert(k + 1, lines[draw(st.integers(1, k))])
+    elif corruption == "blank-lines":
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(1, len(lines))), "")
+    elif corruption == "empty":
+        return b""
+    elif corruption == "header-only":
+        lines = [HEADER]
+    elif corruption == "header":
+        lines[0] = draw(st.sampled_from([HEADER[:-1], HEADER + ",", HEADER.upper(), ""]))
+    endings = draw(st.lists(st.sampled_from(_ENDINGS), min_size=len(lines), max_size=len(lines)))
+    data = "".join(line + end for line, end in zip(lines, endings))
+    if not draw(st.booleans()):
+        data = data[: -len(endings[-1])]  # no line break after the last line
+    data = data.encode("ascii")
+    if corruption in ("non-ascii", "splitlines-break"):
+        pool = [0x80, 0x85, 0xA0, 0xFF] if corruption == "non-ascii" else [0x0B, 0x0C, 0x1C]
+        for _ in range(draw(st.integers(1, 2))):
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + bytes([draw(st.sampled_from(pool))]) + data[at:]
+    return data
+
+
+class TestBlockReader:
+    """The block-wise reader against the whole-text parse, over small blocks."""
+
+    @pytest.mark.parametrize("corruption", _CORRUPTIONS)
+    @given(data=st.data(), block=st.integers(1, 96))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_whole_text_parse(self, tmp_path_factory, corruption, data, block):
+        raw = data.draw(_telemetry_bytes(corruption))
+        path = tmp_path_factory.getbasetemp() / "blocks.csv"
+        path.write_bytes(raw)
+        binary = _outcome(lambda: _oracle_parse(_oracle_decode(raw)))
+        # latin-1 text keeps every byte as one character, "\r" included
+        text = _outcome(lambda: _oracle_parse(raw.decode("latin-1")))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(telemetry, "_READ_BLOCK", block)
+            assert _outcome(lambda: read_telemetry(path)) == binary
+            assert _outcome(lambda: read_telemetry(str(path))) == binary
+            assert _outcome(lambda: read_telemetry(io.BytesIO(raw))) == binary
+            stream = io.TextIOWrapper(io.BytesIO(raw), encoding="latin-1", newline="")
+            assert _outcome(lambda: read_telemetry(stream)) == text
+
+    def test_non_ascii_byte_is_raised_ahead_of_an_earlier_bad_row(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "_READ_BLOCK", 64)
+        # the bad row is in the first 64-byte block, the bad byte blocks later
+        rows = [GOLDEN_ROW, "not,a,row"] + [GOLDEN_ROW] * 8
+        raw = (HEADER + "\n" + "\n".join(rows) + "\n\xff\n").encode("latin-1")
+        with pytest.raises(TelemetryFormatError, match="^line 12: non-ASCII byte 0xff$"):
+            read_telemetry(io.BytesIO(raw))
+
+    def test_a_default_size_block_boundary_falls_inside_a_row(self, tmp_path):
+        records = [record(0.001 * i) for i in range(1, 3001)]
+        path = tmp_path / "long.csv"
+        write_telemetry(records, path)
+        assert path.stat().st_size > 2 * telemetry._READ_BLOCK
+        assert read_telemetry(path) == _oracle_parse(path.read_text())
+
+
+_bad_value = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestBlockWriter:
+    """The block-wise writer against the single-pass one, over small blocks."""
+
+    @given(
+        rows=st.lists(st.lists(_finite, min_size=12, max_size=12), max_size=14),
+        flaws=st.lists(
+            st.tuples(st.integers(0, 13), st.integers(0, 12), st.one_of(_bad_value, st.none())),
+            max_size=2,
+        ),
+        block=st.integers(1, 5),
+        generator=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_single_pass_writer(self, tmp_path_factory, rows, flaws, block, generator):
+        records = [TelemetryRecord(float(i), *row) for i, row in enumerate(rows)]
+        for index, column, value in flaws:
+            if index < len(records):
+                # None repeats the previous record's time
+                bad = value if value is not None else records[max(index - 1, 0)].time_s
+                setattr(records[index], _COLUMNS[column if value is not None else 0], bad)
+        path = tmp_path_factory.mktemp("write") / "out.csv"
+        try:
+            expected = _oracle_write(records)
+        except TelemetryFormatError as exc:
+            expected = str(exc)
+        source = (r for r in records) if generator else records
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(telemetry, "_WRITE_BLOCK", block)
+            if isinstance(expected, str):
+                with pytest.raises(TelemetryFormatError) as exc:
+                    write_telemetry(source, path)
+                assert str(exc.value) == expected
+                assert not path.exists()
+            else:
+                assert write_telemetry(source, path) == len(expected)
+                assert path.read_bytes() == expected
