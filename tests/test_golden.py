@@ -1,0 +1,92 @@
+"""Golden digests: the CLI's output files and one calibration loss, bit for bit.
+
+Any change that should leave the numbers alone (a refactor, a deletion, a
+speed-up) must keep these digests. A change that means to move a number
+re-pins them and says why.
+
+Pinned on Linux (glibc) with CPython 3.11. The telemetry goes through libm's
+sin, cos and pow, so another libm may differ in the last bit and fail here
+without a fault in the program.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from morphfin import experiments as xp
+from morphfin.cli import _environment, main
+from morphfin.config import load_default_config
+
+SMALL_GRID = {"frequencies": [1.0, 1.5], "repeats": 1, "duration": 12.0}
+
+# subcommand -> (config written to --config, or None for the packaged default)
+CASES = {
+    "run": None,
+    "depth-step": None,
+    "sweep-speed": {"experiment": SMALL_GRID},
+    "yaw-study": {"experiment": {**SMALL_GRID, "kind": "yaw_study", "amplitudes": [20.0]}},
+}
+
+DIGESTS = {
+    "run": {
+        "run.csv": "6321f8cccf903c137578e40e213e904eb3c6b17eacc9fdda724e7bafcacf9601",
+        "run_metrics.json": "574c066d5db946429cbe3dde9b76ac611a087090f0696c74cd957a8e83ad4be8",
+    },
+    "depth-step": {
+        "depth_step.csv": "62f8b12f33d674333c94999ab7ddafd4aac0a56b916b2f4b15954f60f659a594",
+        "depth_step.svg": "0e8af8e7ee1d72609589de7590a2f9acfcaa6307c494cf0cdc5678e4978cf007",
+        "depth_step_report.json": "ae5f1c9df6fd0a4054868e59c2b5f337b7f76bb1319e26b9c79e7fb613ba1834",
+    },
+    "sweep-speed": {
+        "run_f1.00_a20_erect.csv": "b458a9f830eb83802ddaa9300cbd37f6ddca2bb26f7a67cc3b1c2192aca8d25d",
+        "run_f1.00_a20_folded.csv": "58bd5331a8b7b8a47efac3458721311b029d62604b68f8d4c0fd20eed2a7ac0e",
+        "run_f1.50_a20_erect.csv": "733b499cca5e0d2ecffd0f1456ba3e0bb1f48fe1ee1cc8dba85f1c36a5d2190b",
+        "run_f1.50_a20_folded.csv": "0f9a7e153ea4ad0dd47a100119a8c6f40a493c6532138b56fd118813e14fe850",
+        "speed_sweep.csv": "3cade773ab62f4fe20496bf560f4899e2ce72dd3bcffb40265186175414934e1",
+        "speed_vs_frequency.svg": "243a2f74c111b39fc674cacf9bcab8e5d25d3cb1fda616f853517e76d7b84c8f",
+    },
+    "yaw-study": {
+        "yaw_f1.00_a20_erect.csv": "b458a9f830eb83802ddaa9300cbd37f6ddca2bb26f7a67cc3b1c2192aca8d25d",
+        "yaw_f1.00_a20_folded.csv": "58bd5331a8b7b8a47efac3458721311b029d62604b68f8d4c0fd20eed2a7ac0e",
+        "yaw_f1.50_a20_erect.csv": "733b499cca5e0d2ecffd0f1456ba3e0bb1f48fe1ee1cc8dba85f1c36a5d2190b",
+        "yaw_f1.50_a20_folded.csv": "0f9a7e153ea4ad0dd47a100119a8c6f40a493c6532138b56fd118813e14fe850",
+        "yaw_p2p.svg": "dcd1f98330f6428f46b51e88e2330582e4b3fd96c90178c6f1c791fe511a795e",
+        "yaw_study.csv": "f5e739715bbc5a86fbb1f8d8a31852bfc7393ef81f2988ee98d84f5775525c8a",
+    },
+}
+
+TARGETS_HEX = {
+    "top_speed": "0x1.cc7c1df9d356ep-3",
+    "cot_folded_fmax": "0x1.5e79c10758afep+0",
+    "cot_erect_fmax": "0x1.5da3a27b99327p+0",
+    "p2p_10deg_0.5hz_folded": "0x1.fd6e194adf508p+2",
+    "p2p_10deg_1.0hz_erect": "0x1.9d620015c4778p+2",
+    "p2p_20deg_1.0hz_folded": "0x1.1ebfd3c1e256dp+4",
+    "p2p_20deg_1.0hz_erect": "0x1.be0d2dd92ac80p+3",
+    "p2p_30deg_0.5hz_erect": "0x1.5578692b3a648p+4",
+    "p2p_30deg_1.0hz_folded": "0x1.baaff754af4aap+4",
+}
+
+
+def _digests(out):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+
+
+@pytest.mark.parametrize("command", CASES)
+def test_cli_outputs_are_byte_identical(command, tmp_path, capsys):
+    argv = ["--out", str(tmp_path / "out"), command]
+    if CASES[command] is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(CASES[command]))
+        argv = ["--config", str(config), *argv]
+    assert main(argv) == 0
+    assert _digests(tmp_path / "out") == DIGESTS[command]
+
+
+def test_evaluate_targets_is_bit_identical():
+    simulated = xp.evaluate_targets(_environment(load_default_config()), xp.default_targets())
+    assert {name: value.hex() for name, value in simulated.items()} == TARGETS_HEX
