@@ -1,8 +1,9 @@
 """Run configuration: JSON-syntax config file with strict validation.
 
 Every type invariant is checked at load time with a field-path diagnostic;
-unknown keys are rejected. The committed default config corresponds to the
-calibrated robot. Annotations here are evaluated, not postponed, so that the
+unknown keys are rejected. Each default lives on its section dataclass, so
+`RunConfig()` is the calibrated robot and the packaged configs/default.json
+is a copy of it. Annotations here are evaluated, not postponed, so that the
 loader's type-hint lookups compile no strings.
 """
 
@@ -32,9 +33,9 @@ class SimSettings:
     target_depth: float = 0.2
     initial_depth: float = 0.2
     depth_resolution_m: float = 0.001
-    noise_enabled: bool = False
-    noise_yaw_std_deg: float = 0.1
-    noise_depth_std_m: float = 0.001
+    noise_enabled: bool = NoiseConfig.enabled
+    noise_yaw_std_deg: float = NoiseConfig.yaw_std_deg
+    noise_depth_std_m: float = NoiseConfig.depth_std_m
 
     def validate(self) -> None:
         if not (0.0 < self.dt <= MAX_DT):
@@ -55,10 +56,15 @@ class SimSettings:
                     f"1/({name}*dt) must be a whole number of steps >= 1, got {steps:.6g}",
                     f"sim.{name}",
                 )
-        if self.target_depth < 0.0 or self.initial_depth < 0.0:
-            raise ConfigError("depths must be >= 0", "sim.target_depth")
-        if self.depth_resolution_m < 0.0:
-            raise ConfigError("depth resolution must be >= 0", "sim.depth_resolution_m")
+        for name, what in (
+            ("target_depth", "depths"), ("initial_depth", "depths"),
+            ("depth_resolution_m", "depth resolution"),
+            ("noise_yaw_std_deg", "noise stds"), ("noise_depth_std_m", "noise stds"),
+        ):
+            value = getattr(self, name)
+            if not (0.0 <= value < math.inf):
+                rule = "must be >= 0" if value < 0.0 else "must be finite"
+                raise ConfigError(f"{what} {rule}", f"sim.{name}")
 
     @property
     def record_every(self) -> int:
@@ -80,29 +86,11 @@ class SimSettings:
 class RunConfig:
     fish: FishParams = field(default_factory=FishParams)
     power: PowerModel = field(default_factory=PowerModel)
-    pid: PidGains = field(
-        default_factory=lambda: PidGains(4e-4, 5e-7, 5e-4, 1.0, 3e-5)
-    )
-    buoyancy: BuoyancyState = field(
-        default_factory=lambda: BuoyancyState(3e-5, 0.0, 6e-5, 1.2e-5, 3e-5)
-    )
-    linkage: LinkageGeometry = field(
-        default_factory=lambda: LinkageGeometry(
-            ground_len=0.06,
-            crank_len=0.025,
-            coupler_len=0.06,
-            rocker_len=0.05,
-            ground_pivot_a=(0.0, 0.0),
-            ground_pivot_b=(0.06, 0.0),
-            drive_angle_folded=0.5236,
-            drive_angle_erect=2.5307,
-            max_drive_torque=0.5,
-        )
-    )
-    fin: FinGeometry = field(
-        default_factory=lambda: FinGeometry(0.201, 0.128, 0.012, 0.0)
-    )
-    gait: GaitCommand = field(default_factory=lambda: GaitCommand(1.0, 20.0))
+    pid: PidGains = field(default_factory=PidGains)
+    buoyancy: BuoyancyState = field(default_factory=BuoyancyState)
+    linkage: LinkageGeometry = field(default_factory=LinkageGeometry)
+    fin: FinGeometry = field(default_factory=FinGeometry)
+    gait: GaitCommand = field(default_factory=GaitCommand)
     experiment: ExperimentSpec = field(default_factory=ExperimentSpec)
     sim: SimSettings = field(default_factory=SimSettings)
     depth_schedule: list[list[float]] = field(

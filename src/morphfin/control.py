@@ -23,8 +23,8 @@ class GaitCommand:
     frequency in Hz, amplitude and bias in degrees, erection in [0, 1].
     """
 
-    frequency: float
-    amplitude: float
+    frequency: float = 1.0
+    amplitude: float = 20.0
     bias: float = 0.0
     fin_erection_setpoint: float = 0.0
 
@@ -46,11 +46,13 @@ class GaitCommand:
 
 @dataclass(frozen=True)
 class PidGains:
-    kp: float
-    ki: float
-    kd: float
-    integral_limit: float
-    output_limit: float
+    """Depth-hold PID gains; the output is a syringe-volume offset in m^3."""
+
+    kp: float = 4e-4
+    ki: float = 5e-7
+    kd: float = 5e-4
+    integral_limit: float = 1.0
+    output_limit: float = 3e-5
 
     def validate(self) -> None:
         if not (self.integral_limit > 0.0 and self.output_limit > 0.0):
@@ -74,11 +76,11 @@ class BuoyancyState:
     than neutral and sinks.
     """
 
-    syringe_volume: float
-    volume_min: float
-    volume_max: float
-    max_rate: float
-    neutral_volume: float
+    syringe_volume: float = 3e-5
+    volume_min: float = 0.0
+    volume_max: float = 6e-5
+    max_rate: float = 1.2e-5
+    neutral_volume: float = 3e-5
 
     def validate(self) -> None:
         if not (self.volume_min <= self.syringe_volume <= self.volume_max):
@@ -138,11 +140,6 @@ def syringe_buoyancy(
 ) -> float:
     """Net buoyancy in N, positive up, of a syringe volume; zero at neutral."""
     return -water_density * gravity * (volume - neutral_volume)
-
-
-def buoyancy_force(water_density: float, gravity: float, buoy: BuoyancyState) -> float:
-    """Net buoyancy in N, positive up; zero at the neutral syringe volume."""
-    return syringe_buoyancy(water_density, gravity, buoy.syringe_volume, buoy.neutral_volume)
 
 
 def slew_volume(

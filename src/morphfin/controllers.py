@@ -127,13 +127,3 @@ class SwimController:
             buoyancy_n,
             self._volume,
         ))
-
-
-class ConstantController:
-    """Fixed actuation every step; handy for open-loop and test scenarios."""
-
-    def __init__(self, control: ControlInput):
-        self.control = control
-
-    def command(self, measurement: Measurement) -> ControlInput:
-        return self.control

@@ -27,10 +27,6 @@ class UnreachableConfigurationError(DomainError):
         )
 
 
-class MagneticSlipError(DomainError):
-    """Required drive torque exceeds what the magnetic coupling transmits."""
-
-
 class SimulationFault(MorphfinError):
     """A run produced non-finite actuation or a non-finite state."""
 

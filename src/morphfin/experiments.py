@@ -97,17 +97,17 @@ def yaw_study_spec(seed: int = 0) -> ExperimentSpec:
 class RunEnvironment:
     """Everything besides the gait needed to run one simulation."""
 
-    params: FishParams = field(default_factory=FishParams)
-    power: PowerModel = field(default_factory=PowerModel)
-    pid: PidGains | None = None
-    buoyancy: BuoyancyState | None = None
-    dt: float = 1e-3
-    record_every: int = 10
-    control_period: float = 0.02
-    depth_resolution: float = 0.001
-    depth_hold: bool = False
-    target_depth: float = 0.2
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
+    params: FishParams
+    power: PowerModel
+    pid: PidGains | None
+    buoyancy: BuoyancyState | None
+    dt: float
+    record_every: int
+    control_period: float
+    depth_resolution: float
+    depth_hold: bool
+    target_depth: float
+    noise: NoiseConfig
 
 
 def run_condition(

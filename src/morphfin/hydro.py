@@ -31,8 +31,10 @@ _STATE_FIELDS = ("x", "y", "depth", "yaw", "surge_vel", "sway_vel", "yaw_rate", 
 class FishParams:
     """Physical constants and surrogate-model coefficients.
 
-    Defaults are the committed calibrated set reproducing the published
-    speed, COT, and yaw-stability anchors (see configs/default.json).
+    The defaults are the one source of the calibrated set reproducing the
+    published speed, COT, and yaw-stability anchors; configs/default.json
+    is their packaged copy. body_length is validated but the dynamics do
+    not read it.
     """
 
     mass: float = 2.305  # kg

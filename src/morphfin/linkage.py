@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, MagneticSlipError, UnreachableConfigurationError
+from .errors import ConfigError, DomainError, UnreachableConfigurationError
 
 Point = tuple[float, float]
 
@@ -26,15 +26,17 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class LinkageGeometry:
-    ground_len: float
-    crank_len: float
-    coupler_len: float
-    rocker_len: float
-    ground_pivot_a: Point
-    ground_pivot_b: Point
-    drive_angle_folded: float
-    drive_angle_erect: float
-    max_drive_torque: float = math.inf  # magnetic coupling limit, N*m
+    """Link lengths (m), ground pivots (m) and endpoint drive angles (rad)."""
+
+    ground_len: float = 0.06
+    crank_len: float = 0.025
+    coupler_len: float = 0.06
+    rocker_len: float = 0.05
+    ground_pivot_a: Point = (0.0, 0.0)
+    ground_pivot_b: Point = (0.06, 0.0)
+    drive_angle_folded: float = 0.5236
+    drive_angle_erect: float = 2.5307
+    max_drive_torque: float = 0.5  # magnetic coupling limit, N*m; not read by the dynamics
 
     def validate(self) -> None:
         for name in ("ground_len", "crank_len", "coupler_len", "rocker_len"):
@@ -66,12 +68,12 @@ class LinkageState:
 
 @dataclass(frozen=True)
 class FinGeometry:
-    """Erect/folded envelope of the dorsal fin."""
+    """Erect/folded envelope of the dorsal fin (m, m^2); the dynamics read neither area."""
 
-    height_erect: float
-    height_folded: float
-    lateral_area_max: float
-    lateral_area_min: float
+    height_erect: float = 0.201
+    height_folded: float = 0.128
+    lateral_area_max: float = 0.012
+    lateral_area_min: float = 0.0
 
     def validate(self) -> None:
         if not (self.height_erect > self.height_folded):
@@ -145,27 +147,22 @@ def closure_residual(geom: LinkageGeometry, state: LinkageState) -> float:
     )
 
 
-def erection_state(
+def erection_fraction(
     geom: LinkageGeometry, drive_angle: float, branch: Branch = Branch.OPEN
-) -> tuple[float, bool]:
-    """Erection fraction plus a flag marking out-of-range (clamped) drive angles."""
+) -> float:
+    """Normalized fin deployment: 0 at the folded drive angle, 1 at the erect one.
+
+    Drive angles outside the folded-erect range clamp to its nearer end.
+    """
     lo = min(geom.drive_angle_folded, geom.drive_angle_erect)
     hi = max(geom.drive_angle_folded, geom.drive_angle_erect)
-    clamped = not (lo <= drive_angle <= hi)
     angle = min(max(drive_angle, lo), hi)
     r_folded = _rocker_angle(geom, geom.drive_angle_folded, branch)
     r_erect = _rocker_angle(geom, geom.drive_angle_erect, branch)
     if r_folded == r_erect:
         raise DomainError("degenerate geometry: rocker does not move between endpoints")
     frac = (_rocker_angle(geom, angle, branch) - r_folded) / (r_erect - r_folded)
-    return min(max(frac, 0.0), 1.0), clamped
-
-
-def erection_fraction(
-    geom: LinkageGeometry, drive_angle: float, branch: Branch = Branch.OPEN
-) -> float:
-    """Normalized fin deployment: 0 at the folded drive angle, 1 at the erect one."""
-    return erection_state(geom, drive_angle, branch)[0]
+    return min(max(frac, 0.0), 1.0)
 
 
 def body_height(fin: FinGeometry, e: float) -> float:
@@ -173,43 +170,3 @@ def body_height(fin: FinGeometry, e: float) -> float:
     if not (0.0 <= e <= 1.0):
         raise DomainError(f"erection fraction must be in [0, 1], got {e}")
     return fin.height_folded + e * (fin.height_erect - fin.height_folded)
-
-
-def exposed_lateral_area(fin: FinGeometry, e: float) -> float:
-    """Lateral fin area (m^2) exposed to the flow at erection fraction e."""
-    if not (0.0 <= e <= 1.0):
-        raise DomainError(f"erection fraction must be in [0, 1], got {e}")
-    return fin.lateral_area_min + e * (fin.lateral_area_max - fin.lateral_area_min)
-
-
-def grashof_classification(geom: LinkageGeometry) -> str:
-    """Grashof class from the four link lengths alone."""
-    lengths = {
-        "ground": geom.ground_len,
-        "crank": geom.crank_len,
-        "coupler": geom.coupler_len,
-        "rocker": geom.rocker_len,
-    }
-    shortest = min(lengths, key=lengths.get)
-    longest = max(lengths, key=lengths.get)
-    s, l = lengths[shortest], lengths[longest]
-    p_q = sum(lengths.values()) - s - l
-    if s + l < p_q:
-        return {
-            "crank": "grashof crank-rocker",
-            "ground": "grashof double-crank",
-            "coupler": "grashof double-rocker",
-            "rocker": "grashof rocker-crank",
-        }[shortest]
-    if s + l == p_q:
-        return "change point"
-    return "non-grashof triple-rocker"
-
-
-def require_drive_torque(geom: LinkageGeometry, torque: float) -> None:
-    """Check a drive torque against the magnetic coupling; raises on slip."""
-    if abs(torque) > geom.max_drive_torque:
-        raise MagneticSlipError(
-            f"drive torque {torque:.4g} N*m exceeds magnetic coupling limit "
-            f"{geom.max_drive_torque:.4g} N*m"
-        )

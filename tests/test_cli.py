@@ -93,6 +93,18 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_nan_noise_is_an_error(self, tmp_path, capsys):
+        # a NaN depth reading would pin the syringe full and sink the fish
+        config = tmp_path / "noise.json"
+        config.write_text('{"sim": {"noise_enabled": true, "noise_depth_std_m": NaN}}')
+        out = tmp_path / "out"
+        rc = main(["--config", str(config), "--out", str(out), "run"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: sim.noise_depth_std_m:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_undecodable_config_is_an_error(self, tmp_path, capsys):
         config = tmp_path / "binary.json"
         config.write_bytes(b"\xff\xfe{")

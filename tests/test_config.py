@@ -26,6 +26,27 @@ def test_default_config_loads_and_validates():
     assert config.fin.height_folded == pytest.approx(0.128)
 
 
+def _packaged_default() -> dict:
+    return json.loads(resources.files("morphfin.configs").joinpath("default.json").read_text())
+
+
+@pytest.mark.parametrize("section", [f.name for f in fields(RunConfig)])
+def test_packaged_default_is_the_dataclass_default(section):
+    # each default lives on its section dataclass; default.json is a copy of it
+    assert getattr(load_default_config(), section) == getattr(RunConfig(), section)
+
+
+@pytest.mark.parametrize("section", [f.name for f in fields(RunConfig)])
+def test_packaged_default_sets_every_field(section):
+    # a field default.json leaves out would fall back to the dataclass silently
+    value = getattr(RunConfig(), section)
+    if not is_dataclass(value):
+        assert section in _packaged_default()
+        return
+    names = {f.name for f in fields(value)} - ({"seed"} if section == "experiment" else set())
+    assert set(_packaged_default()[section]) == names
+
+
 def test_empty_config_is_the_default():
     # every section a partial config leaves out falls back to the committed default
     assert config_from_dict({}) == load_default_config()
@@ -203,14 +224,37 @@ PINNED_ERRORS = [
     ({"sim": {"control_hz": 0.0}}, "sim.control_hz", "sim.control_hz: must be > 0"),
     ({"sim": {"record_hz": 300.0}}, "sim.record_hz",
      "sim.record_hz: 1/(record_hz*dt) must be a whole number of steps >= 1, got 3.33333"),
-    ({"sim": {"initial_depth": -1.0}}, "sim.target_depth",
-     "sim.target_depth: depths must be >= 0"),
+    ({"sim": {"initial_depth": -1.0}}, "sim.initial_depth",
+     "sim.initial_depth: depths must be >= 0"),
     ({"sim": {"depth_resolution_m": -1.0}}, "sim.depth_resolution_m",
      "sim.depth_resolution_m: depth resolution must be >= 0"),
     ({"depth_schedule": [[0.0]]}, "depth_schedule[0]",
      "depth_schedule[0]: entries must be [time, target] pairs"),
     ({"depth_schedule": [[0.0, -0.5]]}, "depth_schedule[0]",
      "depth_schedule[0]: target must be >= 0"),
+    ({"sim": {"target_depth": math.nan}}, "sim.target_depth",
+     "sim.target_depth: depths must be finite"),
+    ({"sim": {"target_depth": math.inf}}, "sim.target_depth",
+     "sim.target_depth: depths must be finite"),
+    ({"sim": {"target_depth": -1.0}}, "sim.target_depth", "sim.target_depth: depths must be >= 0"),
+    ({"sim": {"initial_depth": math.nan}}, "sim.initial_depth",
+     "sim.initial_depth: depths must be finite"),
+    ({"sim": {"initial_depth": math.inf}}, "sim.initial_depth",
+     "sim.initial_depth: depths must be finite"),
+    ({"sim": {"depth_resolution_m": math.nan}}, "sim.depth_resolution_m",
+     "sim.depth_resolution_m: depth resolution must be finite"),
+    ({"sim": {"depth_resolution_m": math.inf}}, "sim.depth_resolution_m",
+     "sim.depth_resolution_m: depth resolution must be finite"),
+    ({"sim": {"noise_enabled": True, "noise_depth_std_m": math.nan}}, "sim.noise_depth_std_m",
+     "sim.noise_depth_std_m: noise stds must be finite"),
+    ({"sim": {"noise_depth_std_m": -0.001}}, "sim.noise_depth_std_m",
+     "sim.noise_depth_std_m: noise stds must be >= 0"),
+    ({"sim": {"noise_yaw_std_deg": math.nan}}, "sim.noise_yaw_std_deg",
+     "sim.noise_yaw_std_deg: noise stds must be finite"),
+    ({"sim": {"noise_yaw_std_deg": math.inf}}, "sim.noise_yaw_std_deg",
+     "sim.noise_yaw_std_deg: noise stds must be finite"),
+    ({"sim": {"noise_yaw_std_deg": -0.1}}, "sim.noise_yaw_std_deg",
+     "sim.noise_yaw_std_deg: noise stds must be >= 0"),
 ]
 
 
@@ -263,8 +307,7 @@ def test_experiment_seed_points_to_sim_seed():
 
 
 def test_default_config_sets_no_experiment_seed():
-    text = resources.files("morphfin.configs").joinpath("default.json").read_text()
-    assert "seed" not in json.loads(text)["experiment"]
+    assert "seed" not in _packaged_default()["experiment"]
 
 
 def test_undecodable_file_is_config_error(tmp_path):

@@ -11,12 +11,12 @@ from morphfin.control import (
     PidGains,
     PidMemory,
     apply_volume_rate,
-    buoyancy_force,
     depth_controller,
     pid_step,
     servo_angle,
     servo_rate,
     step_schedule,
+    syringe_buoyancy,
 )
 from morphfin.controllers import SwimController
 from morphfin.errors import ConfigError, DomainError
@@ -91,17 +91,17 @@ class TestPidStep:
 
 class TestBuoyancy:
     def test_neutral_is_zero(self):
-        assert buoyancy_force(1000.0, 9.81, default_buoyancy()) == 0.0
+        assert syringe_buoyancy(1000.0, 9.81, 3e-5, 3e-5) == 0.0
 
     def test_ten_ml_above_neutral(self):
-        buoy = default_buoyancy(volume=4e-5)  # 10 mL above neutral
-        assert buoyancy_force(1000.0, 9.81, buoy) == pytest.approx(-0.0981, rel=1e-9)
+        # 10 mL above neutral
+        assert syringe_buoyancy(1000.0, 9.81, 4e-5, 3e-5) == pytest.approx(-0.0981, rel=1e-9)
 
     def test_volume_clamps_and_force_saturates(self):
         buoy = default_buoyancy(volume=5.9e-5)
         moved = apply_volume_rate(buoy, rate=1.0, dt=10.0)  # way past the cap
         assert moved.syringe_volume == buoy.volume_max
-        force = buoyancy_force(1000.0, 9.81, moved)
+        force = syringe_buoyancy(1000.0, 9.81, moved.syringe_volume, moved.neutral_volume)
         assert force == pytest.approx(-1000.0 * 9.81 * 3e-5)
 
     @given(
@@ -168,7 +168,7 @@ class _ReferenceController:
     """SwimController's law rebuilt from the public per-state functions.
 
     The syringe is a BuoyancyState advanced by apply_volume_rate every call,
-    the buoyancy comes from buoyancy_force, and the servo from servo_angle
+    the buoyancy comes from syringe_buoyancy, and the servo from servo_angle
     and servo_rate: the straightforward form the controller must match.
     """
 
@@ -200,8 +200,11 @@ class _ReferenceController:
             gait_frequency=self.gait.frequency,
             gait_amplitude=self.gait.amplitude * deg,
             erection=self.gait.fin_erection_setpoint,
-            buoyancy=buoyancy_force(
-                self.params.water_density, self.params.gravity, self.buoyancy
+            buoyancy=syringe_buoyancy(
+                self.params.water_density,
+                self.params.gravity,
+                self.buoyancy.syringe_volume,
+                self.buoyancy.neutral_volume,
             ),
             syringe_volume=self.buoyancy.syringe_volume,
         )

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from morphfin import experiments
 from morphfin.cli import _environment
-from morphfin.config import load_default_config
+from morphfin.config import RunConfig, load_default_config
 from morphfin.control import BuoyancyState, GaitCommand
 from morphfin.errors import ConfigError, MorphfinError
 from morphfin.experiments import (
@@ -34,17 +34,9 @@ from morphfin.metrics import PowerModel, cot
 
 
 def fast_env(**overrides) -> RunEnvironment:
-    """Coarse-step environment so protocol tests stay quick."""
-    from morphfin.control import BuoyancyState, PidGains
-
-    defaults = dict(
-        dt=0.01,
-        record_every=2,
-        pid=PidGains(4e-4, 5e-7, 5e-4, 1.0, 3e-5),
-        buoyancy=BuoyancyState(3e-5, 0.0, 6e-5, 1.2e-5, 3e-5),
-    )
-    defaults.update(overrides)
-    return RunEnvironment(**defaults)
+    """The default config's environment at a coarse step, so protocol tests stay quick."""
+    coarse = {"dt": 0.01, "record_every": 2, "depth_hold": False, **overrides}
+    return dataclasses.replace(_environment(RunConfig()), **coarse)
 
 
 class TestProtocolShape:
@@ -66,7 +58,7 @@ class TestProtocolShape:
         assert yaw_study_spec(seed=4).seed == speed_sweep_spec(seed=4).seed == 4
 
     def test_power_defaults_are_the_calibrated_ones(self):
-        assert PowerModel() == RunEnvironment().power == PowerModel(0.740078125, 0.5)
+        assert PowerModel() == fast_env().power == PowerModel(0.740078125, 0.5)
 
     def test_duration_guard(self):
         with pytest.raises(MorphfinError):

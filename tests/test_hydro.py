@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from morphfin import hydro
 from morphfin.control import GaitCommand
-from morphfin.controllers import ConstantController, SwimController
+from morphfin.controllers import SwimController
 from morphfin.errors import ConfigError, DomainError, SimulationFault
 from morphfin.hydro import (
     _rk4,
@@ -23,6 +23,16 @@ from morphfin.hydro import (
 )
 
 DEG = math.pi / 180.0
+
+
+class ConstantController:
+    """The same actuation every step: open-loop and fault scenarios."""
+
+    def __init__(self, control):
+        self.control = control
+
+    def command(self, measurement):
+        return self.control
 
 
 class TestDragForce:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphfin.config import RunConfig
-from morphfin.errors import ConfigError, DomainError, MagneticSlipError, UnreachableConfigurationError
+from morphfin.errors import ConfigError, DomainError, UnreachableConfigurationError
 from morphfin.linkage import (
     Branch,
     FinGeometry,
@@ -13,10 +13,6 @@ from morphfin.linkage import (
     body_height,
     closure_residual,
     erection_fraction,
-    erection_state,
-    exposed_lateral_area,
-    grashof_classification,
-    require_drive_torque,
     solve_linkage,
 )
 
@@ -131,9 +127,20 @@ class TestSolveLinkage:
         assert open_tip != pytest.approx(crossed_tip)
 
 
+def crank_turns_fully(geom: LinkageGeometry, samples: int) -> bool:
+    """Whether the loop closes at `samples` crank angles over one full turn."""
+    for i in range(samples):
+        try:
+            solve_linkage(geom, 2.0 * math.pi * i / samples)
+        except UnreachableConfigurationError:
+            return False
+    return True
+
+
 class TestGrashof:
     def test_default_is_crank_rocker(self):
-        assert grashof_classification(default_geometry()) == "grashof crank-rocker"
+        # a Grashof crank-rocker: the crank turns fully with the loop closed
+        assert crank_turns_fully(default_geometry(), 1000)
 
     @given(st.floats(-0.01, 0.01), st.floats(-0.01, 0.01),
            st.floats(-0.01, 0.01), st.floats(-0.01, 0.01))
@@ -150,7 +157,7 @@ class TestGrashof:
             drive_angle_folded=base.drive_angle_folded,
             drive_angle_erect=base.drive_angle_erect,
         )
-        assert grashof_classification(perturbed) == grashof_classification(base)
+        assert crank_turns_fully(perturbed, 100)
 
 
 class TestErectionFraction:
@@ -178,14 +185,11 @@ class TestErectionFraction:
         values = [erection_fraction(geom, lo + (hi - lo) * i / 500) for i in range(501)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_out_of_range_clamps_with_flag(self):
+    def test_out_of_range_clamps(self):
         geom = default_geometry()
-        frac, clamped = erection_state(geom, geom.drive_angle_folded - 0.1)
-        assert frac == 0.0 and clamped
-        frac, clamped = erection_state(geom, geom.drive_angle_erect + 0.1)
-        assert frac == 1.0 and clamped
-        _, clamped = erection_state(geom, geom.drive_angle_folded + 0.1)
-        assert not clamped
+        lo, hi = geom.drive_angle_folded, geom.drive_angle_erect
+        assert erection_fraction(geom, lo - 0.1) == erection_fraction(geom, lo) == 0.0
+        assert erection_fraction(geom, hi + 0.1) == erection_fraction(geom, hi) == 1.0
 
 
 class TestFinGeometry:
@@ -201,22 +205,7 @@ class TestFinGeometry:
         with pytest.raises(DomainError):
             body_height(self.FIN, 1.2)
 
-    def test_exposed_area(self):
-        fin = FinGeometry(0.201, 0.128, 0.004, 0.0)
-        assert exposed_lateral_area(fin, 0.0) == 0.0
-        assert exposed_lateral_area(fin, 1.0) == 0.004
-        assert exposed_lateral_area(fin, 0.25) == pytest.approx(0.001)
-        with pytest.raises(DomainError):
-            exposed_lateral_area(fin, -0.1)
-
     def test_invariants(self):
         with pytest.raises(ConfigError):
             FinGeometry(0.1, 0.2, 0.01, 0.0).validate()
 
-
-class TestMagneticCoupling:
-    def test_slip_above_limit(self):
-        geom = default_geometry()
-        require_drive_torque(geom, 0.4)  # below the limit: fine
-        with pytest.raises(MagneticSlipError):
-            require_drive_torque(geom, geom.max_drive_torque * 1.01)
