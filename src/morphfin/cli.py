@@ -59,12 +59,13 @@ def _cmd_run(config: RunConfig, out: Path, stream: bool) -> int:
     if stream:
         stream_records(records, sys.stdout)
         return 0
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "run.csv"
-    write_telemetry(records, path)
+    # metrics first, so that a run with no steady window writes nothing
     metrics = _replay_metrics(
         records, config.gait.frequency, config.fish.mass, config.fish.gravity
     )
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "run.csv"
+    write_telemetry(records, path)
     (out / "run_metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -9,22 +9,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 # apply_volume_rate is unused here but stays importable: perfbench's tracer
 # wraps controllers.apply_volume_rate by that name.
 from .control import (  # noqa: F401
-    BuoyancyState,
     DepthSchedule,
     GaitCommand,
-    PidGains,
     PidMemory,
     apply_volume_rate,
     depth_controller,
     slew_volume,
     syringe_buoyancy,
 )
-from .errors import DomainError
-from .hydro import ControlInput, FishParams, Measurement
+from .errors import ConfigError, DomainError
+from .hydro import ControlInput, Measurement
+
+if TYPE_CHECKING:  # experiments imports this module
+    from .experiments import RunEnvironment
 
 _DEG = math.pi / 180.0
 
@@ -32,6 +34,8 @@ _DEG = math.pi / 180.0
 class SwimController:
     """Gait generation plus optional depth hold through the buoyancy syringe.
 
+    The depth loop runs exactly when a depth schedule is given, with the
+    PID gains, syringe, control period and depth resolution of `env`.
     `command` runs every simulation step, so it keeps the syringe volume as a
     float and builds a BuoyancyState only for the PID updates. The servo
     angle and rate are control.servo_angle/servo_rate with 2*pi*f and
@@ -41,36 +45,30 @@ class SwimController:
 
     def __init__(
         self,
-        params: FishParams,
+        env: RunEnvironment,
         gait: GaitCommand,
-        *,
-        gains: PidGains | None = None,
-        buoyancy: BuoyancyState | None = None,
         depth_schedule: DepthSchedule | None = None,
-        control_period: float = 0.02,
-        depth_resolution: float = 0.001,
     ):
+        self.depth_hold = depth_schedule is not None
+        if self.depth_hold and (env.pid is None or env.buoyancy is None):
+            raise ConfigError("depth control needs PID gains and a buoyancy state", "env")
         gait.validate()
-        if gains is not None:
-            gains.validate()
-        if buoyancy is not None:
-            buoyancy.validate()
-        self.params = params
+        if self.depth_hold:
+            env.pid.validate()
+            env.buoyancy.validate()
+        self.params = env.params
         self.gait = gait
-        self.gains = gains
-        self.buoyancy = buoyancy
+        self.gains = env.pid
+        self.buoyancy = env.buoyancy
         self.depth_schedule = depth_schedule
-        self.control_period = control_period
-        self.depth_resolution = depth_resolution
-        self._volume = buoyancy.syringe_volume if buoyancy is not None else 0.0
+        self.control_period = env.control_period
+        self.depth_resolution = env.depth_resolution
+        self._volume = env.buoyancy.syringe_volume if self.depth_hold else 0.0
         self._memory = PidMemory()
         self._rate = 0.0
         self._last_update: float | None = None
         self._last_time: float | None = None
-        self.depth_hold = (
-            gains is not None and buoyancy is not None and depth_schedule is not None
-        )
-        self._update_after = control_period - 1e-12
+        self._update_after = env.control_period - 1e-12
         self._omega = 2.0 * math.pi * gait.frequency
         self._amp_omega = gait.amplitude * self._omega
         self._amplitude_rad = gait.amplitude * _DEG

@@ -18,17 +18,11 @@ from .control import (
     MAX_AMPLITUDE_DEG, BuoyancyState, DepthSchedule, GaitCommand, PidGains, step_schedule,
 )
 from .controllers import SwimController
-from .errors import ConfigError, DomainError, MorphfinError, SimulationFault
-from .hydro import FishParams, FishState, NoiseConfig, simulate
-from .metrics import (
-    PowerModel,
-    cot,
-    improvement,
-    mean_displacement_speed,
-    mean_over_window,
-    peak_to_peak,
-    steady_window,
+from .errors import (
+    ConfigError, DomainError, InsufficientDataError, MorphfinError, SimulationFault,
 )
+from .hydro import FishParams, FishState, NoiseConfig, simulate
+from .metrics import PowerModel, cot, improvement, steady_window
 from .telemetry import TelemetryRecord
 
 FIN_STATES = ("folded", "erect")
@@ -129,21 +123,9 @@ def run_condition(
         depth_schedule = step_schedule([(0.0, env.target_depth)])
         if initial_state is None:
             initial_state = FishState(depth=env.target_depth)
-    hold = depth_schedule is not None
-    if hold and (env.pid is None or env.buoyancy is None):
-        raise ConfigError("depth control needs PID gains and a buoyancy state", "env")
-    controller = SwimController(
-        env.params,
-        gait,
-        gains=env.pid if hold else None,
-        buoyancy=env.buoyancy if hold else None,
-        depth_schedule=depth_schedule,
-        control_period=env.control_period,
-        depth_resolution=env.depth_resolution,
-    )
     return simulate(
         env.params,
-        controller,
+        SwimController(env, gait, depth_schedule),
         duration,
         env.dt,
         seed,
@@ -165,18 +147,29 @@ class ConditionMetrics:
 def condition_metrics(
     records: Sequence[TelemetryRecord], frequency: float
 ) -> ConditionMetrics:
-    """Steady-window metrics of one run."""
-    duration = records[-1].time_s - records[0].time_s
-    window = steady_window(duration, frequency)
-    times = [r.time_s for r in records]
-    speed = mean_displacement_speed(
-        times, [r.x_m for r in records], [r.y_m for r in records], window
-    )
-    power = mean_over_window(times, [r.power_w for r in records], window)
-    p2p = peak_to_peak(times, [r.yaw_deg for r in records], window, frequency)
-    # COT needs the run's mass and gravity; recomputed by callers that have
-    # params. Here we store power and speed; cot filled by caller.
-    return ConditionMetrics(mean_speed=speed, mean_power=power, cot=math.nan, p2p_yaw=p2p)
+    """Steady-window metrics of one run; `cot` is NaN, as it needs the mass.
+
+    The speed is the net planar displacement between the window's first and
+    last records over their elapsed time, as timing a traverse of a known
+    pool length does; the power is the window's mean; the yaw is its max
+    minus min, over a window of at least 3 gait cycles.
+    """
+    t0, t1 = steady_window(records[-1].time_s - records[0].time_s, frequency)
+    window = [r for r in records if t0 <= r.time_s <= t1]
+    if len(window) < 2:
+        raise InsufficientDataError("window contains fewer than 2 samples")
+    first, last = window[0], window[-1]
+    elapsed = last.time_s - first.time_s
+    if elapsed <= 0.0:
+        raise InsufficientDataError("window elapsed time is zero")
+    speed = math.hypot(last.x_m - first.x_m, last.y_m - first.y_m) / elapsed
+    power = sum([r.power_w for r in window]) / len(window)
+    if frequency > 0.0 and (t1 - t0) < 3.0 / frequency:
+        raise InsufficientDataError(
+            f"window of {t1 - t0:.3f} s holds fewer than 3 cycles at {frequency} Hz"
+        )
+    yaws = [r.yaw_deg for r in window]
+    return ConditionMetrics(speed, power, math.nan, max(yaws) - min(yaws))
 
 
 def _metrics_with_cot(
@@ -346,6 +339,10 @@ def run_yaw_study(
     return YawStudyReport(sweep=SweepResult(rows=rows), table=table)
 
 
+_STILL_GAIT = GaitCommand(frequency=0.0, amplitude=0.0)
+_SETTLING_BAND = 0.02  # a step settles within this fraction of its size
+
+
 @dataclass(frozen=True)
 class DepthStepReport:
     start_time: float
@@ -360,18 +357,15 @@ def run_depth_step(
     duration: float,
     seed: int = 0,
     *,
-    gait: GaitCommand | None = None,
     initial_depth: float | None = None,
-    band_fraction: float = 0.02,
 ) -> tuple[list[TelemetryRecord], list[DepthStepReport]]:
-    """Closed-loop depth tracking of a target schedule, with per-step analysis."""
+    """Closed-loop depth tracking of a target schedule by a still fish, with per-step analysis."""
     if not schedule:
         raise DomainError("schedule must be nonempty")
-    gait = gait if gait is not None else GaitCommand(frequency=0.0, amplitude=0.0)
     start_depth = initial_depth if initial_depth is not None else schedule[0][1]
     records = run_condition(
         env,
-        gait,
+        _STILL_GAIT,
         duration,
         seed,
         initial_state=FishState(depth=start_depth),
@@ -385,7 +379,7 @@ def run_depth_step(
         if not seg:
             continue
         step_size = abs(target - seg[0].depth_m)
-        band = band_fraction * (step_size if step_size > 0.0 else max(target, 1.0))
+        band = _SETTLING_BAND * (step_size if step_size > 0.0 else max(target, 1.0))
         settled = None
         for j in range(len(seg) - 1, -1, -1):
             if abs(seg[j].depth_m - target) > band:

@@ -326,13 +326,13 @@ def simulate(
     params: FishParams,
     controller: Controller,
     duration: float,
-    dt: float = 1e-3,
+    dt: float,
     seed: int = 0,
     *,
     initial_state: FishState | None = None,
     power_model: PowerModel = PowerModel(),
     record_every: int = 1,
-    noise: NoiseConfig | None = None,
+    noise: NoiseConfig = NoiseConfig(),
 ) -> list[TelemetryRecord]:
     """Run a closed-loop simulation and return sampled telemetry.
 
@@ -350,7 +350,6 @@ def simulate(
     params.validate()
     state = initial_state if initial_state is not None else FishState()
     state.validate()
-    noise = noise if noise is not None else NoiseConfig()
     noisy, gauss = noise.enabled, random.Random(seed).gauss
     yaw_std, depth_std = noise.yaw_std_deg * _DEG, noise.depth_std_m
 

@@ -1,8 +1,8 @@
 """Derived swimming-performance quantities.
 
-Covers servo electrical power, cost of transport COT = P / (m g U), yaw
-peak-to-peak amplitude over a steady window, yaw-stability improvement
-percentages, and the quadratic speed-frequency fit.
+Covers servo electrical power, cost of transport COT = P / (m g U), the
+steady analysis window, yaw-stability improvement percentages, and the
+quadratic speed-frequency fit.
 """
 
 from __future__ import annotations
@@ -66,28 +66,6 @@ def steady_window(duration: float, frequency: float) -> tuple[float, float]:
     return start, duration
 
 
-def peak_to_peak(
-    times: Sequence[float],
-    signal: Sequence[float],
-    window: tuple[float, float],
-    gait_frequency: float,
-) -> float:
-    """Max minus min of a signal restricted to the steady window.
-
-    The window must contain at least 3 full gait cycles.
-    """
-    t0, t1 = window
-    if gait_frequency > 0.0 and (t1 - t0) < 3.0 / gait_frequency:
-        raise InsufficientDataError(
-            f"window of {t1 - t0:.3f} s holds fewer than 3 cycles at "
-            f"{gait_frequency} Hz"
-        )
-    values = [v for t, v in zip(times, signal) if t0 <= t <= t1]
-    if len(values) < 2:
-        raise InsufficientDataError("window contains fewer than 2 samples")
-    return max(values) - min(values)
-
-
 def improvement(folded_p2p: float, erect_p2p: float) -> float:
     """Yaw-stability improvement in percent when erecting the fin."""
     if folded_p2p <= 0.0:
@@ -148,36 +126,3 @@ def _centred_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float,
     ss_tot = math.fsum((y - rhs[2] / n) ** 2 for y in ys)
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return c2, c1, c0, r_squared
-
-
-def mean_displacement_speed(
-    times: Sequence[float],
-    xs: Sequence[float],
-    ys: Sequence[float],
-    window: tuple[float, float],
-) -> float:
-    """Net planar displacement over elapsed time inside the window.
-
-    Mirrors timing a traverse over a known pool length rather than averaging
-    the instantaneous speed.
-    """
-    t0, t1 = window
-    idx = [i for i, t in enumerate(times) if t0 <= t <= t1]
-    if len(idx) < 2:
-        raise InsufficientDataError("window contains fewer than 2 samples")
-    i0, i1 = idx[0], idx[-1]
-    elapsed = times[i1] - times[i0]
-    if elapsed <= 0.0:
-        raise InsufficientDataError("window elapsed time is zero")
-    dist = math.hypot(xs[i1] - xs[i0], ys[i1] - ys[i0])
-    return dist / elapsed
-
-
-def mean_over_window(
-    times: Sequence[float], values: Sequence[float], window: tuple[float, float]
-) -> float:
-    t0, t1 = window
-    sel = [v for t, v in zip(times, values) if t0 <= t <= t1]
-    if not sel:
-        raise InsufficientDataError("window contains no samples")
-    return sum(sel) / len(sel)

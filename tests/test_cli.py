@@ -1,13 +1,22 @@
 """End-to-end tests of the command line interface."""
 
+import contextlib
+import functools
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_config import _VALUES, _object_like
 
 from morphfin import experiments as xp
-from morphfin.cli import main
-from morphfin.config import load_default_config
+from morphfin.cli import _environment, main
+from morphfin.config import RunConfig, load_default_config
+from morphfin.telemetry import _COLUMNS, write_telemetry
 
 
 @pytest.fixture()
@@ -103,6 +112,16 @@ class TestExitCodes:
         assert rc == 1
         assert err.startswith("error: sim.noise_depth_std_m:")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_all_transient_run_writes_nothing(self, tmp_path, capsys):
+        config = tmp_path / "short.json"
+        config.write_text('{"sim": {"duration": 3.0}}')
+        out = tmp_path / "out"
+        rc = main(["--config", str(config), "--out", str(out), "run"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: run of 3.0 s is entirely transient")
         assert not out.exists()
 
     def test_undecodable_config_is_an_error(self, tmp_path, capsys):
@@ -379,3 +398,62 @@ def test_default_config_is_packaged():
     cfg = load_default_config()
     cfg.validate()
     assert cfg.fish.mass == pytest.approx(2.305)
+
+
+@functools.cache
+def _telemetry() -> bytes:
+    """The CSV of an 8 s default run, whose steady window at 1 Hz holds 3 cycles."""
+    records = xp.run_condition(_environment(RunConfig()), RunConfig().gait, 8.0, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.csv"
+        write_telemetry(records, path)
+        return path.read_bytes()
+
+
+def _short_config(data, draw):
+    """A fuzzed config whose run, if it loads, is at most 3 s and 3000 steps long."""
+    if not isinstance(data, dict) or not isinstance(data.get("sim", {}), dict):
+        return data
+    sim = dict(data.get("sim", {}))
+    duration = draw(st.floats(0.01, 3.0))
+    dt = sim.get("dt")
+    if isinstance(dt, float) and 0.0 < dt < 1e-3:
+        duration = min(duration, 3000 * dt)
+    return {**data, "sim": {**sim, "duration": duration}}
+
+
+def _damaged(data: bytes, draw) -> bytes:
+    """The telemetry whole, cut at a byte, or with a few bytes overwritten."""
+    kind = draw(st.sampled_from(["whole", "truncated", "corrupted"]))
+    if kind == "whole":
+        return data
+    at = draw(st.integers(0, len(data) - 1))
+    if kind == "truncated":
+        return data[:at]
+    patch = draw(st.binary(min_size=1, max_size=3))
+    return data[:at] + patch + data[at + len(patch):]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_main_exits_cleanly_and_a_failure_writes_nothing(data):
+    command = data.draw(st.sampled_from(["run", "depth-step", "replay", "plot"]))
+    config = _short_config(data.draw(_object_like(RunConfig()) | _VALUES), data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        config_path.write_text(json.dumps(config))
+        argv = ["--config", str(config_path), "--out", str(out), command]
+        if command in ("replay", "plot"):
+            telemetry = Path(tmp) / "run.csv"
+            telemetry.write_bytes(_damaged(_telemetry(), data.draw))
+            argv.append(str(telemetry))
+        if command == "plot":
+            column = st.sampled_from(_COLUMNS + ("speed",))
+            argv += ["--x", data.draw(column), "--y", data.draw(column)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if rc == 1:
+            assert not out.exists(), stderr.getvalue()

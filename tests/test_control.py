@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from morphfin.control import (
     step_schedule,
     syringe_buoyancy,
 )
+from morphfin.cli import _environment
+from morphfin.config import RunConfig
 from morphfin.controllers import SwimController
 from morphfin.errors import ConfigError, DomainError
 from morphfin.hydro import ControlInput, FishParams, FishState, Measurement, simulate
@@ -223,13 +226,10 @@ class TestSwimControllerOracle:
         params = FishParams()
         gait = GaitCommand(frequency=1.65, amplitude=23.0, bias=4.0, fin_erection_setpoint=0.7)
         schedule = step_schedule([(0.0, 0.1), (1.0, 0.3)])
-        controller = SwimController(
-            params,
-            gait,
-            gains=self.GAINS,
-            buoyancy=default_buoyancy(),
-            depth_schedule=schedule,
+        env = replace(
+            _environment(RunConfig()), params=params, pid=self.GAINS, buoyancy=default_buoyancy()
         )
+        controller = SwimController(env, gait, schedule)
         reference = _ReferenceController(
             params, gait, self.GAINS, default_buoyancy(), schedule
         )
@@ -248,6 +248,8 @@ class TestSwimControllerOracle:
         assert [_bits(c) for c in got] == [_bits(c) for c in expected]
 
     def test_negative_time_is_a_domain_error(self):
-        controller = SwimController(FishParams(), GaitCommand(frequency=1.0, amplitude=20.0))
+        controller = SwimController(
+            _environment(RunConfig()), GaitCommand(frequency=1.0, amplitude=20.0)
+        )
         with pytest.raises(DomainError):
             controller.command(Measurement(time=-0.001, depth=0.0, yaw=0.0))

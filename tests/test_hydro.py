@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphfin import hydro
+from morphfin.cli import _environment
+from morphfin.config import RunConfig
 from morphfin.control import GaitCommand
 from morphfin.controllers import SwimController
 from morphfin.errors import ConfigError, DomainError, SimulationFault
@@ -23,6 +25,7 @@ from morphfin.hydro import (
 )
 
 DEG = math.pi / 180.0
+ENV = _environment(RunConfig())
 
 
 class ConstantController:
@@ -195,7 +198,7 @@ class TestStep:
 class TestSimulate:
     def test_record_count(self):
         gait = GaitCommand(frequency=1.0, amplitude=20.0)
-        controller = SwimController(FishParams(), gait)
+        controller = SwimController(ENV, gait)
         records = simulate(FishParams(), controller, 1.0, 0.001, seed=0)
         assert len(records) == 1001
         assert records[0].time_s == 0.0
@@ -203,7 +206,7 @@ class TestSimulate:
     def test_seed_reproducibility(self):
         def run():
             gait = GaitCommand(frequency=1.5, amplitude=15.0)
-            controller = SwimController(FishParams(), gait)
+            controller = SwimController(ENV, gait)
             return simulate(FishParams(), controller, 2.0, 0.001, seed=42)
 
         rows_a = [r.row() for r in run()]
@@ -224,7 +227,7 @@ class TestSimulate:
     def test_steady_state_force_balance(self):
         p = FishParams()
         gait = GaitCommand(frequency=2.0, amplitude=20.0)
-        controller = SwimController(p, gait)
+        controller = SwimController(ENV, gait)
         records = simulate(p, controller, 15.0, 0.001, seed=0)
         thrust = mean_thrust(p, 2.0, 20.0 * DEG)
         # average |drag| over exactly 10 gait cycles after the transient
@@ -235,7 +238,7 @@ class TestSimulate:
     def test_positive_bias_turns_positive(self):
         p = FishParams()
         gait = GaitCommand(frequency=1.0, amplitude=20.0, bias=10.0)
-        controller = SwimController(p, gait)
+        controller = SwimController(ENV, gait)
         records = simulate(p, controller, 30.0, 0.001, seed=0)
         # the startup transient leaves a constant yaw offset, so measure the
         # drift accumulated over a late window rather than the absolute yaw

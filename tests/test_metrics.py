@@ -1,22 +1,24 @@
 import math
 import random
+import struct
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from morphfin.errors import DomainError, InsufficientDataError, UndefinedCotError
+from morphfin.experiments import ConditionMetrics, condition_metrics
 from morphfin.metrics import (
     PowerModel,
     cot,
     fit_quadratic,
     improvement,
-    mean_displacement_speed,
-    peak_to_peak,
     servo_power,
     steady_window,
 )
+from morphfin.telemetry import TelemetryRecord
 
 # Peak-to-peak yaw pairs and their printed improvements (measured data the
 # calibration anchors to): (amplitude deg, frequency Hz, erect, folded, printed %)
@@ -67,41 +69,53 @@ class TestCot:
         )
 
 
+def _record(t, x=0.0, y=0.0, yaw=0.0, power=0.0):
+    return TelemetryRecord(t, x, y, 0.0, yaw, 0.0, 0.0, 0.0, 0.0, 0.0, power, 0.0, 0.0)
+
+
+def _yaw_run(times, signal):
+    return [_record(t, yaw=v) for t, v in zip(times, signal)]
+
+
+def _p2p_yaw(times, signal, frequency=1.0):
+    return condition_metrics(_yaw_run(times, signal), frequency).p2p_yaw
+
+
 class TestPeakToPeak:
+    # at 1 Hz the steady window of a run from t = 0 starts at 5 s
+    TIMES = [i * 0.01 for i in range(1501)]
+
     def test_pure_sine(self):
-        times = [i * 0.01 for i in range(1001)]
-        signal = [3.0 * math.sin(2 * math.pi * t) for t in times]
-        assert peak_to_peak(times, signal, (0.0, 10.0), 1.0) == pytest.approx(6.0, abs=1e-3)
+        signal = [3.0 * math.sin(2 * math.pi * t) for t in self.TIMES]
+        assert _p2p_yaw(self.TIMES, signal) == pytest.approx(6.0, abs=1e-3)
 
     def test_constant_signal(self):
-        times = [i * 0.01 for i in range(1001)]
-        assert peak_to_peak(times, [4.2] * len(times), (0.0, 10.0), 1.0) == 0.0
+        assert _p2p_yaw(self.TIMES, [4.2] * len(self.TIMES)) == 0.0
 
     def test_noisy_sine_matches_max_min_oracle(self):
         rng = random.Random(7)
-        times = [i * 0.01 for i in range(1001)]
         signal = [
-            3.0 * math.sin(2 * math.pi * t) + rng.gauss(0.0, 0.1) for t in times
+            3.0 * math.sin(2 * math.pi * t) + rng.gauss(0.0, 0.1) for t in self.TIMES
         ]
-        got = peak_to_peak(times, signal, (0.0, 10.0), 1.0)
-        window = [v for t, v in zip(times, signal) if 0.0 <= t <= 10.0]
+        got = _p2p_yaw(self.TIMES, signal)
+        window = [v for t, v in zip(self.TIMES, signal) if 5.0 <= t <= 15.0]
         assert got == max(window) - min(window)
         # Extreme-value statistics of 1000 Gaussian draws add roughly
         # 6 sigma to the peak-to-peak range, hence the wider band here.
         assert got == pytest.approx(6.0, abs=0.8)
 
     def test_window_too_short(self):
-        times = [i * 0.01 for i in range(1001)]
-        with pytest.raises(InsufficientDataError):
-            peak_to_peak(times, times, (0.0, 2.5), 1.0)  # 2.5 cycles < 3
+        times = self.TIMES[:751]  # window [5, 7.5] s: 2.5 cycles < 3
+        with pytest.raises(InsufficientDataError, match="fewer than 3 cycles"):
+            _p2p_yaw(times, times)
 
     @given(st.floats(-50.0, 50.0), st.floats(0.01, 20.0))
     def test_translation_and_scaling(self, offset, scale):
-        times = [i * 0.01 for i in range(401)]
+        times = self.TIMES[:901]  # window [5, 9] s
         signal = [math.sin(2 * math.pi * t) for t in times]
-        base = peak_to_peak(times, signal, (0.0, 4.0), 1.0)
-        shifted = peak_to_peak(times, [v + offset for v in signal], (0.0, 4.0), 1.0)
-        scaled = peak_to_peak(times, [v * scale for v in signal], (0.0, 4.0), 1.0)
+        base = _p2p_yaw(times, signal)
+        shifted = _p2p_yaw(times, [v + offset for v in signal])
+        scaled = _p2p_yaw(times, [v * scale for v in signal])
         assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)
         assert scaled == pytest.approx(scale * base, rel=1e-9)
 
@@ -212,8 +226,90 @@ class TestWindows:
             steady_window(4.0, 2.0)
 
     def test_displacement_speed(self):
-        times = [0.0, 1.0, 2.0, 3.0]
-        xs = [0.0, 0.3, 0.6, 0.9]
-        ys = [0.0, 0.4, 0.8, 1.2]
-        # straight path at 0.5 m/s
-        assert mean_displacement_speed(times, xs, ys, (1.0, 3.0)) == pytest.approx(0.5)
+        # straight path at 0.5 m/s; at 2 Hz the window is [5, 8] s
+        records = [_record(float(t), x=0.3 * t, y=0.4 * t) for t in range(9)]
+        assert condition_metrics(records, 2.0).mean_speed == pytest.approx(0.5)
+
+
+# The steady-window metrics as three functions computed them, each filtering
+# the window from the times again: the reference condition_metrics must match.
+
+
+def _oracle_peak_to_peak(times, signal, window, gait_frequency):
+    t0, t1 = window
+    if gait_frequency > 0.0 and (t1 - t0) < 3.0 / gait_frequency:
+        raise InsufficientDataError(
+            f"window of {t1 - t0:.3f} s holds fewer than 3 cycles at "
+            f"{gait_frequency} Hz"
+        )
+    values = [v for t, v in zip(times, signal) if t0 <= t <= t1]
+    if len(values) < 2:
+        raise InsufficientDataError("window contains fewer than 2 samples")
+    return max(values) - min(values)
+
+
+def _oracle_displacement_speed(times, xs, ys, window):
+    t0, t1 = window
+    idx = [i for i, t in enumerate(times) if t0 <= t <= t1]
+    if len(idx) < 2:
+        raise InsufficientDataError("window contains fewer than 2 samples")
+    i0, i1 = idx[0], idx[-1]
+    elapsed = times[i1] - times[i0]
+    if elapsed <= 0.0:
+        raise InsufficientDataError("window elapsed time is zero")
+    return math.hypot(xs[i1] - xs[i0], ys[i1] - ys[i0]) / elapsed
+
+
+def _oracle_mean_over_window(times, values, window):
+    t0, t1 = window
+    sel = [v for t, v in zip(times, values) if t0 <= t <= t1]
+    if not sel:
+        raise InsufficientDataError("window contains no samples")
+    return sum(sel) / len(sel)
+
+
+def _oracle_condition_metrics(records, frequency):
+    window = steady_window(records[-1].time_s - records[0].time_s, frequency)
+    times = [r.time_s for r in records]
+    speed = _oracle_displacement_speed(
+        times, [r.x_m for r in records], [r.y_m for r in records], window
+    )
+    power = _oracle_mean_over_window(times, [r.power_w for r in records], window)
+    p2p = _oracle_peak_to_peak(times, [r.yaw_deg for r in records], window, frequency)
+    return ConditionMetrics(speed, power, math.nan, p2p)
+
+
+def _outcome(metrics, records, frequency):
+    """The metrics' bits, or the message of the InsufficientDataError raised."""
+    try:
+        return [struct.pack("<d", v) for v in astuple(metrics(records, frequency))]
+    except InsufficientDataError as exc:
+        return str(exc)
+
+
+_VALUE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def _runs(draw):
+    """Records at non-decreasing times (a zero step repeats a time) from a start in [0, 10] s."""
+    t = draw(st.floats(0.0, 10.0))
+    n = draw(st.integers(0, 40))
+    steps = st.lists(st.just(0.0) | st.floats(0.01, 4.0), min_size=n, max_size=n)
+    records = []
+    for step in [0.0] + draw(steps):
+        t += step
+        records.append(
+            _record(t, x=draw(_VALUE), y=draw(_VALUE), yaw=draw(_VALUE), power=draw(_VALUE))
+        )
+    return records
+
+
+@given(_runs(), st.sampled_from([0.0, 0.3, 1.0, 2.5]))
+@example([_record(0.0), _record(6.0), _record(6.0)], 2.5)  # elapsed time zero
+@example([_record(0.0), _record(20.0)], 0.3)  # fewer than 2 samples
+@example([_record(float(t)) for t in range(21)], 0.3)  # fewer than 3 cycles
+def test_condition_metrics_matches_the_per_metric_oracle(records, frequency):
+    assert _outcome(condition_metrics, records, frequency) == _outcome(
+        _oracle_condition_metrics, records, frequency
+    )

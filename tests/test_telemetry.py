@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphfin import telemetry
+from morphfin.cli import _environment
+from morphfin.config import RunConfig
 from morphfin.control import GaitCommand
 from morphfin.controllers import SwimController
 from morphfin.errors import TelemetryFormatError
@@ -180,7 +182,8 @@ class TestRecordContract:
 
     def test_simulated_records(self):
         gait = GaitCommand(frequency=1.0, amplitude=20.0)
-        records = simulate(FishParams(), SwimController(FishParams(), gait), 0.05, 0.001)
+        controller = SwimController(_environment(RunConfig()), gait)
+        records = simulate(FishParams(), controller, 0.05, 0.001)
         for rec in records:
             self.assert_contract(rec)
 
@@ -273,7 +276,7 @@ class TestRead:
 
     def test_binary_stream_reads_as_the_path(self, tmp_path):
         path = tmp_path / "run.csv"
-        controller = SwimController(FishParams(), GaitCommand(1.0, 20.0))
+        controller = SwimController(_environment(RunConfig()), GaitCommand(1.0, 20.0))
         write_telemetry(simulate(FishParams(), controller, 1.0, 0.01), path)
         with open(path, "rb") as stream:
             assert read_telemetry(stream) == read_telemetry(path)
