@@ -39,8 +39,7 @@ def _environment(config: RunConfig) -> xp.RunEnvironment:
 
 
 def _replay_metrics(records, frequency: float, mass: float, gravity: float) -> dict:
-    duration = records[-1].time_s - records[0].time_s
-    window = steady_window(duration, frequency)
+    window = steady_window(records[-1].time_s - records[0].time_s, frequency)
     m = xp.condition_metrics(records, frequency)
     return {
         "window_s": list(window),
@@ -53,9 +52,7 @@ def _replay_metrics(records, frequency: float, mass: float, gravity: float) -> d
 
 def _cmd_run(config: RunConfig, out: Path, stream: bool) -> int:
     env = _environment(config)
-    records = xp.run_condition(
-        env, config.gait, config.sim.duration, config.sim.seed
-    )
+    records = xp.run_condition(env, config.gait, config.sim.duration, config.sim.seed)
     if stream:
         stream_records(records, sys.stdout)
         return 0
@@ -130,11 +127,7 @@ def _cmd_depth_step(config: RunConfig, out: Path) -> int:
     env = _environment(config)
     schedule = [(t, d) for t, d in config.depth_schedule]
     records, reports = xp.run_depth_step(
-        env,
-        schedule,
-        config.sim.duration,
-        config.sim.seed,
-        initial_depth=config.sim.initial_depth,
+        env, schedule, config.sim.duration, config.sim.seed, initial_depth=config.sim.initial_depth
     )
     out.mkdir(parents=True, exist_ok=True)
     write_telemetry(records, out / "depth_step.csv")
@@ -158,32 +151,21 @@ def _cmd_depth_step(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_calibrate(config: RunConfig, out: Path) -> int:
-    env = _environment(config)
-    initial = {
-        name: getattr(config.power if name in xp._POWER_FIELDS else config.fish, name)
-        for name in xp.DEFAULT_BOUNDS
-    }
     result = xp.calibrate(
         xp.default_targets(),
-        env,
-        initial,
+        _environment(config),
         xp.DEFAULT_BOUNDS,
         seed=config.sim.seed,
         step_fraction=0.05,
         verbose=True,
     )
     out.mkdir(parents=True, exist_ok=True)
-    (out / "calibration.json").write_text(
-        json.dumps(
-            {
-                "parameters": result.parameters,
-                "residuals": result.residuals,
-                "final_loss": result.loss_trace[-1],
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    summary = {
+        "parameters": result.parameters,
+        "residuals": result.residuals,
+        "final_loss": result.loss_trace[-1],
+    }
+    (out / "calibration.json").write_text(json.dumps(summary, indent=2) + "\n")
     (out / "loss_trace.csv").write_text(
         "iteration,loss\n"
         + "".join(f"{i},{v:.9g}\n" for i, v in enumerate(result.loss_trace))
@@ -212,7 +194,6 @@ def _cmd_plot(telemetry_path: str, x: str, ys: list[str], out: Path) -> int:
         Series(name=col, x=[getattr(r, x) for r in records], y=[getattr(r, col) for r in records])
         for col in ys
     ]
-    out.mkdir(parents=True, exist_ok=True)
     dest = out / "plot.svg"
     emit_plot(series, PlotStyle(x_label=x, y_label=", ".join(ys)), dest)
     print(f"wrote {dest}", file=sys.stderr)

@@ -17,7 +17,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 from .control import BuoyancyState, GaitCommand, PidGains
 from .errors import ConfigError
 from .experiments import ExperimentSpec
-from .hydro import MAX_DT, FishParams, NoiseConfig
+from .hydro import FishParams, NoiseConfig, check_run
 from .linkage import FinGeometry, LinkageGeometry
 from .metrics import PowerModel
 
@@ -38,12 +38,7 @@ class SimSettings:
     noise_depth_std_m: float = NoiseConfig.depth_std_m
 
     def validate(self) -> None:
-        if not (0.0 < self.dt <= MAX_DT):
-            raise ConfigError(f"dt must be in (0, {MAX_DT}] s", "sim.dt")
-        if not (self.duration > 0.0):
-            raise ConfigError("duration must be > 0", "sim.duration")
-        if not (self.duration / self.dt < math.inf):
-            raise ConfigError("duration/dt must be finite", "sim.duration")
+        check_run(self.duration, self.dt)
         for name in ("record_hz", "control_hz"):
             hz = getattr(self, name)
             if not (hz > 0.0):
@@ -104,8 +99,7 @@ class RunConfig:
             if is_dataclass(section):
                 section.validate()
         # each grid cell runs experiment.duration at sim.dt
-        if not (self.experiment.duration / self.sim.dt < math.inf):
-            raise ConfigError("duration/sim.dt must be finite", "experiment.duration")
+        check_run(self.experiment.duration, self.sim.dt, "experiment.duration")
         for i, entry in enumerate(self.depth_schedule):
             if len(entry) != 2 or not all(math.isfinite(v) for v in entry):
                 raise ConfigError(

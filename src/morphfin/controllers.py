@@ -90,11 +90,9 @@ class SwimController:
                 )
             if self._last_update is None or t - self._last_update >= self._update_after:
                 quantum = self.depth_resolution
-                measured = (
-                    round(measurement.depth / quantum) * quantum
-                    if quantum > 0.0
-                    else measurement.depth
-                )
+                # a depth of no finite number of quanta is used unquantized
+                steps = measurement.depth / quantum if quantum > 0.0 else math.inf
+                measured = round(steps) * quantum if math.isfinite(steps) else measurement.depth
                 dt = (
                     self.control_period
                     if self._last_update is None

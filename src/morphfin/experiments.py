@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from dataclasses import astuple, dataclass, field, replace
+from statistics import fmean, pstdev
 from typing import Sequence
 
 from .control import (
@@ -22,7 +22,9 @@ from .errors import (
     ConfigError, DomainError, InsufficientDataError, MorphfinError, SimulationFault,
 )
 from .hydro import FishParams, FishState, NoiseConfig, simulate
-from .metrics import PowerModel, cot, improvement, steady_window
+from .metrics import (
+    TRANSIENT_CYCLES, TRANSIENT_SECONDS, PowerModel, cot, improvement, steady_window,
+)
 from .telemetry import TelemetryRecord
 
 FIN_STATES = ("folded", "erect")
@@ -222,10 +224,6 @@ def _erection(fin_state: str) -> float:
     return 1.0 if fin_state == "erect" else 0.0
 
 
-def _std(values: list[float]) -> float:
-    return statistics.pstdev(values) if len(values) > 1 else 0.0
-
-
 def _aggregate(
     env: RunEnvironment,
     frequency: float,
@@ -266,7 +264,7 @@ def _aggregate(
         cots.append(m.cot)
         p2ps.append(m.p2p_yaw)
     # SweepRow holds each metric's mean, then its std
-    stats = [f(v) for v in (speeds, powers, cots, p2ps) for f in (statistics.fmean, _std)]
+    stats = [f(v) for v in (speeds, powers, cots, p2ps) for f in (fmean, pstdev)]
     return SweepRow(frequency, amplitude, fin_state, *stats)
 
 
@@ -313,7 +311,6 @@ class YawConditionRow:
 
 @dataclass(frozen=True)
 class YawStudyReport:
-    sweep: SweepResult
     table: list[YawConditionRow]
 
     CSV_HEADER = "amplitude_deg,frequency_hz,folded_p2p_deg,erect_p2p_deg,improvement_pct"
@@ -336,7 +333,7 @@ def run_yaw_study(
         table.append(
             YawConditionRow(amplitude, frequency, folded, erect, improvement(folded, erect))
         )
-    return YawStudyReport(sweep=SweepResult(rows=rows), table=table)
+    return YawStudyReport(table=table)
 
 
 _STILL_GAIT = GaitCommand(frequency=0.0, amplitude=0.0)
@@ -357,18 +354,17 @@ def run_depth_step(
     duration: float,
     seed: int = 0,
     *,
-    initial_depth: float | None = None,
+    initial_depth: float,
 ) -> tuple[list[TelemetryRecord], list[DepthStepReport]]:
     """Closed-loop depth tracking of a target schedule by a still fish, with per-step analysis."""
     if not schedule:
         raise DomainError("schedule must be nonempty")
-    start_depth = initial_depth if initial_depth is not None else schedule[0][1]
     records = run_condition(
         env,
         _STILL_GAIT,
         duration,
         seed,
-        initial_state=FishState(depth=start_depth),
+        initial_state=FishState(depth=initial_depth),
         depth_schedule=step_schedule(list(schedule)),
     )
     ordered = sorted(schedule)
@@ -395,14 +391,7 @@ def run_depth_step(
             overshoot = max(0.0, max(signed)) / step_size * 100.0
         else:
             overshoot = 0.0
-        reports.append(
-            DepthStepReport(
-                start_time=t_start,
-                target=target,
-                settling_time=settled,
-                overshoot_pct=overshoot,
-            )
-        )
+        reports.append(DepthStepReport(t_start, target, settled, overshoot))
     return records, reports
 
 
@@ -471,17 +460,9 @@ class CalibrationResult:
     residuals: dict[str, float]  # relative residual per target
 
 
-def _apply_parameters(
-    params: FishParams, power: PowerModel, values: dict[str, float]
-) -> tuple[FishParams, PowerModel]:
-    fish_updates = {k: v for k, v in values.items() if k not in _POWER_FIELDS}
-    power_updates = {k: v for k, v in values.items() if k in _POWER_FIELDS}
-    return replace(params, **fish_updates), replace(power, **power_updates)
-
-
 def _observable_duration(observable: str, frequency: float) -> float:
     if observable == "p2p_yaw":
-        transient = max(5.0, 5.0 / frequency)
+        transient = max(TRANSIENT_SECONDS, TRANSIENT_CYCLES / frequency)
         return transient + 8.0 / frequency
     return 25.0
 
@@ -516,7 +497,6 @@ def evaluate_targets(
 def calibrate(
     targets: Sequence[CalibrationTarget],
     env: RunEnvironment,
-    initial: dict[str, float],
     bounds: dict[str, tuple[float, float]],
     *,
     seed: int = 0,
@@ -527,6 +507,8 @@ def calibrate(
 ) -> CalibrationResult:
     """Minimize the weighted sum of squared relative residuals.
 
+    The free parameters are the names in `bounds`, in its order; each starts
+    from its value in `env.power` (efficiency, idle_power) or `env.params`.
     Derivative-free coordinate descent: probe each free parameter up and down
     by its current step, accept improvements, halve all steps after a sweep
     with no improvement. A trial point whose simulation faults scores +inf.
@@ -535,28 +517,27 @@ def calibrate(
         raise DomainError("need at least one calibration target")
     for t in targets:
         t.validate()
-    names = list(initial)
+    names = list(bounds)
+    current = {n: getattr(env.power if n in _POWER_FIELDS else env.params, n) for n in names}
     for n in names:
-        if n not in bounds:
-            raise ConfigError(f"no bounds for parameter {n!r}", "calibrate.bounds")
         lo, hi = bounds[n]
-        if not (lo <= initial[n] <= hi):
-            raise ConfigError(f"initial {n}={initial[n]} outside [{lo}, {hi}]", n)
+        if not (lo <= current[n] <= hi):
+            raise ConfigError(f"initial {n}={current[n]} outside [{lo}, {hi}]", n)
 
     def loss_of(values: dict[str, float]) -> tuple[float, dict[str, float]]:
-        fish, power = _apply_parameters(env.params, env.power, values)
-        trial_env = replace(env, params=fish, power=power)
+        fish = {k: v for k, v in values.items() if k not in _POWER_FIELDS}
+        power = {k: v for k, v in values.items() if k in _POWER_FIELDS}
+        trial_env = replace(
+            env, params=replace(env.params, **fish), power=replace(env.power, **power)
+        )
         try:
             simulated = evaluate_targets(trial_env, targets, seed)
         except MorphfinError:
             return math.inf, {}
-        residuals = {
-            t.name: (simulated[t.name] - t.value) / t.value for t in targets
-        }
+        residuals = {t.name: (simulated[t.name] - t.value) / t.value for t in targets}
         loss = sum(t.weight * residuals[t.name] ** 2 for t in targets)
         return loss, residuals
 
-    current = dict(initial)
     best_loss, best_res = loss_of(current)
     trace = [best_loss]
     steps = {n: step_fraction * (bounds[n][1] - bounds[n][0]) for n in names}
@@ -581,8 +562,6 @@ def calibrate(
         if not improved:
             for n in names:
                 steps[n] *= 0.5
-            if all(
-                steps[n] / (bounds[n][1] - bounds[n][0]) < tol for n in names
-            ):
+            if all(steps[n] / (bounds[n][1] - bounds[n][0]) < tol for n in names):
                 break
     return CalibrationResult(parameters=current, loss_trace=trace, residuals=best_res)

@@ -20,6 +20,8 @@ from .metrics import PowerModel, servo_power
 from .telemetry import TelemetryRecord
 
 MAX_DT = 0.01  # s, stability envelope of the fixed-step integrator
+# most steps one run may take; the longest protocol run, 60 s at 1 ms, takes 6e4
+MAX_STEPS = 10**7
 
 _DEG = math.pi / 180.0
 
@@ -94,11 +96,10 @@ class FishState:
     sway_vel: float = 0.0  # m/s, body frame
     yaw_rate: float = 0.0  # rad/s
     heave_vel: float = 0.0  # m/s, positive down
-    servo_angle: float = 0.0  # rad
     time: float = 0.0  # s
 
     def validate(self) -> None:
-        for name in (*_STATE_FIELDS, "servo_angle", "time"):
+        for name in (*_STATE_FIELDS, "time"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"state field {name} is not finite")
         if self.depth < 0.0:
@@ -158,14 +159,17 @@ def mean_thrust(params: FishParams, freq: float, amp: float) -> float:
         raise DomainError(f"freq and amp must be >= 0, got freq={freq}, amp={amp}")
     if freq == 0.0 or amp == 0.0:
         return 0.0
-    return (
-        params.thrust_coeff
-        * params.water_density
-        * params.frontal_area
-        * params.tail_length**2
-        * freq**params.thrust_freq_exponent
-        * amp**params.thrust_amp_exponent
-    )
+    try:
+        return (
+            params.thrust_coeff
+            * params.water_density
+            * params.frontal_area
+            * params.tail_length**2
+            * freq**params.thrust_freq_exponent
+            * amp**params.thrust_amp_exponent
+        )
+    except OverflowError:  # a power beyond the double range
+        return math.inf
 
 
 def _loads(params: FishParams):
@@ -200,13 +204,8 @@ def _loads(params: FishParams):
     return load
 
 
-def control_loads(params: FishParams, control: ControlInput):
-    """Loads of a control held over a step, as simulate applies them (see _loads)."""
-    return _loads(params)(control)
-
-
 # Internal fast path: state as a flat tuple (x, y, depth, yaw, u, v, r, w),
-# loads as the tuple control_loads returns. The per-step loop works on scalar
+# loads as the tuple a _loads closure returns. The per-step loop works on scalar
 # locals and allocates nothing but the returned tuples. Every expression keeps
 # the association of the tuple-form oracle in tests/test_hydro.py, so the
 # output stays bit-identical to it.
@@ -280,14 +279,18 @@ def _integrator(params: FishParams, dt: float):
     return advance
 
 
-def _rk4(params: FishParams, sv, loads, dt: float):
-    """One RK4 step of sv under held loads; the same step simulate takes."""
-    return _integrator(params, dt)(sv, loads)
-
-
 def _check_dt(dt: float) -> None:
     if not (0.0 < dt <= MAX_DT):
-        raise ConfigError(f"dt must be in (0, {MAX_DT}] s, got {dt}", "sim.dt")
+        raise ConfigError(f"dt must be in (0, {MAX_DT}] s", "sim.dt")
+
+
+def check_run(duration: float, dt: float, field: str = "sim.duration") -> None:
+    """Raise ConfigError unless a run of `duration` at step `dt` takes 1 to MAX_STEPS steps."""
+    _check_dt(dt)
+    if not (duration > 0.0):
+        raise ConfigError("duration must be > 0", field)
+    if not (duration / dt <= MAX_STEPS):
+        raise ConfigError(f"duration/dt must be <= {MAX_STEPS} steps", field)
 
 
 def step(
@@ -295,8 +298,8 @@ def step(
 ) -> FishState:
     """Advance the state by exactly dt with one RK4 step (controls held)."""
     _check_dt(dt)
-    sv = _rk4(params, state.vector(), control_loads(params, control), dt)
-    new = FishState(*sv, servo_angle=control.servo_angle, time=state.time + dt)
+    sv = _integrator(params, dt)(state.vector(), _loads(params)(control))
+    new = FishState(*sv, time=state.time + dt)
     new.validate()
     return new
 
@@ -340,11 +343,7 @@ def simulate(
     duration/dt steps yields ceil(duration/dt)+1 records, the first being the
     initial state). Reproducible bit-for-bit for a fixed seed.
     """
-    if not (duration > 0.0):
-        raise ConfigError("duration must be > 0", "sim.duration")
-    _check_dt(dt)
-    if not (duration / dt < math.inf):
-        raise ConfigError("duration/dt must be finite", "sim.duration")
+    check_run(duration, dt)
     if record_every < 1:
         raise ConfigError("record_every must be >= 1", "sim.record_every")
     params.validate()

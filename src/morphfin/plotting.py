@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -28,15 +29,15 @@ class PlotStyle:
     title: str = ""
     x_label: str = "x"
     y_label: str = "y"
-    width: int = 640
-    height: int = 440
 
 
-def _axis_range(lo: float, hi: float) -> tuple[float, float]:
+def _axis_range(lo: float, hi: float, axis: str) -> tuple[float, float]:
     span = hi - lo
     if span == 0.0:
         span = abs(hi) if hi != 0.0 else 1.0
     pad = PAD_FRACTION * span
+    if not ((hi + pad) - (lo - pad) < math.inf):
+        raise DomainError(f"the {axis} axis spans more than the double range")
     return lo - pad, hi + pad
 
 
@@ -61,10 +62,10 @@ def emit_plot(series: list[Series], style: PlotStyle, destination) -> Path:
     x_max = max(max(s.x) for s in series)
     y_min = min(min(s.y) for s in series)
     y_max = max(max(s.y) for s in series)
-    ax0, ax1 = _axis_range(x_min, x_max)
-    ay0, ay1 = _axis_range(y_min, y_max)
+    ax0, ax1 = _axis_range(x_min, x_max, "x")
+    ay0, ay1 = _axis_range(y_min, y_max, "y")
 
-    w, h = style.width, style.height
+    w, h = 640, 440
     ml, mr, mt, mb = 70, 20, 40, 50  # plot margins
     pw, ph = w - ml - mr, h - mt - mb
 
@@ -129,5 +130,6 @@ def emit_plot(series: list[Series], style: PlotStyle, destination) -> Path:
         text(s.name, {"x": str(ml + pw - 84), "y": str(ly), "font-size": "11", "class": "legend"})
 
     dest = Path(destination)
+    dest.parent.mkdir(parents=True, exist_ok=True)  # once the plot is known drawable
     ET.ElementTree(svg).write(dest, xml_declaration=True, encoding="utf-8")
     return dest

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -58,12 +61,29 @@ class TelemetryRecord:
         return _ROW_FORMAT % _row_values(self)
 
 
+@cache
+def _pin_mmap_threshold() -> None:
+    """Hold glibc's mmap threshold at its 128 KiB default, once per process.
+
+    glibc raises the threshold to the size of each mapped buffer freed and
+    then serves smaller ones from the brk heap, whose freed pages stay
+    resident. Whether the next multi-MB I/O buffer fits in such a hole then
+    depends on heap layout, and resident memory varies from run to run.
+    An explicit MALLOC_MMAP_THRESHOLD_ in the environment wins.
+    """
+    if sys.platform == "linux" and "MALLOC_MMAP_THRESHOLD_" not in os.environ:
+        import ctypes
+
+        getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)(-3, 128 * 1024)  # M_MMAP_THRESHOLD
+
+
 def write_telemetry(records: Iterable[TelemetryRecord], destination) -> int:
     """Write records as CSV; returns the byte count written.
 
     A record that fails the checks creates no file: all are checked before the
     file opens. Raises OSError (I/O error with path) on an unwritable destination.
     """
+    _pin_mmap_threshold()
     line = _ROW_FORMAT + "\n"
     blocks = [(HEADER + "\n").encode("ascii")]
     records = iter(records)
@@ -109,6 +129,7 @@ def read_telemetry(source) -> list[TelemetryRecord]:
     writes; any other byte is a TelemetryFormatError naming its line, raised
     ahead of every other error in the file. A text stream is parsed as it reads.
     """
+    _pin_mmap_threshold()
     if isinstance(source, (str, Path)):
         with open(source, "rb") as stream:
             return _read(stream)

@@ -88,19 +88,59 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "command, section",
-        [("run", "sim"), ("depth-step", "sim"), ("sweep-speed", "experiment")],
+        "command, data, field",
+        [
+            ("run", '{"sim": {"duration": 1e400}}', "sim.duration"),  # JSON reads inf
+            ("depth-step", '{"sim": {"duration": 1e400}}', "sim.duration"),
+            ("sweep-speed", '{"experiment": {"duration": 1e400}}', "experiment.duration"),
+            # finite, but 1e301 to 1e303 steps: the step ceiling names the duration
+            ("run", '{"sim": {"dt": 1e-300}}', "sim.duration"),
+            ("depth-step", '{"sim": {"duration": 1e300}}', "sim.duration"),
+            ("sweep-speed", '{"experiment": {"duration": 1e300}}', "experiment.duration"),
+        ],
     )
-    def test_infinite_duration_is_an_error(self, tmp_path, capsys, command, section):
+    def test_unbounded_run_is_an_error(self, tmp_path, capsys, command, data, field):
         config = tmp_path / "forever.json"
-        config.write_text('{"%s": {"duration": 1e400}}' % section)  # JSON reads inf
+        config.write_text(data)
         out = tmp_path / "out"
         rc = main(["--config", str(config), "--out", str(out), command])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith(f"error: {section}.duration:")
+        assert err.startswith(f"error: {field}:")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"gait": {"frequency": 1e200}},
+            {"fish": {"thrust_freq_exponent": 1000.0}, "gait": {"frequency": 2.33}},
+        ],
+    )
+    def test_thrust_beyond_the_double_range_is_an_error(self, tmp_path, capsys, data):
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        rc = main(["--config", str(config), "--out", str(out), "run"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: non-finite state")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_subnormal_depth_resolution_runs_unquantized(self, tmp_path, capsys):
+        # depth/5e-324 is no finite number of quanta: the depth is used as
+        # measured, as with no quantization at all
+        runs = {}
+        for resolution in (5e-324, 0.0):
+            config = tmp_path / f"{resolution}.json"
+            config.write_text(json.dumps({"sim": {"depth_resolution_m": resolution}}))
+            out = tmp_path / f"out-{resolution}"
+            rc = main(["--config", str(config), "--out", str(out), "run"])
+            assert rc == 0
+            runs[resolution] = (out / "run.csv").read_bytes()
+        assert "Traceback" not in capsys.readouterr().err
+        assert runs[5e-324] == runs[0.0]
 
     def test_nan_noise_is_an_error(self, tmp_path, capsys):
         # a NaN depth reading would pin the syringe full and sink the fish
@@ -374,24 +414,55 @@ class TestPlot:
         assert "unknown telemetry column 'speed'" in capsys.readouterr().err
         assert not (out / "plot.svg").exists()
 
+    def test_column_beyond_the_double_range_is_an_error(self, fast_config, tmp_path, capsys):
+        # yaw_deg spans 3.4e308, more than any double
+        main(["--config", str(fast_config), "--out", str(tmp_path / "run"), "run"])
+        lines = (tmp_path / "run" / "run.csv").read_text().splitlines()
+        columns = lines[0].split(",")
+        yaw = columns.index("yaw_deg")
+        for i, value in ((1, "1.7e308"), (2, "-1.7e308")):
+            row = lines[i].split(",")
+            row[yaw] = value
+            lines[i] = ",".join(row)
+        telemetry = tmp_path / "huge.csv"
+        telemetry.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["--out", str(out), "plot", str(telemetry)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: the y axis spans more than the double range\n"
+        assert not out.exists()
+
 
 def test_calibrate_starts_from_the_config(tmp_path, capsys, monkeypatch):
     seen = {}
 
-    def fake_calibrate(targets, env, initial, bounds, **kwargs):
-        seen["initial"] = initial
-        return xp.CalibrationResult(parameters=initial, loss_trace=[0.0], residuals={})
+    def fake_calibrate(targets, env, bounds, **kwargs):
+        seen["env"], seen["bounds"] = env, bounds
+        return xp.CalibrationResult(parameters={}, loss_trace=[0.0], residuals={})
 
     monkeypatch.setattr(xp, "calibrate", fake_calibrate)
     assert main(["--out", str(tmp_path), "calibrate"]) == 0
     config = load_default_config()
-    assert list(seen["initial"].items()) == [
-        ("thrust_coeff", config.fish.thrust_coeff),
-        ("tail_reaction_coeff", config.fish.tail_reaction_coeff),
-        ("yaw_damping_body", config.fish.yaw_damping_body),
-        ("yaw_damping_fin", config.fish.yaw_damping_fin),
-        ("efficiency", config.power.efficiency),
-    ]
+    assert seen["env"].params == config.fish
+    assert seen["env"].power == config.power
+    assert seen["bounds"] is xp.DEFAULT_BOUNDS
+
+
+def test_calibrate_rejects_a_start_outside_its_bounds(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("calibration simulated a run")
+
+    monkeypatch.setattr(xp, "run_condition", no_run)
+    config = tmp_path / "strong.json"
+    config.write_text('{"fish": {"thrust_coeff": 5.0}}')
+    out = tmp_path / "out"
+    rc = main(["--config", str(config), "--out", str(out), "calibrate"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: thrust_coeff: initial thrust_coeff=5.0 outside [0.01, 1.0]\n"
+    assert not out.exists()
 
 
 def test_default_config_is_packaged():
@@ -434,11 +505,27 @@ def _damaged(data: bytes, draw) -> bytes:
     return data[:at] + patch + data[at + len(patch):]
 
 
+def _optional(**keys):
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+# values that once escaped as tracebacks: powers in the thrust law beyond the
+# double range, and depths of no finite number of subnormal quanta
+_EXTREMES = _optional(
+    gait=_optional(frequency=st.floats(1.0, 1e300)),
+    fish=_optional(
+        thrust_freq_exponent=st.floats(0.0, 1e300), thrust_amp_exponent=st.floats(0.0, 1e300)
+    ),
+    sim=_optional(depth_resolution_m=st.floats(0.0, 1e-309)),
+)
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_main_exits_cleanly_and_a_failure_writes_nothing(data):
     command = data.draw(st.sampled_from(["run", "depth-step", "replay", "plot"]))
-    config = _short_config(data.draw(_object_like(RunConfig()) | _VALUES), data.draw)
+    drawn = data.draw(_object_like(RunConfig()) | _VALUES | _EXTREMES)
+    config = _short_config(drawn, data.draw)
     with tempfile.TemporaryDirectory() as tmp:
         config_path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         config_path.write_text(json.dumps(config))

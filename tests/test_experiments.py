@@ -353,6 +353,14 @@ class TestCalibration:
         )
     ]
 
+    @staticmethod
+    def env_from(thrust_coeff):
+        """The fast environment with calibration's start value of thrust_coeff."""
+        env = fast_env()
+        return dataclasses.replace(
+            env, params=dataclasses.replace(env.params, thrust_coeff=thrust_coeff)
+        )
+
     def test_fixed_point_loss_is_tiny(self):
         # calibrating against the model's own output converges to ~zero loss
         env = fast_env()
@@ -368,17 +376,14 @@ class TestCalibration:
         ]
         result = calibrate(
             target, env,
-            initial={"thrust_coeff": env.params.thrust_coeff},
             bounds={"thrust_coeff": (0.01, 1.0)},
             max_rounds=5,
         )
         assert result.loss_trace[-1] <= 1e-12
 
     def test_loss_trace_nonincreasing_and_bounds(self):
-        env = fast_env()
         result = calibrate(
-            self.TARGET, env,
-            initial={"thrust_coeff": 0.08},
+            self.TARGET, self.env_from(0.08),
             bounds={"thrust_coeff": (0.05, 0.2)},
             max_rounds=8,
         )
@@ -398,8 +403,7 @@ class TestCalibration:
 
         oracle = GoldenSection.minimize(loss, 0.05, 0.3, iters=25)
         result = calibrate(
-            self.TARGET, env,
-            initial={"thrust_coeff": 0.08},
+            self.TARGET, self.env_from(0.08),
             bounds={"thrust_coeff": (0.05, 0.3)},
             max_rounds=20,
             step_fraction=0.2,
@@ -407,10 +411,8 @@ class TestCalibration:
         assert result.parameters["thrust_coeff"] == pytest.approx(oracle, rel=0.01)
 
     def test_residuals_reported(self):
-        env = fast_env()
         result = calibrate(
-            self.TARGET, env,
-            initial={"thrust_coeff": 0.12},
+            self.TARGET, self.env_from(0.12),
             bounds={"thrust_coeff": (0.05, 0.3)},
             max_rounds=3,
         )

@@ -12,12 +12,15 @@ from morphfin.control import GaitCommand
 from morphfin.controllers import SwimController
 from morphfin.errors import ConfigError, DomainError, SimulationFault
 from morphfin.hydro import (
-    _rk4,
+    _integrator,
+    _loads,
+    MAX_DT,
+    MAX_STEPS,
     ControlInput,
     FishParams,
     FishState,
     Measurement,
-    control_loads,
+    check_run,
     drag_force,
     mean_thrust,
     simulate,
@@ -62,6 +65,10 @@ class TestMeanThrust:
         assert mean_thrust(p, 0.0, 0.5) == 0.0
         assert mean_thrust(p, 2.0, 0.0) == 0.0
 
+    def test_a_power_beyond_the_double_range_is_infinite(self):
+        assert mean_thrust(FishParams(), 1e200, 0.35) == math.inf
+        assert mean_thrust(FishParams(thrust_freq_exponent=1000.0), 2.33, 0.35) == math.inf
+
     def test_hand_arithmetic(self):
         p = FishParams(
             thrust_coeff=1.0,
@@ -93,11 +100,11 @@ class TestMeanThrust:
 
 
 class TestControlLoads:
-    """The loads `control_loads` gives; the integrator damps yaw by -damping * r * |r|."""
+    """The loads a `_loads` closure gives; the integrator damps yaw by -damping * r * |r|."""
 
     def test_equilibrium_is_all_zero(self):
         p = FishParams()
-        thrust, tail_moment, _, buoyancy = control_loads(p, ControlInput())
+        thrust, tail_moment, _, buoyancy = _loads(p)(ControlInput())
         assert (thrust, tail_moment, buoyancy) == (0.0, 0.0, 0.0)
         assert drag_force(p, 0.0) == 0.0
         # no drag, heave drag or yaw damping at rest: a step from rest stays at rest
@@ -105,18 +112,18 @@ class TestControlLoads:
 
     def test_erect_fin_increases_yaw_damping(self):
         p = FishParams()
-        folded = control_loads(p, ControlInput(erection=0.0))[2]
-        erect = control_loads(p, ControlInput(erection=1.0))[2]
+        folded = _loads(p)(ControlInput(erection=0.0))[2]
+        erect = _loads(p)(ControlInput(erection=1.0))[2]
         assert erect > folded
 
     def test_damping_hand_value(self):
         p = FishParams(yaw_damping_body=0.02, yaw_damping_fin=0.01)
-        damping = control_loads(p, ControlInput(erection=1.0))[2]
+        damping = _loads(p)(ControlInput(erection=1.0))[2]
         assert damping == pytest.approx(0.03, rel=1e-12)
 
     def test_erection_out_of_range(self):
         with pytest.raises(DomainError):
-            control_loads(FishParams(), ControlInput(erection=1.5))
+            _loads(FishParams())(ControlInput(erection=1.5))
 
     @given(st.floats(-2.0, 2.0), st.floats(0.0, 1.0))
     @settings(max_examples=50)
@@ -124,12 +131,42 @@ class TestControlLoads:
         p = FishParams()
         assert drag_force(p, surge) * surge <= 0.0
         # a nonnegative coefficient makes the damping moment oppose the yaw rate
-        assert control_loads(p, ControlInput(erection=erection))[2] >= 0.0
+        assert _loads(p)(ControlInput(erection=erection))[2] >= 0.0
 
 
 def _heave_params(coeff=0.95):
     # buoyancy off, only quadratic heave drag acts
     return FishParams(heave_drag_coeff=coeff, heave_added_mass=1.5)
+
+
+_EXACT_DT = 2.0**-10  # a power of two, so duration/dt is exact at the ceiling
+
+
+class TestCheckRun:
+    def test_the_step_ceiling_is_inclusive(self):
+        check_run(MAX_STEPS * _EXACT_DT, _EXACT_DT)
+        check_run(_EXACT_DT, _EXACT_DT)
+        with pytest.raises(ConfigError) as exc:
+            check_run(math.nextafter(MAX_STEPS * _EXACT_DT, math.inf), _EXACT_DT)
+        assert str(exc.value) == f"sim.duration: duration/dt must be <= {MAX_STEPS} steps"
+
+    @pytest.mark.parametrize(
+        "duration, dt, field",
+        [
+            (1.0, 0.0, "sim.dt"),
+            (1.0, math.nextafter(MAX_DT, 1.0), "sim.dt"),
+            (math.inf, math.nan, "sim.dt"),
+            (0.0, _EXACT_DT, "experiment.duration"),
+            (math.nan, _EXACT_DT, "experiment.duration"),
+            (math.inf, _EXACT_DT, "experiment.duration"),
+            (1e300, MAX_DT, "experiment.duration"),
+            (20.0, 1e-300, "experiment.duration"),
+        ],
+    )
+    def test_names_the_field_at_fault(self, duration, dt, field):
+        with pytest.raises(ConfigError) as exc:
+            check_run(duration, dt, "experiment.duration")
+        assert exc.value.field == field
 
 
 class TestStep:
@@ -278,7 +315,7 @@ class TestSimulate:
         assert last.x_m == 0.0 and last.depth_m == 0.0 and last.yaw_deg == 0.0
 
 
-# The tuple-form integrator the scalar _rk4 replaced, kept as its oracle:
+# The tuple-form integrator the scalar _integrator replaced, kept as its oracle:
 # the scalar form must reproduce it bit for bit.
 
 
@@ -327,7 +364,7 @@ _params = st.builds(
     heave_drag_coeff=st.floats(0.0, 200.0),
     heave_added_mass=st.floats(0.0, 3.0),
 )
-_loads = st.tuples(
+_load_tuples = st.tuples(
     st.floats(0.0, 5.0), st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.floats(-2.0, 2.0)
 )
 _vel = st.floats(-2.0, 2.0)
@@ -340,12 +377,13 @@ class TestScalarRk4Oracle:
             st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(0.0, 2.0),
             st.floats(-7.0, 7.0), _vel, _vel, _vel, _vel,
         ),
-        _loads,
+        _load_tuples,
         st.floats(1e-5, 0.01),
     )
     @settings(max_examples=300)
     def test_bit_identical_to_tuple_form(self, params, sv, loads, dt):
-        assert _bits(_rk4(params, sv, loads, dt)) == _bits(_oracle_rk4(params, sv, loads, dt))
+        advance = _integrator(params, dt)
+        assert _bits(advance(sv, loads)) == _bits(_oracle_rk4(params, sv, loads, dt))
 
     @given(
         st.floats(0.0, 20.0),
@@ -367,7 +405,7 @@ class TestScalarRk4Oracle:
         loads = (0.3, 0.01, 0.4, buoyancy)
         expected = _oracle_rk4(params, sv, loads, dt)
         assert expected[2] == 0.0  # the clamp acted
-        assert _bits(_rk4(params, sv, loads, dt)) == _bits(expected)
+        assert _bits(_integrator(params, dt)(sv, loads)) == _bits(expected)
 
 
 # The per-step paths build ControlInput and Measurement positionally
@@ -419,8 +457,8 @@ class TestValueTypes:
             assert not ControlInput(*alone).is_finite()
 
 
-# The load laws as control_loads computed them before simulate kept the last
-# gait's thrust, kept as the oracle of the memoized _loads.
+# The load laws recomputed in full on every call, kept as the oracle of the
+# memoized _loads, which keeps the last gait's thrust.
 
 
 def _oracle_control_loads(params, control):

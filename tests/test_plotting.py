@@ -72,3 +72,25 @@ def test_empty_series_rejected(tmp_path):
         emit_plot([Series("empty", [], [])], PlotStyle(), tmp_path / "x.svg")
     with pytest.raises(DomainError):
         emit_plot([], PlotStyle(), tmp_path / "x.svg")
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([1.7e308, -1.7e308], [0.0, 1.0]),
+        ([0.0, 1.0], [1.7e308, -1.7e308]),
+        ([0.0, 1.0], [1.79e308, 1.79e308]),  # padded by 4% of 1.79e308
+    ],
+)
+def test_axis_beyond_the_double_range_rejected(tmp_path, x, y):
+    axis = "x" if x[0] else "y"
+    with pytest.raises(DomainError, match=f"the {axis} axis spans more than the double range"):
+        emit_plot([Series("huge", x, y)], PlotStyle(), tmp_path / "x.svg")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_axis_within_the_double_range_is_drawn(tmp_path):
+    dest = tmp_path / "x.svg"
+    emit_plot([Series("big", [0.0, 1.0], [1e308, 1.5e308])], PlotStyle(), dest)
+    points = ET.parse(dest).getroot().find(f"{SVG_NS}polyline").get("points")
+    assert "nan" not in points and "inf" not in points

@@ -488,3 +488,41 @@ class TestBlockWriter:
             else:
                 assert write_telemetry(source, path) == len(expected)
                 assert path.read_bytes() == expected
+
+
+class TestMmapThreshold:
+    """The first read or write fixes glibc's mmap threshold, once, unless the environment does."""
+
+    @pytest.fixture
+    def mallopt_calls(self, monkeypatch):
+        import ctypes
+
+        calls = []
+
+        class Libc:
+            def mallopt(self, *args):
+                calls.append(args)
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        monkeypatch.setattr(telemetry.sys, "platform", "linux")
+        monkeypatch.delenv("MALLOC_MMAP_THRESHOLD_", raising=False)
+        telemetry._pin_mmap_threshold.cache_clear()
+        yield calls
+        telemetry._pin_mmap_threshold.cache_clear()
+
+    def test_pinned_once_at_128_kib(self, tmp_path, mallopt_calls):
+        path = tmp_path / "t.csv"
+        write_telemetry([record(0.5), record(0.6)], path)
+        read_telemetry(path)
+        assert mallopt_calls == [(-3, 128 * 1024)]
+
+    def test_an_explicit_environment_setting_wins(self, monkeypatch, mallopt_calls):
+        monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "65536")
+        read_telemetry(io.BytesIO((HEADER + "\n" + record().row() + "\n").encode()))
+        assert mallopt_calls == []
+
+    def test_not_called_off_linux(self, monkeypatch, mallopt_calls):
+        monkeypatch.setattr(telemetry.sys, "platform", "darwin")
+        read_telemetry(io.BytesIO((HEADER + "\n" + record().row() + "\n").encode()))
+        assert mallopt_calls == []
