@@ -19,13 +19,23 @@ from morphfin.cli import _environment, main
 from morphfin.config import load_default_config
 
 SMALL_GRID = {"frequencies": [1.0, 1.5], "repeats": 1, "duration": 12.0}
+NOISY = {"dt": 0.005, "noise_enabled": True}
 
-# subcommand -> (config written to --config, or None for the packaged default)
+# case -> (config written to --config, or None for the packaged default; the
+# arguments after --out). The noise-on cases pin the seeded sensor noise.
 CASES = {
-    "run": None,
-    "depth-step": None,
-    "sweep-speed": {"experiment": SMALL_GRID},
-    "yaw-study": {"experiment": {**SMALL_GRID, "kind": "yaw_study", "amplitudes": [20.0]}},
+    "run": (None, ["run"]),
+    "depth-step": (None, ["depth-step"]),
+    "sweep-speed": ({"experiment": SMALL_GRID}, ["sweep-speed"]),
+    "yaw-study": (
+        {"experiment": {**SMALL_GRID, "kind": "yaw_study", "amplitudes": [20.0]}},
+        ["yaw-study"],
+    ),
+    "run-noise": ({"sim": {**NOISY, "duration": 12.0}}, ["run"]),
+    "sweep-speed-noise": (
+        {"sim": NOISY, "experiment": {**SMALL_GRID, "repeats": 3}},
+        ["--seed", "4", "sweep-speed"],
+    ),
 }
 
 DIGESTS = {
@@ -54,6 +64,18 @@ DIGESTS = {
         "yaw_p2p.svg": "dcd1f98330f6428f46b51e88e2330582e4b3fd96c90178c6f1c791fe511a795e",
         "yaw_study.csv": "f5e739715bbc5a86fbb1f8d8a31852bfc7393ef81f2988ee98d84f5775525c8a",
     },
+    "run-noise": {
+        "run.csv": "88cf507ab28a2b53ddfdb2f92aa878e100d4acf5c5a482b75adb4f988c471ed9",
+        "run_metrics.json": "2dccb35e5170f0068a77e354c122a297e96a60a9f8d822410f4304253d3b8b70",
+    },
+    "sweep-speed-noise": {
+        "run_f1.00_a20_erect.csv": "c5b3df871c97d2bd2ee58f5f616ef51b22bb616f40f65da470473192058cf8f2",
+        "run_f1.00_a20_folded.csv": "912182384250a566aaf0abd1ec873789a4beebb1fbf4ff9b9d1c4049ea8c47ff",
+        "run_f1.50_a20_erect.csv": "4344ed8e803d9812af71071538d096bc2cceca3e680bb2c0580baca8bc49445a",
+        "run_f1.50_a20_folded.csv": "6923691f923c63e4b4b32fef2110383f5a29e4b43ee32b827673c3a75325ac24",
+        "speed_sweep.csv": "2316576f81560ee1b617adddfa0dea8259281f1bd84df3071a6a2fdb52218eed",
+        "speed_vs_frequency.svg": "243a2f74c111b39fc674cacf9bcab8e5d25d3cb1fda616f853517e76d7b84c8f",
+    },
 }
 
 TARGETS_HEX = {
@@ -76,15 +98,16 @@ def _digests(out):
     }
 
 
-@pytest.mark.parametrize("command", CASES)
-def test_cli_outputs_are_byte_identical(command, tmp_path, capsys):
-    argv = ["--out", str(tmp_path / "out"), command]
-    if CASES[command] is not None:
+@pytest.mark.parametrize("case", CASES)
+def test_cli_outputs_are_byte_identical(case, tmp_path, capsys):
+    settings, args = CASES[case]
+    argv = ["--out", str(tmp_path / "out"), *args]
+    if settings is not None:
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(CASES[command]))
+        config.write_text(json.dumps(settings))
         argv = ["--config", str(config), *argv]
     assert main(argv) == 0
-    assert _digests(tmp_path / "out") == DIGESTS[command]
+    assert _digests(tmp_path / "out") == DIGESTS[case]
 
 
 def test_evaluate_targets_is_bit_identical():
