@@ -34,7 +34,6 @@ class SimSettings:
     initial_depth: float = 0.2
     depth_resolution_m: float = 0.001
     noise_enabled: bool = NoiseConfig.enabled
-    noise_yaw_std_deg: float = NoiseConfig.yaw_std_deg
     noise_depth_std_m: float = NoiseConfig.depth_std_m
 
     def validate(self) -> None:
@@ -53,8 +52,7 @@ class SimSettings:
                 )
         for name, what in (
             ("target_depth", "depths"), ("initial_depth", "depths"),
-            ("depth_resolution_m", "depth resolution"),
-            ("noise_yaw_std_deg", "noise stds"), ("noise_depth_std_m", "noise stds"),
+            ("depth_resolution_m", "depth resolution"), ("noise_depth_std_m", "noise stds"),
         ):
             value = getattr(self, name)
             if not (0.0 <= value < math.inf):
@@ -70,11 +68,7 @@ class SimSettings:
         return 1.0 / self.control_hz
 
     def noise(self) -> NoiseConfig:
-        return NoiseConfig(
-            enabled=self.noise_enabled,
-            yaw_std_deg=self.noise_yaw_std_deg,
-            depth_std_m=self.noise_depth_std_m,
-        )
+        return NoiseConfig(enabled=self.noise_enabled, depth_std_m=self.noise_depth_std_m)
 
 
 @dataclass(frozen=True)

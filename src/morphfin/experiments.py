@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from statistics import fmean, pstdev
 from typing import Sequence
 
@@ -55,9 +55,10 @@ class ExperimentSpec:
             raise ConfigError("frequencies must be positive", "experiment.frequencies")
         if not self.amplitudes:
             raise ConfigError("need at least one amplitude", "experiment.amplitudes")
-        if not all(0.0 <= a <= MAX_AMPLITUDE_DEG for a in self.amplitudes):
+        # a still tail swims nowhere: its COT and yaw improvement are undefined
+        if not all(0.0 < a <= MAX_AMPLITUDE_DEG for a in self.amplitudes):
             raise ConfigError(
-                f"amplitudes must be in [0, {MAX_AMPLITUDE_DEG:g}] deg", "experiment.amplitudes"
+                f"amplitudes must be in (0, {MAX_AMPLITUDE_DEG:g}] deg", "experiment.amplitudes"
             )
         if not self.fin_states:
             raise ConfigError("need at least one fin state", "experiment.fin_states")
@@ -224,6 +225,16 @@ def _erection(fin_state: str) -> float:
     return 1.0 if fin_state == "erect" else 0.0
 
 
+def _cell(
+    env: RunEnvironment, frequency: float, amplitude: float, fin_state: str, duration: float,
+    seed: int,
+) -> tuple[list[TelemetryRecord], ConditionMetrics]:
+    """One seeded run of a (frequency, amplitude, fin state) condition, and its metrics."""
+    gait = GaitCommand(frequency, amplitude, fin_erection_setpoint=_erection(fin_state))
+    records = run_condition(env, gait, duration, seed)
+    return records, _metrics_with_cot(env, records, frequency)
+
+
 def _aggregate(
     env: RunEnvironment,
     frequency: float,
@@ -240,31 +251,23 @@ def _aggregate(
     seed is never read, so every repeat is the same trajectory: only repeat 0
     is simulated, its metrics stand for all `repeats`, and the stds are 0.
     """
-    gait = GaitCommand(
-        frequency=frequency,
-        amplitude=amplitude,
-        fin_erection_setpoint=_erection(fin_state),
-    )
-    runs = repeats if env.noise.enabled else 1
-    speeds, powers, cots, p2ps = [], [], [], []
-    for rep in range(repeats):
-        if rep < runs:
-            try:
-                records = run_condition(env, gait, duration, base_seed + rep)
-            except SimulationFault as exc:
-                raise MorphfinError(
-                    f"sweep aborted: condition (f={frequency} Hz, amp={amplitude} deg, "
-                    f"{fin_state}) repeat {rep} faulted: {exc}"
-                ) from exc
-            if keep_records is not None and rep == 0:
-                keep_records.append((frequency, amplitude, fin_state, records))
-            m = _metrics_with_cot(env, records, frequency)
-        speeds.append(m.mean_speed)
-        powers.append(m.mean_power)
-        cots.append(m.cot)
-        p2ps.append(m.p2p_yaw)
-    # SweepRow holds each metric's mean, then its std
-    stats = [f(v) for v in (speeds, powers, cots, p2ps) for f in (fmean, pstdev)]
+    runs = []
+    for rep in range(repeats if env.noise.enabled else 1):
+        try:
+            records, m = _cell(env, frequency, amplitude, fin_state, duration, base_seed + rep)
+        except SimulationFault as exc:
+            raise MorphfinError(
+                f"sweep aborted: condition (f={frequency} Hz, amp={amplitude} deg, "
+                f"{fin_state}) repeat {rep} faulted: {exc}"
+            ) from exc
+        if keep_records is not None and rep == 0:
+            keep_records.append((frequency, amplitude, fin_state, records))
+        runs.append(m)
+    if not env.noise.enabled:
+        runs *= repeats
+    # SweepRow holds each ConditionMetrics field's mean, then its std, in field order
+    columns = [[getattr(m, f.name) for m in runs] for f in fields(ConditionMetrics)]
+    stats = [stat(c) for c in columns for stat in (fmean, pstdev)]
     return SweepRow(frequency, amplitude, fin_state, *stats)
 
 
@@ -397,7 +400,8 @@ def run_depth_step(
 
 # --- calibration ---------------------------------------------------------
 
-OBSERVABLES = ("top_speed", "cot_at_fmax", "p2p_yaw")
+# each calibration observable and the ConditionMetrics field it reads
+OBSERVABLES = {"top_speed": "mean_speed", "cot_at_fmax": "cot", "p2p_yaw": "p2p_yaw"}
 
 # Parameters the default calibration is allowed to move, with bounds.
 DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
@@ -470,27 +474,15 @@ def _observable_duration(observable: str, frequency: float) -> float:
 def evaluate_targets(
     env: RunEnvironment, targets: Sequence[CalibrationTarget], seed: int = 0
 ) -> dict[str, float]:
-    """Simulated value of each target observable; one run per unique condition."""
-    cache: dict[tuple, list[TelemetryRecord]] = {}
+    """Simulated value of each target observable; one run per unique condition, kept as metrics."""
+    cache: dict[tuple, ConditionMetrics] = {}
     out: dict[str, float] = {}
     for t in targets:
         duration = _observable_duration(t.observable, t.frequency)
         key = (t.frequency, t.amplitude, t.fin_state, duration)
         if key not in cache:
-            gait = GaitCommand(
-                frequency=t.frequency,
-                amplitude=t.amplitude,
-                fin_erection_setpoint=_erection(t.fin_state),
-            )
-            cache[key] = run_condition(env, gait, duration, seed)
-        records = cache[key]
-        m = _metrics_with_cot(env, records, t.frequency)
-        if t.observable == "top_speed":
-            out[t.name] = m.mean_speed
-        elif t.observable == "cot_at_fmax":
-            out[t.name] = m.cot
-        else:
-            out[t.name] = m.p2p_yaw
+            cache[key] = _cell(env, *key, seed)[1]
+        out[t.name] = getattr(cache[key], OBSERVABLES[t.observable])
     return out
 
 

@@ -309,7 +309,6 @@ class Measurement(NamedTuple):
 
     time: float
     depth: float
-    yaw: float  # rad
 
 
 class Controller(Protocol):
@@ -318,10 +317,9 @@ class Controller(Protocol):
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Seeded white sensor noise on the yaw and depth channels; off by default."""
+    """Seeded white sensor noise on the depth channel; off by default."""
 
     enabled: bool = False
-    yaw_std_deg: float = 0.1
     depth_std_m: float = 0.001
 
 
@@ -350,7 +348,7 @@ def simulate(
     state = initial_state if initial_state is not None else FishState()
     state.validate()
     noisy, gauss = noise.enabled, random.Random(seed).gauss
-    yaw_std, depth_std = noise.yaw_std_deg * _DEG, noise.depth_std_m
+    depth_std = noise.depth_std_m
 
     n_steps = math.ceil(duration / dt)
     advance = _integrator(params, dt)
@@ -383,11 +381,13 @@ def simulate(
                 sv = advance(sv, loads)
             except ValueError as exc:  # math.cos/sin of an infinite yaw
                 raise SimulationFault(t, "non-finite state yaw") from exc
-        depth, yaw = sv[2], sv[3]
+        depth = sv[2]
         if noisy:
-            yaw = yaw + gauss(0.0, yaw_std)
+            # gauss makes its normals in pairs and the depth reading takes the
+            # second of each, so the first is drawn and dropped
+            gauss(0.0, 1.0)
             depth = max(0.0, depth + gauss(0.0, depth_std))
-        control = command(tuple.__new__(Measurement, (t, depth, yaw)))
+        control = command(tuple.__new__(Measurement, (t, depth)))
         if not control.is_finite():
             raise SimulationFault(t)
         loads = load(control)

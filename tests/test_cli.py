@@ -51,6 +51,27 @@ class TestExitCodes:
         rc = main(["--config", str(tmp_path / "nope.json"), "run"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["run", "depth-step"])
+    def test_out_naming_a_file_is_an_io_error(self, fast_config, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        rc = main(["--config", str(fast_config), "--out", str(taken), command])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("I/O error: ")
+        assert "Traceback" not in err
+        assert taken.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["replay", "plot"])
+    def test_missing_telemetry_is_an_io_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), command, str(tmp_path / "missing.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("I/O error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_invalid_config_content(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"fish": {"mass": -1.0}}')
@@ -342,6 +363,8 @@ class TestSweepAndStudy:
             ({"kind": "yaw_study", "fin_states": ["folded"]}, "experiment.fin_states"),
             # finite, but duration/dt overflows
             ({"duration": 1e307}, "experiment.duration"),
+            # a still tail has no COT and no yaw improvement: rejected before any cell runs
+            ({"amplitudes": [20.0, 0.0]}, "experiment.amplitudes"),
         ],
     )
     def test_rejected_experiment_writes_nothing(

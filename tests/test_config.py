@@ -208,7 +208,7 @@ PINNED_ERRORS = [
     ({"experiment": {"fin_states": ["half"]}}, "experiment.fin_states",
      "experiment.fin_states: fin states must be one of ('folded', 'erect')"),
     ({"experiment": {"amplitudes": [20.0, 50.0]}}, "experiment.amplitudes",
-     "experiment.amplitudes: amplitudes must be in [0, 45] deg"),
+     "experiment.amplitudes: amplitudes must be in (0, 45] deg"),
     ({"experiment": {"duration": 5.0}}, "experiment.duration",
      "experiment.duration: duration must cover >= 10 cycles at 0.8 Hz"),
     ({"experiment": {"duration": math.inf}}, "experiment.duration",
@@ -250,12 +250,14 @@ PINNED_ERRORS = [
      "sim.noise_depth_std_m: noise stds must be finite"),
     ({"sim": {"noise_depth_std_m": -0.001}}, "sim.noise_depth_std_m",
      "sim.noise_depth_std_m: noise stds must be >= 0"),
-    ({"sim": {"noise_yaw_std_deg": math.nan}}, "sim.noise_yaw_std_deg",
-     "sim.noise_yaw_std_deg: noise stds must be finite"),
-    ({"sim": {"noise_yaw_std_deg": math.inf}}, "sim.noise_yaw_std_deg",
-     "sim.noise_yaw_std_deg: noise stds must be finite"),
-    ({"sim": {"noise_yaw_std_deg": -0.1}}, "sim.noise_yaw_std_deg",
-     "sim.noise_yaw_std_deg: noise stds must be >= 0"),
+    ({"sim": {"noise_depth_std_m": math.inf}}, "sim.noise_depth_std_m",
+     "sim.noise_depth_std_m: noise stds must be finite"),
+    # no controller reads a yaw measurement, so there is no yaw noise to set
+    ({"sim": {"noise_yaw_std_deg": 0.1}}, "sim",
+     "sim: unknown key(s): ['noise_yaw_std_deg']"),
+    # a still tail has no COT or yaw improvement: rejected at load, not after the other cells
+    ({"experiment": {"amplitudes": [0.0]}}, "experiment.amplitudes",
+     "experiment.amplitudes: amplitudes must be in (0, 45] deg"),
 ]
 
 
@@ -281,7 +283,7 @@ def test_config_error_message_and_field(data, field, message):
         ({"experiment": {"amplitudes": []}}, "experiment.amplitudes"),
         ({"experiment": {"frequencies": [math.nan]}}, "experiment.frequencies"),
         ({"experiment": {"frequencies": [1.0, math.nan]}}, "experiment.frequencies"),
-        # amplitudes outside GaitCommand's [0, 45] deg, checked at load
+        # grid amplitudes outside (0, 45] deg, checked at load
         ({"experiment": {"amplitudes": [-1.0]}}, "experiment.amplitudes"),
         ({"experiment": {"amplitudes": [45.000001]}}, "experiment.amplitudes"),
         ({"experiment": {"amplitudes": [math.nan]}}, "experiment.amplitudes"),

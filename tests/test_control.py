@@ -252,4 +252,4 @@ class TestSwimControllerOracle:
             _environment(RunConfig()), GaitCommand(frequency=1.0, amplitude=20.0)
         )
         with pytest.raises(DomainError):
-            controller.command(Measurement(time=-0.001, depth=0.0, yaw=0.0))
+            controller.command(Measurement(time=-0.001, depth=0.0))

@@ -157,7 +157,7 @@ def _telemetry_bits(records) -> bytes:
 
 
 def _counting_run_condition(monkeypatch) -> list[tuple[int, list]]:
-    """Route the sweep's run_condition through a recorder of (seed, records)."""
+    """Route the protocols' run_condition through a recorder of (seed, records)."""
     calls = []
     original = experiments.run_condition
 
@@ -409,6 +409,20 @@ class TestCalibration:
             step_fraction=0.2,
         )
         assert result.parameters["thrust_coeff"] == pytest.approx(oracle, rel=0.01)
+
+    def test_a_shared_condition_runs_once(self, monkeypatch):
+        # top speed and COT at fmax read the same 25 s run of one condition
+        shared = {"frequency": 2.33, "amplitude": 20.0, "fin_state": "folded", "value": 1.0}
+        targets = [
+            CalibrationTarget(name="speed", observable="top_speed", **shared),
+            CalibrationTarget(name="cot", observable="cot_at_fmax", **shared),
+        ]
+        env = fast_env()
+        calls = _counting_run_condition(monkeypatch)
+        got = experiments.evaluate_targets(env, targets)
+        assert len(calls) == 1
+        m = experiments._metrics_with_cot(env, calls[0][1], 2.33)
+        assert _packed(got["speed"], got["cot"]) == _packed(m.mean_speed, m.cot)
 
     def test_residuals_reported(self):
         result = calibrate(

@@ -425,7 +425,7 @@ _CONTROL_FIELDS = (
 class TestValueTypes:
     def test_field_order_is_pinned(self):
         assert ControlInput._fields == _CONTROL_FIELDS
-        assert Measurement._fields == ("time", "depth", "yaw")
+        assert Measurement._fields == ("time", "depth")
 
     def test_keyword_and_default_construction(self):
         assert ControlInput() == ControlInput(*[0.0] * 7)
@@ -435,9 +435,9 @@ class TestValueTypes:
         assert tuple(ControlInput(1.0, 2.0, 3.0, 4.0, 0.5, 6.0, 7.0)) == (
             1.0, 2.0, 3.0, 4.0, 0.5, 6.0, 7.0
         )
-        assert Measurement(time=0.5, yaw=0.25, depth=0.1) == Measurement(0.5, 0.1, 0.25)
+        assert Measurement(depth=0.1, time=0.5) == Measurement(0.5, 0.1)
         with pytest.raises(TypeError):
-            Measurement(0.5, 0.1)
+            Measurement(0.5)
 
     @given(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=7, max_size=7),
