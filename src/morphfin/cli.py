@@ -18,7 +18,7 @@ from .control import GaitCommand
 from .errors import MorphfinError
 from .metrics import cot, steady_window
 from .plotting import PlotStyle, Series, emit_plot
-from .telemetry import _COLUMNS, read_telemetry, stream_records, write_telemetry
+from .telemetry import _COLUMNS, csv_rows, read_telemetry, write_telemetry
 
 
 def _environment(config: RunConfig) -> xp.RunEnvironment:
@@ -54,7 +54,7 @@ def _cmd_run(config: RunConfig, out: Path, stream: bool) -> int:
     env = _environment(config)
     records = xp.run_condition(env, config.gait, config.sim.duration, config.sim.seed)
     if stream:
-        stream_records(records, sys.stdout)
+        sys.stdout.writelines(csv_rows(records))
         return 0
     # metrics first, so that a run with no steady window writes nothing
     metrics = _replay_metrics(
@@ -142,7 +142,7 @@ def _cmd_depth_step(config: RunConfig, out: Path) -> int:
     ]
     (out / "depth_step_report.json").write_text(json.dumps(payload, indent=2) + "\n")
     emit_plot(
-        [Series("depth", [r.time_s for r in records], [r.depth_m for r in records])],
+        [Series("depth", records.column("time_s"), records.column("depth_m"))],
         PlotStyle(title="Depth step response", x_label="time (s)", y_label="depth (m)"),
         out / "depth_step.svg",
     )
@@ -190,10 +190,7 @@ def _cmd_plot(telemetry_path: str, x: str, ys: list[str], out: Path) -> int:
     for col in [x, *ys]:
         if col not in _COLUMNS:
             raise MorphfinError(f"unknown telemetry column {col!r}")
-    series = [
-        Series(name=col, x=[getattr(r, x) for r in records], y=[getattr(r, col) for r in records])
-        for col in ys
-    ]
+    series = [Series(name=col, x=records.column(x), y=records.column(col)) for col in ys]
     dest = out / "plot.svg"
     emit_plot(series, PlotStyle(x_label=x, y_label=", ".join(ys)), dest)
     print(f"wrote {dest}", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import astuple, dataclass, field, fields, replace
 from statistics import fmean, pstdev
 from typing import Sequence
@@ -25,7 +26,7 @@ from .hydro import FishParams, FishState, NoiseConfig, simulate
 from .metrics import (
     TRANSIENT_CYCLES, TRANSIENT_SECONDS, PowerModel, cot, improvement, steady_window,
 )
-from .telemetry import TelemetryRecord
+from .telemetry import Telemetry
 
 FIN_STATES = ("folded", "erect")
 
@@ -115,7 +116,7 @@ def run_condition(
     *,
     initial_state: FishState | None = None,
     depth_schedule: DepthSchedule | None = None,
-) -> list[TelemetryRecord]:
+) -> Telemetry:
     """One seeded simulation of a single gait condition.
 
     The depth loop tracks `depth_schedule` when one is given; otherwise, with
@@ -147,9 +148,7 @@ class ConditionMetrics:
     p2p_yaw: float
 
 
-def condition_metrics(
-    records: Sequence[TelemetryRecord], frequency: float
-) -> ConditionMetrics:
+def condition_metrics(records: Telemetry, frequency: float) -> ConditionMetrics:
     """Steady-window metrics of one run; `cot` is NaN, as it needs the mass.
 
     The speed is the net planar displacement between the window's first and
@@ -157,26 +156,28 @@ def condition_metrics(
     pool length does; the power is the window's mean; the yaw is its max
     minus min, over a window of at least 3 gait cycles.
     """
-    t0, t1 = steady_window(records[-1].time_s - records[0].time_s, frequency)
-    window = [r for r in records if t0 <= r.time_s <= t1]
-    if len(window) < 2:
+    times = records.column("time_s")
+    t0, t1 = steady_window(times[-1] - times[0], frequency)
+    # times never decrease, so this is the window t0 <= time_s <= t1
+    a, b = bisect_left(times, t0), bisect_right(times, t1)
+    if b - a < 2:
         raise InsufficientDataError("window contains fewer than 2 samples")
-    first, last = window[0], window[-1]
+    first, last = records[a], records[b - 1]
     elapsed = last.time_s - first.time_s
     if elapsed <= 0.0:
         raise InsufficientDataError("window elapsed time is zero")
     speed = math.hypot(last.x_m - first.x_m, last.y_m - first.y_m) / elapsed
-    power = sum([r.power_w for r in window]) / len(window)
+    power = sum(records.column("power_w")[a:b]) / (b - a)
     if frequency > 0.0 and (t1 - t0) < 3.0 / frequency:
         raise InsufficientDataError(
             f"window of {t1 - t0:.3f} s holds fewer than 3 cycles at {frequency} Hz"
         )
-    yaws = [r.yaw_deg for r in window]
+    yaws = records.column("yaw_deg")[a:b]
     return ConditionMetrics(speed, power, math.nan, max(yaws) - min(yaws))
 
 
 def _metrics_with_cot(
-    env: RunEnvironment, records: Sequence[TelemetryRecord], frequency: float
+    env: RunEnvironment, records: Telemetry, frequency: float
 ) -> ConditionMetrics:
     m = condition_metrics(records, frequency)
     value = cot(m.mean_power, env.params.mass, env.params.gravity, m.mean_speed)
@@ -228,7 +229,7 @@ def _erection(fin_state: str) -> float:
 def _cell(
     env: RunEnvironment, frequency: float, amplitude: float, fin_state: str, duration: float,
     seed: int,
-) -> tuple[list[TelemetryRecord], ConditionMetrics]:
+) -> tuple[Telemetry, ConditionMetrics]:
     """One seeded run of a (frequency, amplitude, fin state) condition, and its metrics."""
     gait = GaitCommand(frequency, amplitude, fin_erection_setpoint=_erection(fin_state))
     records = run_condition(env, gait, duration, seed)
@@ -358,7 +359,7 @@ def run_depth_step(
     seed: int = 0,
     *,
     initial_depth: float,
-) -> tuple[list[TelemetryRecord], list[DepthStepReport]]:
+) -> tuple[Telemetry, list[DepthStepReport]]:
     """Closed-loop depth tracking of a target schedule by a still fish, with per-step analysis."""
     if not schedule:
         raise DomainError("schedule must be nonempty")
@@ -371,26 +372,25 @@ def run_depth_step(
         depth_schedule=step_schedule(list(schedule)),
     )
     ordered = sorted(schedule)
+    times, depths = records.column("time_s"), records.column("depth_m")
     reports = []
     for i, (t_start, target) in enumerate(ordered):
-        t_end = ordered[i + 1][0] if i + 1 < len(ordered) else records[-1].time_s
-        seg = [r for r in records if t_start <= r.time_s <= t_end]
+        t_end = ordered[i + 1][0] if i + 1 < len(ordered) else times[-1]
+        a = bisect_left(times, t_start)
+        seg = depths[a : bisect_right(times, t_end)]
         if not seg:
             continue
-        step_size = abs(target - seg[0].depth_m)
+        step_size = abs(target - seg[0])
         band = _SETTLING_BAND * (step_size if step_size > 0.0 else max(target, 1.0))
-        settled = None
         for j in range(len(seg) - 1, -1, -1):
-            if abs(seg[j].depth_m - target) > band:
-                settled = seg[j + 1].time_s - t_start if j + 1 < len(seg) else None
+            if abs(seg[j] - target) > band:
+                settled = times[a + j + 1] - t_start if j + 1 < len(seg) else None
                 break
         else:
             settled = 0.0
         if step_size > 0.0:
-            signed = [
-                (r.depth_m - target) * (1.0 if target > seg[0].depth_m else -1.0)
-                for r in seg
-            ]
+            sign = 1.0 if target > seg[0] else -1.0
+            signed = [(d - target) * sign for d in seg]
             overshoot = max(0.0, max(signed)) / step_size * 100.0
         else:
             overshoot = 0.0
@@ -430,6 +430,10 @@ class CalibrationTarget:
             raise ConfigError(f"unknown observable {self.observable!r}", self.name)
         if not (self.value > 0.0 and self.weight > 0.0):
             raise ConfigError("value and weight must be > 0", self.name)
+        if not (math.isfinite(self.frequency) and self.frequency > 0.0):
+            raise ConfigError("frequency must be finite and > 0", self.name)
+        if not 0.0 < self.amplitude <= MAX_AMPLITUDE_DEG:
+            raise ConfigError(f"amplitude must be in (0, {MAX_AMPLITUDE_DEG:g}] deg", self.name)
         _erection(self.fin_state)
 
 

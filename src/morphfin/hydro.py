@@ -17,7 +17,7 @@ from typing import NamedTuple, Protocol
 
 from .errors import ConfigError, DomainError, SimulationFault
 from .metrics import PowerModel, servo_power
-from .telemetry import TelemetryRecord
+from .telemetry import Telemetry
 
 MAX_DT = 0.01  # s, stability envelope of the fixed-step integrator
 # most steps one run may take; the longest protocol run, 60 s at 1 ms, takes 6e4
@@ -334,7 +334,7 @@ def simulate(
     power_model: PowerModel = PowerModel(),
     record_every: int = 1,
     noise: NoiseConfig = NoiseConfig(),
-) -> list[TelemetryRecord]:
+) -> Telemetry:
     """Run a closed-loop simulation and return sampled telemetry.
 
     Every `record_every`-th step is sampled (1 keeps all steps, so a run of
@@ -357,19 +357,8 @@ def simulate(
     command = controller.command
     sv = state.vector()
     t0 = state.time
-    records: list[TelemetryRecord] = []
-
-    def emit(t: float, sv, control: ControlInput, tail_moment: float) -> None:
-        if not all(map(math.isfinite, sv)):
-            name = next(n for n, v in zip(_STATE_FIELDS, sv) if not math.isfinite(v))
-            raise SimulationFault(t, f"non-finite state {name}")
-        x, y, depth, yaw, u, v, r, w = sv
-        torque = abs(tail_moment)
-        records.append(TelemetryRecord(  # positional, in CSV column order
-            t, x, y, depth, yaw / _DEG, r / _DEG, u, v, control.servo_angle / _DEG, torque,
-            servo_power(power_model, torque, abs(control.servo_rate)),
-            control.erection, control.syringe_volume * 1e6,
-        ))
+    records = Telemetry()
+    extend = records.values.extend
 
     # Step i > 0 advances to t0 + i*dt under the loads held since step i-1. The
     # Measurement is built by tuple.__new__, skipping its generated Python __new__.
@@ -392,5 +381,14 @@ def simulate(
             raise SimulationFault(t)
         loads = load(control)
         if i % record_every == 0 or i == n_steps:
-            emit(t, sv, control, loads[1])
+            if not all(map(math.isfinite, sv)):
+                name = next(n for n, v in zip(_STATE_FIELDS, sv) if not math.isfinite(v))
+                raise SimulationFault(t, f"non-finite state {name}")
+            x, y, z, yaw, u, v, r, _ = sv
+            torque = abs(loads[1])
+            extend((  # in CSV column order
+                t, x, y, z, yaw / _DEG, r / _DEG, u, v, control.servo_angle / _DEG, torque,
+                servo_power(power_model, torque, abs(control.servo_rate)),
+                control.erection, control.syringe_volume * 1e6,
+            ))
     return records

@@ -6,11 +6,13 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
+from array import array
+from contextlib import nullcontext, suppress
+from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, starmap
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator
 
 from .errors import TelemetryFormatError
 
@@ -23,8 +25,8 @@ _COLUMNS = tuple(HEADER.split(","))
 _WIDTH = len(_COLUMNS)
 
 # 9 significant digits per field: '%.9g' % v is format(v, '.9g') for every
-# float, so one %-format of all the columns writes the same bytes
-_ROW_FORMAT = ",".join(["%.9g"] * _WIDTH)
+# float, so one %-format of a block's values writes the same bytes
+_LINE = ",".join(["%.9g"] * _WIDTH) + "\n"
 _row_values = operator.attrgetter(*_COLUMNS)
 
 # Characters (or bytes) per read and records per formatted block: the reader
@@ -37,9 +39,8 @@ _WRITE_BLOCK = 1024
 class TelemetryRecord:
     """One sampled instant; fields in CSV column order.
 
-    A plain dataclass: a frozen one costs about 8x as much to build, and
-    `read_telemetry` and `simulate` build one per row. Treat records as
-    values all the same.
+    A plain dataclass, built on demand from a `Telemetry`: a frozen one costs
+    about 8x as much to build. Treat records as values all the same.
     """
 
     time_s: float
@@ -56,9 +57,26 @@ class TelemetryRecord:
     erection: float
     syringe_ml: float
 
-    def row(self) -> str:
-        """One CSV row (no newline), 9 significant digits per field."""
-        return _ROW_FORMAT % _row_values(self)
+
+@dataclass
+class Telemetry:
+    """A run's records: one flat array of doubles, row after row in CSV column order."""
+
+    values: array = field(default_factory=lambda: array("d"))
+
+    def __len__(self) -> int:
+        return len(self.values) // _WIDTH
+
+    def __getitem__(self, index: int) -> TelemetryRecord:
+        start = range(0, len(self.values), _WIDTH)[index]  # negative indices as a list's
+        return TelemetryRecord(*self.values[start : start + _WIDTH])
+
+    def __iter__(self) -> Iterator[TelemetryRecord]:
+        return starmap(TelemetryRecord, zip(*[iter(self.values)] * _WIDTH))
+
+    def column(self, name: str) -> array:
+        """The named column, one value per record, without building a record."""
+        return self.values[_COLUMNS.index(name) :: _WIDTH]
 
 
 @cache
@@ -84,45 +102,40 @@ def write_telemetry(records: Iterable[TelemetryRecord], destination) -> int:
     file opens. Raises OSError (I/O error with path) on an unwritable destination.
     """
     _pin_mmap_threshold()
-    line = _ROW_FORMAT + "\n"
-    blocks = [(HEADER + "\n").encode("ascii")]
-    records = iter(records)
-    start, prev = 0, -math.inf
-    while block := list(islice(records, _WRITE_BLOCK)):
-        text = "".join([line % _row_values(r) for r in block])
-        times = [r.time_s for r in block]
-        # '%.9g' writes an "n" only in inf and nan
-        if "n" in text or not all(map(operator.lt, chain((prev,), times), times)):
-            _validate(map(_row_values, block), start, prev)
-        blocks.append(text.encode("ascii"))
-        start, prev = start + len(block), times[-1]
-    if not start:
+    blocks = [(HEADER + "\n").encode("ascii"), *map(str.encode, csv_rows(records))]
+    if len(blocks) == 1:
         raise TelemetryFormatError("no records to write")
     with open(destination, "wb") as out:
         out.writelines(blocks)
     return sum(map(len, blocks))
 
 
-def stream_records(records: Iterable[TelemetryRecord], out: TextIO) -> None:
-    """Newline-delimited rows (same column order, no header) for live piping."""
-    for record in records:
-        out.write(record.row() + "\n")
+def csv_rows(records: Iterable[TelemetryRecord]) -> Iterator[str]:
+    """The records' CSV rows without the header, checked and formatted a block at a time."""
+    if isinstance(records, Telemetry):  # rows straight from the array, no record each
+        rows = zip(*[iter(records.values)] * _WIDTH)
+    else:
+        rows = map(_row_values, records)
+    start, prev = 0, -math.inf
+    while block := list(chain.from_iterable(islice(rows, _WRITE_BLOCK))):
+        n = len(block) // _WIDTH
+        text = (_LINE * n) % tuple(block)
+        times = block[::_WIDTH]
+        # '%.9g' writes an "n" only in inf and nan; a block that fails either
+        # check holds a bad record, and the first one is named
+        if "n" in text or not all(map(operator.lt, chain((prev,), times), times)):
+            for i, values in enumerate(zip(*[iter(block)] * _WIDTH), start):
+                if not all(map(math.isfinite, values)):
+                    name = next(c for c, v in zip(_COLUMNS, values) if not math.isfinite(v))
+                    raise TelemetryFormatError(f"non-finite {name} in record {i}")
+                if not values[0] > prev:
+                    raise TelemetryFormatError(f"time not strictly increasing at record {i}")
+                prev = values[0]
+        yield text
+        start, prev = start + n, times[-1]
 
 
-def _validate(rows: Iterable[tuple[float, ...]], start: int, prev: float) -> None:
-    """Every value finite and time strictly increasing from `prev` on, per row
-    of column values; `start` is the index of the first row's record.
-    """
-    for i, values in enumerate(rows, start):
-        if not all(map(math.isfinite, values)):
-            name = next(n for n, v in zip(_COLUMNS, values) if not math.isfinite(v))
-            raise TelemetryFormatError(f"non-finite {name} in record {i}")
-        if not values[0] > prev:
-            raise TelemetryFormatError(f"time not strictly increasing at record {i}")
-        prev = values[0]
-
-
-def read_telemetry(source) -> list[TelemetryRecord]:
+def read_telemetry(source) -> Telemetry:
     """Parse a telemetry CSV, enforcing the exact header and monotone time.
 
     A path or a binary stream is read as ASCII, the only bytes `write_telemetry`
@@ -130,29 +143,23 @@ def read_telemetry(source) -> list[TelemetryRecord]:
     ahead of every other error in the file. A text stream is parsed as it reads.
     """
     _pin_mmap_threshold()
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as stream:
-            return _read(stream)
-    return _read(source)
-
-
-def _read(stream) -> list[TelemetryRecord]:
-    blocks = _line_blocks(stream)
-    records: list[TelemetryRecord] = []
-    prev, header = -math.inf, False
-    try:
-        for lineno, lines in blocks:
-            if not header and lines:
-                if lines[0] != HEADER:
-                    raise TelemetryFormatError(
-                        f"header mismatch: expected {HEADER!r}, got {lines[0]!r}", line=1
-                    )
-                header, lineno, lines = True, 2, lines[1:]
-            prev = _parse_block(lines, lineno, prev, records)
-    except TelemetryFormatError:
-        for _ in blocks:  # a non-ASCII byte later in the file is raised instead
-            pass
-        raise
+    with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as stream:
+        blocks = _line_blocks(stream)
+        records = Telemetry()
+        prev, header = -math.inf, False
+        try:
+            for lineno, lines in blocks:
+                if not header and lines:
+                    if lines[0] != HEADER:
+                        raise TelemetryFormatError(
+                            f"header mismatch: expected {HEADER!r}, got {lines[0]!r}", line=1
+                        )
+                    header, lineno, lines = True, 2, lines[1:]
+                prev = _parse_block(lines, lineno, prev, records.values)
+        except TelemetryFormatError:
+            for _ in blocks:  # a non-ASCII byte later in the file is raised instead
+                pass
+            raise
     if not header:
         raise TelemetryFormatError("empty file: header row required", line=1)
     if not records:
@@ -185,27 +192,20 @@ def _line_blocks(stream):
     yield lineno, carry.splitlines()
 
 
-def _parse_block(lines: list[str], lineno: int, prev: float, records: list) -> float:
-    """Append the records of lines, numbered from lineno; returns the last time.
+def _parse_block(lines: list[str], lineno: int, prev: float, out: array) -> float:
+    """Append the values of lines, numbered from lineno, to out; returns the last time.
 
-    A block of 13-field rows of finite, increasing values is checked and built
-    by whole-block operations; any other is walked line by line.
+    A block of 13-field rows of finite, increasing values is checked and parsed
+    by whole-block operations; any other is walked line by line to its first error.
     """
     if set(map(str.count, lines, repeat(","))) == {_WIDTH - 1}:
-        try:
+        with suppress(ValueError):  # a field float() rejects
             values = list(map(float, ",".join(lines).split(",")))
-        except ValueError:
-            return _parse_lines(lines, lineno, prev, records)
-        times = values[0::_WIDTH]
-        increasing = all(map(operator.lt, chain((prev,), times), times))
-        if increasing and all(map(math.isfinite, values)):
-            records.extend(map(TelemetryRecord, *[values[i::_WIDTH] for i in range(_WIDTH)]))
-            return times[-1]
-    return _parse_lines(lines, lineno, prev, records)
-
-
-def _parse_lines(lines: list[str], lineno: int, prev: float, records: list) -> float:
-    """The per-line parse: appends each row's record, raises the first error."""
+            times = values[0::_WIDTH]
+            increasing = all(map(operator.lt, chain((prev,), times), times))
+            if increasing and all(map(math.isfinite, values)):
+                out.extend(values)
+                return times[-1]
     for lineno, line in enumerate(lines, start=lineno):
         if not line:
             continue
@@ -221,5 +221,5 @@ def _parse_lines(lines: list[str], lineno: int, prev: float, records: list) -> f
         if not values[0] > prev:
             raise TelemetryFormatError("time not strictly increasing", line=lineno)
         prev = values[0]
-        records.append(TelemetryRecord(*values))
+        out.extend(values)
     return prev

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import statistics
 import struct
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +32,7 @@ from morphfin.experiments import (
 )
 from morphfin.hydro import FishParams, FishState, NoiseConfig
 from morphfin.metrics import PowerModel, cot
+from morphfin.telemetry import Telemetry
 
 
 def fast_env(**overrides) -> RunEnvironment:
@@ -269,6 +271,74 @@ class TestDepthStep:
         assert all(r.depth_m >= 0.0 for r in records)
 
 
+def _oracle_depth_reports(records, schedule):
+    """The per-record window filter that run_depth_step's bisect windows replaced."""
+    ordered = sorted(schedule)
+    reports = []
+    for i, (t_start, target) in enumerate(ordered):
+        t_end = ordered[i + 1][0] if i + 1 < len(ordered) else records[-1].time_s
+        seg = [r for r in records if t_start <= r.time_s <= t_end]
+        if not seg:
+            continue
+        step_size = abs(target - seg[0].depth_m)
+        band = 0.02 * (step_size if step_size > 0.0 else max(target, 1.0))
+        settled = None
+        for j in range(len(seg) - 1, -1, -1):
+            if abs(seg[j].depth_m - target) > band:
+                settled = seg[j + 1].time_s - t_start if j + 1 < len(seg) else None
+                break
+        else:
+            settled = 0.0
+        if step_size > 0.0:
+            signed = [
+                (r.depth_m - target) * (1.0 if target > seg[0].depth_m else -1.0)
+                for r in seg
+            ]
+            overshoot = max(0.0, max(signed)) / step_size * 100.0
+        else:
+            overshoot = 0.0
+        reports.append(experiments.DepthStepReport(t_start, target, settled, overshoot))
+    return reports
+
+
+def _report_bits(reports):
+    return [tuple(v if v is None else v.hex() for v in dataclasses.astuple(r)) for r in reports]
+
+
+def _depth_telemetry(times, depths):
+    """Records at the given times and depths, every other value 0."""
+    values = array("d")
+    for t, d in zip(times, depths):
+        values.extend([t, 0.0, 0.0, d] + [0.0] * 9)
+    return Telemetry(values)
+
+
+@st.composite
+def _depth_runs(draw):
+    """(records, schedule): increasing times and a schedule whose steps often start on a sample."""
+    raw = draw(st.lists(st.floats(0.0, 30.0) | st.integers(0, 30).map(float), min_size=1))
+    times = sorted(set(raw))
+    depths = draw(st.lists(st.floats(0.0, 1.0), min_size=len(times), max_size=len(times)))
+    start = st.sampled_from(times) | st.floats(-1.0, 35.0)
+    # a target drawn from the depths gives a step of size zero
+    target = st.sampled_from(depths) | st.floats(0.0, 1.0)
+    schedule = draw(st.lists(st.tuples(start, target), min_size=1, max_size=4))
+    return _depth_telemetry(times, depths), schedule
+
+
+class TestDepthStepWindows:
+    @given(_depth_runs())
+    @example((_depth_telemetry([0.0, 1.0, 2.0], [0.1, 0.3, 0.5]), [(0.0, 0.1), (1.0, 0.5)]))
+    @settings(max_examples=200, deadline=None)
+    def test_reports_match_the_per_record_filter(self, run):
+        records, schedule = run
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "run_condition", lambda *args, **kwargs: records)
+            got, reports = run_depth_step(fast_env(), schedule, 1.0, initial_depth=0.0)
+        assert got is records
+        assert _report_bits(reports) == _report_bits(_oracle_depth_reports(records, schedule))
+
+
 class TestPhysicalProperties:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -423,6 +493,30 @@ class TestCalibration:
         assert len(calls) == 1
         m = experiments._metrics_with_cot(env, calls[0][1], 2.33)
         assert _packed(got["speed"], got["cot"]) == _packed(m.mean_speed, m.cot)
+
+    @pytest.mark.parametrize(
+        "frequency, amplitude, message",
+        [
+            (0.0, 20.0, "frequency"),
+            (-1.0, 20.0, "frequency"),
+            (math.inf, 20.0, "frequency"),
+            (math.nan, 20.0, "frequency"),
+            (1.0, 0.0, "amplitude"),
+            (1.0, 60.0, "amplitude"),
+            (1.0, -5.0, "amplitude"),
+            (1.0, math.nan, "amplitude"),
+        ],
+    )
+    def test_target_outside_the_gait_range_is_a_config_error(self, frequency, amplitude, message):
+        # these once reached the simulation: 0 Hz as a ZeroDivisionError, the
+        # others as an inf loss with no residuals and no error
+        target = CalibrationTarget("p2p_bad", "p2p_yaw", frequency, amplitude, "folded", 1.0)
+        with pytest.raises(ConfigError, match=f"^p2p_bad: {message} must be") as exc:
+            calibrate([target], fast_env(), {"yaw_damping_fin": (0.0, 2.0)})
+        assert exc.value.field == "p2p_bad"
+
+    def test_target_at_the_amplitude_limit_is_valid(self):
+        CalibrationTarget("p2p_max", "p2p_yaw", 1.0, 45.0, "erect", 1.0).validate()
 
     def test_residuals_reported(self):
         result = calibrate(

@@ -246,9 +246,7 @@ class TestSimulate:
             controller = SwimController(ENV, gait)
             return simulate(FishParams(), controller, 2.0, 0.001, seed=42)
 
-        rows_a = [r.row() for r in run()]
-        rows_b = [r.row() for r in run()]
-        assert rows_a == rows_b
+        assert run().values.tobytes() == run().values.tobytes()
 
     def test_non_finite_actuation_faults_with_time(self):
         class BadController:

@@ -1,7 +1,9 @@
 import math
 import random
 import struct
+from array import array
 from dataclasses import astuple
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from morphfin.metrics import (
     servo_power,
     steady_window,
 )
-from morphfin.telemetry import TelemetryRecord
+from morphfin.telemetry import Telemetry, TelemetryRecord
 
 # Peak-to-peak yaw pairs and their printed improvements (measured data the
 # calibration anchors to): (amplitude deg, frequency Hz, erect, folded, printed %)
@@ -73,8 +75,13 @@ def _record(t, x=0.0, y=0.0, yaw=0.0, power=0.0):
     return TelemetryRecord(t, x, y, 0.0, yaw, 0.0, 0.0, 0.0, 0.0, 0.0, power, 0.0, 0.0)
 
 
+def _telemetry(records):
+    """The records as the flat array a run returns."""
+    return Telemetry(array("d", chain.from_iterable(map(astuple, records))))
+
+
 def _yaw_run(times, signal):
-    return [_record(t, yaw=v) for t, v in zip(times, signal)]
+    return _telemetry([_record(t, yaw=v) for t, v in zip(times, signal)])
 
 
 def _p2p_yaw(times, signal, frequency=1.0):
@@ -227,7 +234,7 @@ class TestWindows:
 
     def test_displacement_speed(self):
         # straight path at 0.5 m/s; at 2 Hz the window is [5, 8] s
-        records = [_record(float(t), x=0.3 * t, y=0.4 * t) for t in range(9)]
+        records = _telemetry([_record(float(t), x=0.3 * t, y=0.4 * t) for t in range(9)])
         assert condition_metrics(records, 2.0).mean_speed == pytest.approx(0.5)
 
 
@@ -302,14 +309,50 @@ def _runs(draw):
         records.append(
             _record(t, x=draw(_VALUE), y=draw(_VALUE), yaw=draw(_VALUE), power=draw(_VALUE))
         )
-    return records
+    return _telemetry(records)
 
 
 @given(_runs(), st.sampled_from([0.0, 0.3, 1.0, 2.5]))
-@example([_record(0.0), _record(6.0), _record(6.0)], 2.5)  # elapsed time zero
-@example([_record(0.0), _record(20.0)], 0.3)  # fewer than 2 samples
-@example([_record(float(t)) for t in range(21)], 0.3)  # fewer than 3 cycles
+@example(_telemetry([_record(0.0), _record(6.0), _record(6.0)]), 2.5)  # elapsed time zero
+@example(_telemetry([_record(0.0), _record(20.0)]), 0.3)  # fewer than 2 samples
+@example(_telemetry([_record(float(t)) for t in range(21)]), 0.3)  # fewer than 3 cycles
 def test_condition_metrics_matches_the_per_metric_oracle(records, frequency):
+    assert _outcome(condition_metrics, records, frequency) == _outcome(
+        _oracle_condition_metrics, records, frequency
+    )
+
+
+_FREQUENCIES = st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.5])
+
+
+@st.composite
+def _windowed_runs(draw):
+    """(records, frequency): strictly increasing times, some exactly on the window's edges.
+
+    The window [t0, t1] depends only on the first and last times, so a sample
+    added between them at t0 or t1 leaves the window where it was.
+    """
+    frequency = draw(_FREQUENCIES)
+    raw = draw(st.lists(st.floats(0.0, 40.0) | st.integers(0, 40).map(float), min_size=1))
+    times = sorted(set(raw))
+    edges = []
+    try:
+        t0, t1 = steady_window(times[-1] - times[0], frequency)
+        edges = [t for t in (t0, t1) if times[0] < t < times[-1] and draw(st.booleans())]
+    except InsufficientDataError:
+        pass
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    records = [
+        _record(t, x=draw(values), y=draw(values), yaw=draw(values), power=draw(values))
+        for t in sorted(set(times + edges))
+    ]
+    return _telemetry(records), frequency
+
+
+@given(_windowed_runs())
+@example((_yaw_run([0.0, 5.0, 7.0, 12.0], [1.0, 2.0, -3.0, 4.0]), 1.0))  # t0, t1 on samples
+def test_condition_metrics_bisect_window_matches_the_filter(run):
+    records, frequency = run
     assert _outcome(condition_metrics, records, frequency) == _outcome(
         _oracle_condition_metrics, records, frequency
     )

@@ -2,6 +2,8 @@ import dataclasses
 import io
 import math
 import struct
+from array import array
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,9 @@ from morphfin.hydro import FishParams, simulate
 from morphfin.telemetry import (
     _COLUMNS,
     HEADER,
+    Telemetry,
     TelemetryRecord,
+    csv_rows,
     read_telemetry,
     write_telemetry,
 )
@@ -55,7 +59,7 @@ class TestWrite:
         assert lines[0] == HEADER
 
     def test_golden_row(self):
-        assert record().row() == GOLDEN_ROW
+        assert list(csv_rows([record()])) == [GOLDEN_ROW + "\n"]
 
     def test_round_trip(self, tmp_path):
         records = [record(0.01 * i) for i in range(1, 50)]
@@ -110,8 +114,8 @@ class TestWrite:
 
 
 def _oracle_row(r):
-    """The per-field format() join that row() replaced."""
-    return ",".join(format(getattr(r, c), ".9g") for c in _COLUMNS)
+    """The per-field format() join that the block-wise %-format replaced."""
+    return ",".join(format(getattr(r, c), ".9g") for c in _COLUMNS) + "\n"
 
 
 # any finite double: subnormals, +-0.0 and the extremes included
@@ -126,7 +130,8 @@ class TestRowOracle:
     @settings(max_examples=500)
     def test_row_matches_per_field_format(self, values):
         r = TelemetryRecord(*values)
-        assert r.row() == _oracle_row(r)
+        assert list(csv_rows([r])) == [_oracle_row(r)]
+        assert list(csv_rows(Telemetry(array("d", values)))) == [_oracle_row(r)]
 
 
 def _packed(values):
@@ -160,7 +165,9 @@ class TestRoundTrip:
 
 
 class TestRecordContract:
-    """perfbench reads records through their instance __dict__, in column order."""
+    """perfbench reads records through their instance __dict__, in column order,
+    from iterating a Telemetry and from indexing it, negative indices included.
+    """
 
     def assert_contract(self, r):
         assert list(vars(r)) == list(_COLUMNS)
@@ -186,6 +193,10 @@ class TestRecordContract:
         records = simulate(FishParams(), controller, 0.05, 0.001)
         for rec in records:
             self.assert_contract(rec)
+        self.assert_contract(records[-1])
+        assert records[-1] == records[len(records) - 1] == list(records)[-1]
+        with pytest.raises(IndexError):
+            records[len(records)]
 
 
 def _bad_row(column, token):
@@ -446,7 +457,7 @@ class TestBlockReader:
         path = tmp_path / "long.csv"
         write_telemetry(records, path)
         assert path.stat().st_size > 2 * telemetry._READ_BLOCK
-        assert read_telemetry(path) == _oracle_parse(path.read_text())
+        assert list(read_telemetry(path)) == _oracle_parse(path.read_text())
 
 
 _bad_value = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -490,6 +501,52 @@ class TestBlockWriter:
                 assert path.read_bytes() == expected
 
 
+def _write_outcome(source, path):
+    """("ok", the bytes written) or ("error", the message); a failed write leaves no file."""
+    try:
+        count = write_telemetry(source, path)
+    except TelemetryFormatError as exc:
+        assert not path.exists()
+        return ("error", str(exc))
+    data = path.read_bytes()
+    assert count == len(data)
+    return ("ok", data)
+
+
+class TestWritePaths:
+    """A Telemetry is formatted straight from its array, a list of records from
+    their fields: both write the same bytes and raise the same first error.
+    """
+
+    @given(
+        rows=st.lists(st.lists(_finite, min_size=13, max_size=13), min_size=1, max_size=14),
+        block=st.integers(1, 5),
+        flaw=st.one_of(st.none(), st.just("time"), st.tuples(st.integers(0, 12), _bad_value)),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_telemetry_and_its_records_write_alike(self, tmp_path_factory, rows, block, flaw, data):
+        times = _increasing_times(row[0] for row in rows)
+        values = array("d", chain.from_iterable([t, *row[1:]] for t, row in zip(times, rows)))
+        if flaw is not None and len(times) > block:
+            # in a later block: a time repeating the one before, or a bad value
+            k = data.draw(st.integers(block, len(times) - 1))
+            if flaw == "time":
+                values[13 * k] = values[13 * (k - 1)]
+            else:
+                values[13 * k + flaw[0]] = flaw[1]
+        run = Telemetry(values)
+        path = tmp_path_factory.mktemp("paths") / "out.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(telemetry, "_WRITE_BLOCK", block)
+            from_array = _write_outcome(run, path)
+            path.unlink(missing_ok=True)
+            assert _write_outcome(list(run), path) == from_array
+        if from_array[0] == "ok":
+            rounded = array("d", [float("%.9g" % v) for v in values])
+            assert read_telemetry(path).values.tobytes() == rounded.tobytes()
+
+
 class TestMmapThreshold:
     """The first read or write fixes glibc's mmap threshold, once, unless the environment does."""
 
@@ -519,10 +576,10 @@ class TestMmapThreshold:
 
     def test_an_explicit_environment_setting_wins(self, monkeypatch, mallopt_calls):
         monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "65536")
-        read_telemetry(io.BytesIO((HEADER + "\n" + record().row() + "\n").encode()))
+        read_telemetry(io.BytesIO((HEADER + "\n" + GOLDEN_ROW + "\n").encode()))
         assert mallopt_calls == []
 
     def test_not_called_off_linux(self, monkeypatch, mallopt_calls):
         monkeypatch.setattr(telemetry.sys, "platform", "darwin")
-        read_telemetry(io.BytesIO((HEADER + "\n" + record().row() + "\n").encode()))
+        read_telemetry(io.BytesIO((HEADER + "\n" + GOLDEN_ROW + "\n").encode()))
         assert mallopt_calls == []
