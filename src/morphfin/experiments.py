@@ -35,6 +35,17 @@ YAW_FREQUENCIES = [0.5, 1.0]
 YAW_AMPLITUDES = [10.0, 20.0, 30.0]
 
 
+def _check_gaits(frequencies, amplitudes, frequency_field: str, amplitude_field: str) -> None:
+    """The gait rule of sweeps and calibration targets, raised as a ConfigError."""
+    if not frequencies or not all(f > 0.0 for f in frequencies):
+        raise ConfigError("frequencies must be positive", frequency_field)
+    if not all(map(math.isfinite, frequencies)):
+        raise ConfigError("frequencies must be finite", frequency_field)
+    # a still tail swims nowhere: its COT and yaw improvement are undefined
+    if not amplitudes or not all(0.0 < a <= MAX_AMPLITUDE_DEG for a in amplitudes):
+        raise ConfigError(f"amplitudes must be in (0, {MAX_AMPLITUDE_DEG:g}] deg", amplitude_field)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One protocol grid; `kind` is the protocol that runs it, speed_sweep or yaw_study."""
@@ -52,15 +63,9 @@ class ExperimentSpec:
             raise ConfigError(f"unknown kind {self.kind!r}", "experiment.kind")
         if not 1 <= self.repeats <= 1000:  # the seed stride between sweep cells
             raise ConfigError("repeats must be in [1, 1000]", "experiment.repeats")
-        if not self.frequencies or not all(f > 0.0 for f in self.frequencies):
-            raise ConfigError("frequencies must be positive", "experiment.frequencies")
-        if not self.amplitudes:
-            raise ConfigError("need at least one amplitude", "experiment.amplitudes")
-        # a still tail swims nowhere: its COT and yaw improvement are undefined
-        if not all(0.0 < a <= MAX_AMPLITUDE_DEG for a in self.amplitudes):
-            raise ConfigError(
-                f"amplitudes must be in (0, {MAX_AMPLITUDE_DEG:g}] deg", "experiment.amplitudes"
-            )
+        _check_gaits(
+            self.frequencies, self.amplitudes, "experiment.frequencies", "experiment.amplitudes"
+        )
         if not self.fin_states:
             raise ConfigError("need at least one fin state", "experiment.fin_states")
         if any(state not in FIN_STATES for state in self.fin_states):
@@ -430,10 +435,7 @@ class CalibrationTarget:
             raise ConfigError(f"unknown observable {self.observable!r}", self.name)
         if not (self.value > 0.0 and self.weight > 0.0):
             raise ConfigError("value and weight must be > 0", self.name)
-        if not (math.isfinite(self.frequency) and self.frequency > 0.0):
-            raise ConfigError("frequency must be finite and > 0", self.name)
-        if not 0.0 < self.amplitude <= MAX_AMPLITUDE_DEG:
-            raise ConfigError(f"amplitude must be in (0, {MAX_AMPLITUDE_DEG:g}] deg", self.name)
+        _check_gaits([self.frequency], [self.amplitude], self.name, self.name)
         _erection(self.fin_state)
 
 

@@ -112,10 +112,7 @@ def write_telemetry(records: Iterable[TelemetryRecord], destination) -> int:
 
 def csv_rows(records: Iterable[TelemetryRecord]) -> Iterator[str]:
     """The records' CSV rows without the header, checked and formatted a block at a time."""
-    if isinstance(records, Telemetry):  # rows straight from the array, no record each
-        rows = zip(*[iter(records.values)] * _WIDTH)
-    else:
-        rows = map(_row_values, records)
+    rows = map(_row_values, records)
     start, prev = 0, -math.inf
     while block := list(chain.from_iterable(islice(rows, _WRITE_BLOCK))):
         n = len(block) // _WIDTH

@@ -283,6 +283,7 @@ def test_config_error_message_and_field(data, field, message):
         ({"experiment": {"amplitudes": []}}, "experiment.amplitudes"),
         ({"experiment": {"frequencies": [math.nan]}}, "experiment.frequencies"),
         ({"experiment": {"frequencies": [1.0, math.nan]}}, "experiment.frequencies"),
+        ({"experiment": {"frequencies": [math.inf]}}, "experiment.frequencies"),
         # grid amplitudes outside (0, 45] deg, checked at load
         ({"experiment": {"amplitudes": [-1.0]}}, "experiment.amplitudes"),
         ({"experiment": {"amplitudes": [45.000001]}}, "experiment.amplitudes"),

@@ -497,14 +497,14 @@ class TestCalibration:
     @pytest.mark.parametrize(
         "frequency, amplitude, message",
         [
-            (0.0, 20.0, "frequency"),
-            (-1.0, 20.0, "frequency"),
-            (math.inf, 20.0, "frequency"),
-            (math.nan, 20.0, "frequency"),
-            (1.0, 0.0, "amplitude"),
-            (1.0, 60.0, "amplitude"),
-            (1.0, -5.0, "amplitude"),
-            (1.0, math.nan, "amplitude"),
+            (0.0, 20.0, "frequencies"),
+            (-1.0, 20.0, "frequencies"),
+            (math.inf, 20.0, "frequencies"),
+            (math.nan, 20.0, "frequencies"),
+            (1.0, 0.0, "amplitudes"),
+            (1.0, 60.0, "amplitudes"),
+            (1.0, -5.0, "amplitudes"),
+            (1.0, math.nan, "amplitudes"),
         ],
     )
     def test_target_outside_the_gait_range_is_a_config_error(self, frequency, amplitude, message):

@@ -501,21 +501,9 @@ class TestBlockWriter:
                 assert path.read_bytes() == expected
 
 
-def _write_outcome(source, path):
-    """("ok", the bytes written) or ("error", the message); a failed write leaves no file."""
-    try:
-        count = write_telemetry(source, path)
-    except TelemetryFormatError as exc:
-        assert not path.exists()
-        return ("error", str(exc))
-    data = path.read_bytes()
-    assert count == len(data)
-    return ("ok", data)
-
-
-class TestWritePaths:
-    """A Telemetry is formatted straight from its array, a list of records from
-    their fields: both write the same bytes and raise the same first error.
+class TestTelemetryWrite:
+    """A Telemetry writes through its records: the single-pass writer's bytes or
+    its first error, and what it writes reads back at 9 significant digits.
     """
 
     @given(
@@ -525,7 +513,7 @@ class TestWritePaths:
         data=st.data(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_telemetry_and_its_records_write_alike(self, tmp_path_factory, rows, block, flaw, data):
+    def test_matches_the_oracle_and_reads_back(self, tmp_path_factory, rows, block, flaw, data):
         times = _increasing_times(row[0] for row in rows)
         values = array("d", chain.from_iterable([t, *row[1:]] for t, row in zip(times, rows)))
         if flaw is not None and len(times) > block:
@@ -536,15 +524,21 @@ class TestWritePaths:
             else:
                 values[13 * k + flaw[0]] = flaw[1]
         run = Telemetry(values)
-        path = tmp_path_factory.mktemp("paths") / "out.csv"
+        path = tmp_path_factory.mktemp("telemetry") / "out.csv"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(telemetry, "_WRITE_BLOCK", block)
-            from_array = _write_outcome(run, path)
-            path.unlink(missing_ok=True)
-            assert _write_outcome(list(run), path) == from_array
-        if from_array[0] == "ok":
-            rounded = array("d", [float("%.9g" % v) for v in values])
-            assert read_telemetry(path).values.tobytes() == rounded.tobytes()
+            try:
+                expected = _oracle_write(list(run))
+            except TelemetryFormatError as exc:
+                with pytest.raises(TelemetryFormatError) as got:
+                    write_telemetry(run, path)
+                assert str(got.value) == str(exc)
+                assert not path.exists()
+                return
+            assert write_telemetry(run, path) == len(expected)
+        assert path.read_bytes() == expected
+        rounded = array("d", [float("%.9g" % v) for v in values])
+        assert read_telemetry(path).values.tobytes() == rounded.tobytes()
 
 
 class TestMmapThreshold:
