@@ -39,7 +39,7 @@ def _environment(config: RunConfig) -> xp.RunEnvironment:
 
 
 def _replay_metrics(records, frequency: float, mass: float, gravity: float) -> dict:
-    window = steady_window(records[-1].time_s - records[0].time_s, frequency)
+    window = steady_window(records[0].time_s, records[-1].time_s, frequency)
     m = xp.condition_metrics(records, frequency)
     return {
         "window_s": list(window),
@@ -79,7 +79,7 @@ def _grid_spec(config: RunConfig, kind: str) -> xp.ExperimentSpec:
 def _write_grid(
     out: Path, table: str, csv: str, kept: list, prefix: str, series, style, chart: str
 ) -> None:
-    """The grid's table, the first-repeat telemetry of each cell, and its chart."""
+    """The grid's table, the telemetry of each cell's one run, and its chart."""
     out.mkdir(parents=True, exist_ok=True)
     (out / table).write_text(csv)
     for freq, amp, fin_state, records in kept:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, replace
 from statistics import fmean, pstdev
 from typing import Sequence
 
@@ -23,9 +23,7 @@ from .errors import (
     ConfigError, DomainError, InsufficientDataError, MorphfinError, SimulationFault,
 )
 from .hydro import FishParams, FishState, NoiseConfig, simulate
-from .metrics import (
-    TRANSIENT_CYCLES, TRANSIENT_SECONDS, PowerModel, cot, improvement, steady_window,
-)
+from .metrics import PowerModel, cot, improvement, steady_window, transient
 from .telemetry import Telemetry
 
 FIN_STATES = ("folded", "erect")
@@ -61,7 +59,9 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.kind not in ("speed_sweep", "yaw_study"):
             raise ConfigError(f"unknown kind {self.kind!r}", "experiment.kind")
-        if not 1 <= self.repeats <= 1000:  # the seed stride between sweep cells
+        # a cell runs once whatever its repeats; this bound only keeps the set of
+        # configs that load as it was when each repeat drew its own seed
+        if not 1 <= self.repeats <= 1000:
             raise ConfigError("repeats must be in [1, 1000]", "experiment.repeats")
         _check_gaits(
             self.frequencies, self.amplitudes, "experiment.frequencies", "experiment.amplitudes"
@@ -162,7 +162,7 @@ def condition_metrics(records: Telemetry, frequency: float) -> ConditionMetrics:
     minus min, over a window of at least 3 gait cycles.
     """
     times = records.column("time_s")
-    t0, t1 = steady_window(times[-1] - times[0], frequency)
+    t0, t1 = steady_window(times[0], times[-1], frequency)
     # times never decrease, so this is the window t0 <= time_s <= t1
     a, b = bisect_left(times, t0), bisect_right(times, t1)
     if b - a < 2:
@@ -241,63 +241,38 @@ def _cell(
     return records, _metrics_with_cot(env, records, frequency)
 
 
-def _aggregate(
-    env: RunEnvironment,
-    frequency: float,
-    amplitude: float,
-    fin_state: str,
-    duration: float,
-    repeats: int,
-    base_seed: int,
-    keep_records: list | None = None,
-) -> SweepRow:
-    """Mean and population std of each metric over `repeats` seeded runs of one cell.
-
-    Repeat `rep` runs with seed `base_seed + rep`. Without sensor noise the
-    seed is never read, so every repeat is the same trajectory: only repeat 0
-    is simulated, its metrics stand for all `repeats`, and the stds are 0.
-    """
-    runs = []
-    for rep in range(repeats if env.noise.enabled else 1):
-        try:
-            records, m = _cell(env, frequency, amplitude, fin_state, duration, base_seed + rep)
-        except SimulationFault as exc:
-            raise MorphfinError(
-                f"sweep aborted: condition (f={frequency} Hz, amp={amplitude} deg, "
-                f"{fin_state}) repeat {rep} faulted: {exc}"
-            ) from exc
-        if keep_records is not None and rep == 0:
-            keep_records.append((frequency, amplitude, fin_state, records))
-        runs.append(m)
-    if not env.noise.enabled:
-        runs *= repeats
-    # SweepRow holds each ConditionMetrics field's mean, then its std, in field order
-    columns = [[getattr(m, f.name) for m in runs] for f in fields(ConditionMetrics)]
-    stats = [stat(c) for c in columns for stat in (fmean, pstdev)]
-    return SweepRow(frequency, amplitude, fin_state, *stats)
-
-
 def _sweep_rows(
     env: RunEnvironment, spec: ExperimentSpec, kind: str, keep_records: list | None
 ) -> list[SweepRow]:
-    """One aggregated row per (fin state, amplitude, frequency) cell of the grid."""
+    """One row per (fin state, amplitude, frequency) cell of the grid, from one run of the cell.
+
+    Cell `i` runs once, with seed `spec.seed + 1000*i`. The seed and the sensor
+    noise reach only the depth loop, and no metric reads depth, so every repeat
+    of a cell would give the same metrics: the one run stands for all
+    `spec.repeats`, and each std is 0.
+    """
     if spec.kind != kind:
         raise DomainError(f"spec kind must be {kind}, got {spec.kind!r}")
     spec.validate()
+    rows = []
     cells = itertools.product(spec.fin_states, spec.amplitudes, spec.frequencies)
-    return [
-        _aggregate(
-            env,
-            frequency,
-            amplitude,
-            fin_state,
-            spec.duration,
-            spec.repeats,
-            spec.seed + 1000 * run_index,
-            keep_records,
-        )
-        for run_index, (fin_state, amplitude, frequency) in enumerate(cells)
-    ]
+    for i, (fin_state, amplitude, frequency) in enumerate(cells):
+        try:
+            records, m = _cell(
+                env, frequency, amplitude, fin_state, spec.duration, spec.seed + 1000 * i
+            )
+        except SimulationFault as exc:
+            raise MorphfinError(
+                f"sweep aborted: condition (f={frequency} Hz, amp={amplitude} deg, "
+                f"{fin_state}) faulted: {exc}"
+            ) from exc
+        if keep_records is not None:
+            keep_records.append((frequency, amplitude, fin_state, records))
+        # each ConditionMetrics field's mean, then its std, over `repeats` copies of
+        # its value, as a row always held: fmean of copies may round off the last bit
+        stats = [stat([v] * spec.repeats) for v in astuple(m) for stat in (fmean, pstdev)]
+        rows.append(SweepRow(frequency, amplitude, fin_state, *stats))
+    return rows
 
 
 def run_speed_sweep(
@@ -472,8 +447,7 @@ class CalibrationResult:
 
 def _observable_duration(observable: str, frequency: float) -> float:
     if observable == "p2p_yaw":
-        transient = max(TRANSIENT_SECONDS, TRANSIENT_CYCLES / frequency)
-        return transient + 8.0 / frequency
+        return transient(frequency) + 8.0 / frequency
     return 25.0
 
 

@@ -152,7 +152,10 @@ def erection_fraction(
 ) -> float:
     """Normalized fin deployment: 0 at the folded drive angle, 1 at the erect one.
 
-    Drive angles outside the folded-erect range clamp to its nearer end.
+    Drive angles outside the folded-erect range clamp to its nearer end, and
+    so does a rocker angle short of folded: the default rocker first swings
+    0.26 deg away from erect, so the fraction reads 0 up to a drive angle of
+    0.7123 rad, 10.8 deg past folded, and is non-decreasing after that.
     """
     lo = min(geom.drive_angle_folded, geom.drive_angle_erect)
     hi = max(geom.drive_angle_folded, geom.drive_angle_erect)

@@ -54,16 +54,20 @@ def cot(mean_power: float, mass: float, gravity: float, mean_speed: float) -> fl
     return mean_power / (mass * gravity * mean_speed)
 
 
-def steady_window(duration: float, frequency: float) -> tuple[float, float]:
-    """(start, end) of the steady analysis window for a run of given duration."""
-    start = TRANSIENT_SECONDS
-    if frequency > 0.0:
-        start = max(start, TRANSIENT_CYCLES / frequency)
-    if start >= duration:
+def transient(frequency: float) -> float:
+    """Length (s) of a run's initial transient at a gait frequency: max(5 s, 5 cycles)."""
+    cycles = TRANSIENT_CYCLES / frequency if frequency > 0.0 else 0.0
+    return max(TRANSIENT_SECONDS, cycles)
+
+
+def steady_window(first: float, last: float, frequency: float) -> tuple[float, float]:
+    """(start, end) times of the steady analysis window of a run from `first` to `last` s."""
+    start = first + transient(frequency)
+    if start >= last:
         raise InsufficientDataError(
-            f"run of {duration} s is entirely transient (window starts at {start} s)"
+            f"run of {last - first} s is entirely transient (window starts at {start} s)"
         )
-    return start, duration
+    return start, last
 
 
 def improvement(folded_p2p: float, erect_p2p: float) -> float:

@@ -504,8 +504,29 @@ def _telemetry() -> bytes:
         return path.read_bytes()
 
 
-def _short_config(data, draw):
-    """A fuzzed config whose run, if it loads, is at most 3 s and 3000 steps long."""
+_GRID_KINDS = {"sweep-speed": "speed_sweep", "yaw-study": "yaw_study"}
+
+
+def _short_grid(draw, command):
+    """A grid of the subcommand's kind: 1-2 cells of 6.5 s at >= 2 Hz, some amplitudes invalid."""
+    if command == "yaw-study":
+        fin_states = list(xp.FIN_STATES)
+    else:
+        fin_states = draw(st.sampled_from([["folded"], ["erect"], list(xp.FIN_STATES)]))
+    return {
+        "kind": _GRID_KINDS[command],
+        "frequencies": draw(st.lists(st.floats(2.0, 2.5), min_size=1, max_size=3 - len(fin_states))),
+        "amplitudes": [draw(st.floats(0.0, 50.0))],
+        "fin_states": fin_states,
+        "duration": 6.5,
+    }
+
+
+def _short_config(data, draw, command):
+    """A fuzzed config whose run, if it loads, is at most 3 s and 3000 steps long.
+
+    A grid subcommand instead runs a grid of 1-2 short cells at sim.dt 0.01.
+    """
     if not isinstance(data, dict) or not isinstance(data.get("sim", {}), dict):
         return data
     sim = dict(data.get("sim", {}))
@@ -513,7 +534,12 @@ def _short_config(data, draw):
     dt = sim.get("dt")
     if isinstance(dt, float) and 0.0 < dt < 1e-3:
         duration = min(duration, 3000 * dt)
-    return {**data, "sim": {**sim, "duration": duration}}
+    data = {**data, "sim": {**sim, "duration": duration}}
+    experiment = data.get("experiment", {})
+    if command in _GRID_KINDS and isinstance(experiment, dict):
+        data["experiment"] = {**experiment, **_short_grid(draw, command)}
+        data["sim"]["dt"] = 0.01
+    return data
 
 
 def _damaged(data: bytes, draw) -> bytes:
@@ -546,9 +572,10 @@ _EXTREMES = _optional(
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_main_exits_cleanly_and_a_failure_writes_nothing(data):
-    command = data.draw(st.sampled_from(["run", "depth-step", "replay", "plot"]))
+    commands = ["run", "depth-step", "replay", "plot", *_GRID_KINDS]
+    command = data.draw(st.sampled_from(commands))
     drawn = data.draw(_object_like(RunConfig()) | _VALUES | _EXTREMES)
-    config = _short_config(drawn, data.draw)
+    config = _short_config(drawn, data.draw, command)
     with tempfile.TemporaryDirectory() as tmp:
         config_path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         config_path.write_text(json.dumps(config))

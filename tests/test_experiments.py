@@ -31,8 +31,8 @@ from morphfin.experiments import (
     yaw_study_spec,
 )
 from morphfin.hydro import FishParams, FishState, NoiseConfig
-from morphfin.metrics import PowerModel, cot
-from morphfin.telemetry import Telemetry
+from morphfin.metrics import PowerModel, cot, transient
+from morphfin.telemetry import HEADER, Telemetry
 
 
 def fast_env(**overrides) -> RunEnvironment:
@@ -66,9 +66,10 @@ class TestProtocolShape:
         with pytest.raises(MorphfinError):
             ExperimentSpec(frequencies=[0.5], duration=5.0).validate()  # < 10 / 0.5
 
-    def test_repeats_stay_below_the_cell_seed_stride(self):
-        # cell i's repeat r runs with seed + 1000*i + r, so a 1001st repeat
-        # would rerun cell i+1's repeat 0
+    def test_repeats_stay_at_most_1000(self):
+        # a cell runs once, with seed + 1000*i, whatever its repeats; the
+        # bound stays so that the same configs load as when each repeat drew
+        # its own seed
         ExperimentSpec(repeats=1000).validate()
         with pytest.raises(ConfigError) as info:
             ExperimentSpec(repeats=1001).validate()
@@ -126,27 +127,17 @@ class TestDeterminism:
         assert row.power_std == 0.0
         assert row.p2p_std == 0.0
 
-    def test_noise_reaches_the_depth_loop_only(self):
-        # depth noise drives the depth PID and so the syringe and heave; no
-        # controller reads the yaw measurement, so the planar motion and every
-        # sweep metric stay as without noise
-        from morphfin.hydro import NoiseConfig
-
-        noisy = fast_env(noise=NoiseConfig(enabled=True), depth_hold=True)
-        gait = GaitCommand(frequency=1.5, amplitude=20.0)
-        a = run_condition(noisy, gait, 12.0, seed=0)
-        b = run_condition(noisy, gait, 12.0, seed=1)
-        assert [r.depth_m for r in a] != [r.depth_m for r in b]
-        assert [r.syringe_ml for r in a] != [r.syringe_ml for r in b]
-
-        spec = ExperimentSpec(
-            frequencies=[1.5], amplitudes=[20.0], fin_states=["folded"],
-            repeats=3, duration=12.0,
+    def test_a_run_that_starts_later_has_the_same_metrics(self):
+        # the steady window starts max(5 s, 5 cycles) after the first record;
+        # the gait's phase is rounded at other times, so the match is not exact
+        env = fast_env()
+        gait = GaitCommand(frequency=1.0, amplitude=20.0)
+        base = experiments.condition_metrics(run_condition(env, gait, 25.0, 0), 1.0)
+        records = run_condition(env, gait, 25.0, 0, initial_state=FishState(time=100.0))
+        later = experiments.condition_metrics(records, 1.0)
+        assert (later.mean_speed, later.mean_power, later.p2p_yaw) == pytest.approx(
+            (base.mean_speed, base.mean_power, base.p2p_yaw), rel=1e-12
         )
-        row = run_speed_sweep(noisy, spec).rows[0]
-        quiet = run_speed_sweep(fast_env(depth_hold=True), spec).rows[0]
-        assert row == quiet
-        assert row.speed_std == row.power_std == row.p2p_std == 0.0
 
 
 def _packed(*values: float) -> bytes:
@@ -178,8 +169,10 @@ class TestRepeatDedupe:
         repeats=5, duration=12.0, seed=3,
     )
 
-    def test_noise_free_row_is_bit_equal_to_every_repeat_run(self, monkeypatch):
-        env = fast_env()
+    @pytest.mark.parametrize("noise_on", [False, True], ids=["noise_off", "noise_on"])
+    def test_row_is_bit_equal_to_every_repeat_run(self, monkeypatch, noise_on):
+        # the oracle simulates every repeat with its own seed
+        env = fast_env(noise=NoiseConfig(enabled=noise_on), depth_hold=True)
         calls = _counting_run_condition(monkeypatch)
         rows = run_speed_sweep(env, self.SPEC).rows
         assert len(calls) == len(rows) == 2  # one simulation per cell
@@ -204,19 +197,81 @@ class TestRepeatDedupe:
                 row.cot, row.cot_std, row.p2p_yaw, row.p2p_std,
             ]
             assert _packed(*got) == _packed(*expected)
+            assert row.speed_std == row.power_std == row.cot_std == row.p2p_std == 0.0
+        if noise_on:
+            assert rows == run_speed_sweep(fast_env(depth_hold=True), self.SPEC).rows
 
     @pytest.mark.parametrize("noise_on", [False, True], ids=["noise_off", "noise_on"])
     def test_runs_seeds_and_kept_records_per_cell(self, monkeypatch, noise_on):
-        # without noise only repeat 0 of each cell is simulated; with it, all are
+        # each cell is simulated once, with or without noise, and its run is kept
         env = fast_env(noise=NoiseConfig(enabled=noise_on), depth_hold=True)
         calls = _counting_run_condition(monkeypatch)
         kept = []
         run_speed_sweep(env, self.SPEC, keep_records=kept)
-        runs = self.SPEC.repeats if noise_on else 1
-        bases = [self.SPEC.seed + 1000 * cell for cell in range(2)]
-        assert [seed for seed, _ in calls] == [b + rep for b in bases for rep in range(runs)]
+        assert [seed for seed, _ in calls] == [3, 1003]
         assert [f for f, _, _, _ in kept] == [1.0, 2.0]
-        assert kept[0][3] is calls[0][1] and kept[1][3] is calls[runs][1]
+        assert kept[0][3] is calls[0][1] and kept[1][3] is calls[1][1]
+
+
+_PLANAR_PARAMS = ("thrust_coeff", "tail_reaction_coeff", "yaw_damping_body", "yaw_damping_fin")
+_PLANAR_COLUMNS = [c for c in HEADER.split(",") if c not in ("depth_m", "syringe_ml")]
+
+
+def _planar_outcome(env, gait, duration, seed):
+    """(the bits of a run's planar columns and metrics, or its fault's message; the records)."""
+    try:
+        records = run_condition(env, gait, duration, seed)
+        m = experiments._metrics_with_cot(env, records, gait.frequency)
+    except MorphfinError as exc:
+        return f"{type(exc).__name__}: {exc}", None
+    columns = b"".join(_packed(*records.column(c)) for c in _PLANAR_COLUMNS)
+    return columns + _packed(*dataclasses.astuple(m)), records
+
+
+class TestPlanarHeaveDecoupling:
+    """Surge, sway, yaw, thrust and power read neither depth nor heave.
+
+    The depth loop, the depth noise and the seed reach only heave, depth and
+    the syringe, so speed, power, COT and yaw p2p do not depend on them. The
+    sweep runs each cell once on this property.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        frequency=st.floats(0.5, 2.5),
+        amplitude=st.floats(1.0, 45.0),
+        erection=st.floats(0.0, 1.0),
+        planar=st.fixed_dictionaries(
+            {n: st.floats(*experiments.DEFAULT_BOUNDS[n]) for n in _PLANAR_PARAMS}
+        ),
+        dt=st.sampled_from([0.01, 0.005, 0.001]),
+        seed=st.integers(min_value=0, max_value=2**64),
+    )
+    # the default robot at 1.5 Hz and 20 deg; and one whose yaw diverges at
+    # dt = 0.01, which must fault alike in all four runs
+    @example(1.5, 20.0, 0.0, {n: getattr(FishParams(), n) for n in _PLANAR_PARAMS}, 0.01, 0)
+    @example(
+        2.0, 30.0, 0.5,
+        {"thrust_coeff": 0.2, "tail_reaction_coeff": 0.5, "yaw_damping_body": 2.0,
+         "yaw_damping_fin": 1.0},
+        0.01, 0,
+    )
+    def test_planar_outcome_ignores_the_depth_loop_noise_and_seed(
+        self, frequency, amplitude, erection, planar, dt, seed
+    ):
+        env = fast_env(dt=dt, record_every=round(0.01 / dt))
+        env = dataclasses.replace(env, params=dataclasses.replace(env.params, **planar))
+        gait = GaitCommand(frequency, amplitude, fin_erection_setpoint=erection)
+        duration = transient(frequency) + 4.0 / frequency
+        held = dataclasses.replace(env, depth_hold=True)
+        noisy = dataclasses.replace(held, noise=NoiseConfig(enabled=True))
+        runs = [(env, seed), (held, seed), (noisy, seed), (noisy, seed + 1)]
+        outcomes = [_planar_outcome(e, gait, duration, s) for e, s in runs]
+        assert len({bits for bits, _ in outcomes}) == 1
+        a, b = outcomes[2][1], outcomes[3][1]
+        if a is not None:  # the noise does reach the depth loop
+            assert a.column("depth_m") != b.column("depth_m")
+            assert a.column("syringe_ml") != b.column("syringe_ml")
 
 
 class TestSeedProperties:

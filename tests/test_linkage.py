@@ -182,8 +182,15 @@ class TestErectionFraction:
     def test_monotone_over_sweep(self):
         geom = default_geometry()
         lo, hi = geom.drive_angle_folded, geom.drive_angle_erect
-        values = [erection_fraction(geom, lo + (hi - lo) * i / 500) for i in range(501)]
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+        values = [erection_fraction(geom, lo + (hi - lo) * i / 2000) for i in range(2001)]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_reads_zero_through_the_rocker_dip(self):
+        # the default rocker swings back past folded for the first 10.8 deg
+        # of drive; the clamp holds the fraction at 0 there, then it rises
+        geom = default_geometry()
+        assert erection_fraction(geom, 0.616) == erection_fraction(geom, 0.712) == 0.0
+        assert erection_fraction(geom, 0.7125) > 0.0
 
     def test_out_of_range_clamps(self):
         geom = default_geometry()

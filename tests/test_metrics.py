@@ -7,7 +7,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphfin.errors import DomainError, InsufficientDataError, UndefinedCotError
@@ -116,6 +116,7 @@ class TestPeakToPeak:
         with pytest.raises(InsufficientDataError, match="fewer than 3 cycles"):
             _p2p_yaw(times, times)
 
+    @settings(deadline=None)
     @given(st.floats(-50.0, 50.0), st.floats(0.01, 20.0))
     def test_translation_and_scaling(self, offset, scale):
         times = self.TIMES[:901]  # window [5, 9] s
@@ -225,17 +226,54 @@ class TestFitQuadratic:
 
 class TestWindows:
     def test_steady_window_discards_transient(self):
-        assert steady_window(25.0, 2.0) == (5.0, 25.0)
-        assert steady_window(25.0, 0.5) == (10.0, 25.0)  # 5 cycles at 0.5 Hz
+        assert steady_window(0.0, 25.0, 2.0) == (5.0, 25.0)
+        assert steady_window(0.0, 25.0, 0.5) == (10.0, 25.0)  # 5 cycles at 0.5 Hz
+        assert steady_window(0.0, 25.0, 0.0) == (5.0, 25.0)  # a still tail
 
-    def test_all_transient_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            steady_window(4.0, 2.0)
+    def test_window_is_measured_from_the_first_record(self):
+        assert steady_window(100.0, 125.0, 2.0) == (105.0, 125.0)
+        assert steady_window(-10.0, 15.0, 0.5) == (0.0, 15.0)
+
+    @pytest.mark.parametrize("first", [0.0, 100.0])
+    def test_all_transient_rejected(self, first):
+        with pytest.raises(InsufficientDataError, match="run of 4.0 s is entirely transient"):
+            steady_window(first, first + 4.0, 2.0)
 
     def test_displacement_speed(self):
         # straight path at 0.5 m/s; at 2 Hz the window is [5, 8] s
         records = _telemetry([_record(float(t), x=0.3 * t, y=0.4 * t) for t in range(9)])
         assert condition_metrics(records, 2.0).mean_speed == pytest.approx(0.5)
+
+
+def _swim(times, frequency, origin=0.0):
+    """A straight swim with a tail beat, sampled at `times` and stamped `origin` s later."""
+    records = []
+    for t in times:
+        phase = 2.0 * math.pi * frequency * t
+        records.append(_record(
+            t + origin, x=0.2 * t + 0.01 * math.sin(phase), y=0.01 * math.cos(phase),
+            yaw=10.0 * math.sin(phase), power=1.0 + math.sin(phase) ** 2,
+        ))
+    return _telemetry(records)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    frequency=st.sampled_from([0.3, 0.5, 1.0, 2.5]),
+    step=st.sampled_from([0.01, 0.02, 0.1]),
+    origin=st.floats(-1e3, 1e3),
+)
+@example(1.0, 0.01, 100.0)  # a run cut from a longer one, 100 s in
+def test_metrics_do_not_depend_on_the_time_origin(frequency, step, origin):
+    # the samples and the window move together, so the same samples are
+    # selected: power and yaw are exact, and the speed moves only with the
+    # rounding of the shifted times, a few ulps of the largest of them over
+    # the window's length, below 1e-12 relative
+    times = [i * step for i in range(round(30.0 / step) + 1)]
+    base = condition_metrics(_swim(times, frequency), frequency)
+    moved = condition_metrics(_swim(times, frequency, origin), frequency)
+    assert moved.mean_speed == pytest.approx(base.mean_speed, rel=1e-12)
+    assert (moved.mean_power, moved.p2p_yaw) == (base.mean_power, base.p2p_yaw)
 
 
 # The steady-window metrics as three functions computed them, each filtering
@@ -276,7 +314,7 @@ def _oracle_mean_over_window(times, values, window):
 
 
 def _oracle_condition_metrics(records, frequency):
-    window = steady_window(records[-1].time_s - records[0].time_s, frequency)
+    window = steady_window(records[0].time_s, records[-1].time_s, frequency)
     times = [r.time_s for r in records]
     speed = _oracle_displacement_speed(
         times, [r.x_m for r in records], [r.y_m for r in records], window
@@ -337,7 +375,7 @@ def _windowed_runs(draw):
     times = sorted(set(raw))
     edges = []
     try:
-        t0, t1 = steady_window(times[-1] - times[0], frequency)
+        t0, t1 = steady_window(times[0], times[-1], frequency)
         edges = [t for t in (t0, t1) if times[0] < t < times[-1] and draw(st.booleans())]
     except InsufficientDataError:
         pass
