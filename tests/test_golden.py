@@ -36,6 +36,7 @@ CASES = {
         {"sim": NOISY, "experiment": {**SMALL_GRID, "repeats": 3}},
         ["--seed", "4", "sweep-speed"],
     ),
+    "depth-step-noise": ({"sim": {**NOISY, "duration": 12.0}}, ["--seed", "5", "depth-step"]),
 }
 
 DIGESTS = {
@@ -75,6 +76,11 @@ DIGESTS = {
         "run_f1.50_a20_folded.csv": "6923691f923c63e4b4b32fef2110383f5a29e4b43ee32b827673c3a75325ac24",
         "speed_sweep.csv": "2316576f81560ee1b617adddfa0dea8259281f1bd84df3071a6a2fdb52218eed",
         "speed_vs_frequency.svg": "243a2f74c111b39fc674cacf9bcab8e5d25d3cb1fda616f853517e76d7b84c8f",
+    },
+    "depth-step-noise": {
+        "depth_step.csv": "403b6a73028b9c9be6915dd76427de686db75234277a001a804ca085518869e1",
+        "depth_step.svg": "3f4fadb0d40e21b57268a2f38935939754312f7f972ae036ccd4f93b2dd5e265",
+        "depth_step_report.json": "16446f6847825b888cc05659c5f062002bf7d80e9275860f6454d02be4a54858",
     },
 }
 
