@@ -15,9 +15,10 @@ from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .control import BuoyancyState, GaitCommand, PidGains
+from .controllers import NoiseConfig
 from .errors import ConfigError
 from .experiments import ExperimentSpec
-from .hydro import FishParams, NoiseConfig, check_run
+from .hydro import FishParams, check_run
 from .linkage import FinGeometry, LinkageGeometry
 from .metrics import PowerModel
 

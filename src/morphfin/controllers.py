@@ -1,14 +1,16 @@
 """Closed-loop controllers advanced by the simulation clock.
 
 SwimController combines the open-loop caudal gait with the optional PID
-depth hold. The PID updates at the control rate (default 50 Hz) while the
+depth hold and its sensor, which adds seeded noise to the true depth, then
+quantizes it. The PID updates at the control rate (default 50 Hz) while the
 commanded servo angle is evaluated analytically every simulation step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+import random
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 # apply_volume_rate is unused here but stays importable: perfbench's tracer
@@ -23,7 +25,7 @@ from .control import (  # noqa: F401
     syringe_buoyancy,
 )
 from .errors import ConfigError, DomainError
-from .hydro import ControlInput, Measurement
+from .hydro import ControlInput
 
 if TYPE_CHECKING:  # experiments imports this module
     from .experiments import RunEnvironment
@@ -31,11 +33,20 @@ if TYPE_CHECKING:  # experiments imports this module
 _DEG = math.pi / 180.0
 
 
+@dataclass(frozen=True)
+class NoiseConfig:
+    """Seeded white sensor noise on the depth channel; off by default."""
+
+    enabled: bool = False
+    depth_std_m: float = 0.001
+
+
 class SwimController:
     """Gait generation plus optional depth hold through the buoyancy syringe.
 
     The depth loop runs exactly when a depth schedule is given, with the
-    PID gains, syringe, control period and depth resolution of `env`.
+    PID gains, syringe, control period, depth noise and depth resolution of
+    `env`; the noise is drawn from `seed`, by the depth loop alone.
     `command` runs every simulation step, so it keeps the syringe volume as a
     float and builds a BuoyancyState only for the PID updates. The servo
     angle and rate are control.servo_angle/servo_rate with 2*pi*f and
@@ -48,6 +59,7 @@ class SwimController:
         env: RunEnvironment,
         gait: GaitCommand,
         depth_schedule: DepthSchedule | None = None,
+        seed: int = 0,
     ):
         self.depth_hold = depth_schedule is not None
         if self.depth_hold and (env.pid is None or env.buoyancy is None):
@@ -72,16 +84,23 @@ class SwimController:
         self._omega = 2.0 * math.pi * gait.frequency
         self._amp_omega = gait.amplitude * self._omega
         self._amplitude_rad = gait.amplitude * _DEG
+        noisy = self.depth_hold and env.noise.enabled
+        self._gauss = random.Random(seed).gauss if noisy else None
+        self._depth_std = env.noise.depth_std_m
 
-    def command(self, measurement: Measurement) -> ControlInput:
-        t = measurement.time
+    def command(self, t: float, depth: float) -> ControlInput:
         if t < 0.0:
             raise DomainError(f"time must be >= 0, got {t}")
         buoyancy_n = 0.0
         if self.depth_hold:
+            if self._gauss is not None:
+                # gauss makes its normals in pairs and the reading takes the
+                # second of each, so the first is drawn and dropped every call
+                self._gauss(0.0, 1.0)
+                depth = max(0.0, depth + self._gauss(0.0, self._depth_std))
             buoy = self.buoyancy
             # integrate the syringe between calls, then refresh the PID at
-            # the control rate on the quantized depth measurement
+            # the control rate on the quantized depth reading
             last = self._last_time
             if last is not None and t > last:
                 self._volume = slew_volume(
@@ -91,8 +110,8 @@ class SwimController:
             if self._last_update is None or t - self._last_update >= self._update_after:
                 quantum = self.depth_resolution
                 # a depth of no finite number of quanta is used unquantized
-                steps = measurement.depth / quantum if quantum > 0.0 else math.inf
-                measured = round(steps) * quantum if math.isfinite(steps) else measurement.depth
+                steps = depth / quantum if quantum > 0.0 else math.inf
+                measured = round(steps) * quantum if math.isfinite(steps) else depth
                 dt = (
                     self.control_period
                     if self._last_update is None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import astuple, dataclass, field, replace
 from statistics import fmean, pstdev
@@ -18,11 +19,11 @@ from typing import Sequence
 from .control import (
     MAX_AMPLITUDE_DEG, BuoyancyState, DepthSchedule, GaitCommand, PidGains, step_schedule,
 )
-from .controllers import SwimController
+from .controllers import NoiseConfig, SwimController
 from .errors import (
     ConfigError, DomainError, InsufficientDataError, MorphfinError, SimulationFault,
 )
-from .hydro import FishParams, FishState, NoiseConfig, simulate
+from .hydro import FishParams, FishState, simulate
 from .metrics import PowerModel, cot, improvement, steady_window, transient
 from .telemetry import Telemetry
 
@@ -134,14 +135,12 @@ def run_condition(
             initial_state = FishState(depth=env.target_depth)
     return simulate(
         env.params,
-        SwimController(env, gait, depth_schedule),
+        SwimController(env, gait, depth_schedule, seed),
         duration,
         env.dt,
-        seed,
         initial_state=initial_state,
         power_model=env.power,
         record_every=env.record_every,
-        noise=env.noise,
     )
 
 
@@ -529,7 +528,7 @@ def calibrate(
                     trace.append(best_loss)
                     improved = True
                     if verbose:
-                        print(f"  {n} -> {current[n]:.6g}  loss {best_loss:.6g}")
+                        print(f"  {n} -> {current[n]:.6g}  loss {best_loss:.6g}", file=sys.stderr)
                     break
         if not improved:
             for n in names:

@@ -11,7 +11,6 @@ step classical Runge-Kutta (RK4) integrator.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
@@ -19,7 +18,9 @@ from .errors import ConfigError, DomainError, SimulationFault
 from .metrics import PowerModel, servo_power
 from .telemetry import Telemetry
 
-MAX_DT = 0.01  # s, stability envelope of the fixed-step integrator
+# s, the largest step accepted. It bounds the step, not stability: some fish within
+# the calibration's DEFAULT_BOUNDS diverge at it, and a diverging run is a SimulationFault.
+MAX_DT = 0.01
 # most steps one run may take; the longest protocol run, 60 s at 1 ms, takes 6e4
 MAX_STEPS = 10**7
 
@@ -304,23 +305,8 @@ def step(
     return new
 
 
-class Measurement(NamedTuple):
-    """Sensor view of the state handed to controllers (possibly noisy/quantized)."""
-
-    time: float
-    depth: float
-
-
 class Controller(Protocol):
-    def command(self, measurement: Measurement) -> ControlInput: ...
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Seeded white sensor noise on the depth channel; off by default."""
-
-    enabled: bool = False
-    depth_std_m: float = 0.001
+    def command(self, time: float, depth: float) -> ControlInput: ...
 
 
 def simulate(
@@ -328,18 +314,16 @@ def simulate(
     controller: Controller,
     duration: float,
     dt: float,
-    seed: int = 0,
     *,
     initial_state: FishState | None = None,
     power_model: PowerModel = PowerModel(),
     record_every: int = 1,
-    noise: NoiseConfig = NoiseConfig(),
 ) -> Telemetry:
     """Run a closed-loop simulation and return sampled telemetry.
 
     Every `record_every`-th step is sampled (1 keeps all steps, so a run of
     duration/dt steps yields ceil(duration/dt)+1 records, the first being the
-    initial state). Reproducible bit-for-bit for a fixed seed.
+    initial state). The controller is handed the true time and depth.
     """
     check_run(duration, dt)
     if record_every < 1:
@@ -347,8 +331,6 @@ def simulate(
     params.validate()
     state = initial_state if initial_state is not None else FishState()
     state.validate()
-    noisy, gauss = noise.enabled, random.Random(seed).gauss
-    depth_std = noise.depth_std_m
 
     n_steps = math.ceil(duration / dt)
     advance = _integrator(params, dt)
@@ -360,8 +342,7 @@ def simulate(
     records = Telemetry()
     extend = records.values.extend
 
-    # Step i > 0 advances to t0 + i*dt under the loads held since step i-1. The
-    # Measurement is built by tuple.__new__, skipping its generated Python __new__.
+    # Step i > 0 advances to t0 + i*dt under the loads held since step i-1.
     t = t0
     for i in range(n_steps + 1):
         if i:
@@ -370,13 +351,7 @@ def simulate(
                 sv = advance(sv, loads)
             except ValueError as exc:  # math.cos/sin of an infinite yaw
                 raise SimulationFault(t, "non-finite state yaw") from exc
-        depth = sv[2]
-        if noisy:
-            # gauss makes its normals in pairs and the depth reading takes the
-            # second of each, so the first is drawn and dropped
-            gauss(0.0, 1.0)
-            depth = max(0.0, depth + gauss(0.0, depth_std))
-        control = command(tuple.__new__(Measurement, (t, depth)))
+        control = command(t, sv[2])
         if not control.is_finite():
             raise SimulationFault(t)
         loads = load(control)

@@ -78,14 +78,28 @@ class TestExitCodes:
         rc = main(["--config", str(bad), "run", ])
         assert rc == 1
 
-    def test_diverging_state_is_an_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"fish": {"yaw_inertia": 1e-300}},
+            # MAX_DT bounds the step, not stability: this fish is within the
+            # calibration's DEFAULT_BOUNDS and runs at dt 0.005
+            {
+                "sim": {"dt": 0.01},
+                "gait": {"frequency": 2.0, "amplitude": 30.0},
+                "fish": {"tail_reaction_coeff": 0.5, "yaw_damping_body": 2.0},
+            },
+        ],
+    )
+    def test_diverging_state_is_an_error(self, tmp_path, capsys, settings):
         stiff = tmp_path / "stiff.json"
-        stiff.write_text('{"fish": {"yaw_inertia": 1e-300}}')
+        stiff.write_text(json.dumps(settings))
         rc = main(["--config", str(stiff), "--out", str(tmp_path / "out"), "run"])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: non-finite state")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field", ["record_hz", "control_hz"])
     def test_rate_not_dividing_step_rate_is_an_error(self, tmp_path, capsys, field):
@@ -234,15 +248,20 @@ class TestRun:
             "config.json", "configured", "out"
         ]
 
+    @pytest.mark.parametrize("sim", [{}, {"noise_enabled": True, "depth_hold": False}])
     def test_seed_override_changes_nothing_without_noise(
-        self, fast_config, tmp_path, capsys
+        self, fast_config, tmp_path, capsys, sim
     ):
-        # noise is off in this config, so the seed has no effect on the physics
+        # the seed feeds only the depth sensor's noise: with the noise off, or
+        # with no depth loop to read it, the seed has no effect on the physics
+        config = json.loads(fast_config.read_text())
+        noisy_sim = {**config["sim"], **sim}
+        quiet, noisy = tmp_path / "quiet.json", tmp_path / "noisy.json"
+        quiet.write_text(json.dumps({**config, "sim": {**noisy_sim, "noise_enabled": False}}))
+        noisy.write_text(json.dumps({**config, "sim": noisy_sim}))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["--config", str(fast_config), "--out", str(out_a), "run"])
-        main(
-            ["--config", str(fast_config), "--seed", "99", "--out", str(out_b), "run"]
-        )
+        assert main(["--config", str(quiet), "--out", str(out_a), "run"]) == 0
+        assert main(["--config", str(noisy), "--seed", "99", "--out", str(out_b), "run"]) == 0
         assert (out_a / "run.csv").read_bytes() == (out_b / "run.csv").read_bytes()
 
 

@@ -23,7 +23,7 @@ from morphfin.cli import _environment
 from morphfin.config import RunConfig
 from morphfin.controllers import SwimController
 from morphfin.errors import ConfigError, DomainError
-from morphfin.hydro import ControlInput, FishParams, FishState, Measurement, simulate
+from morphfin.hydro import ControlInput, FishParams, FishState, simulate
 
 
 def default_buoyancy(volume=3e-5):
@@ -184,12 +184,11 @@ class _ReferenceController:
         self.last_update = None
         self.last_time = None
 
-    def command(self, m):
-        t = m.time
+    def command(self, t, depth):
         if self.last_time is not None and t > self.last_time:
             self.buoyancy = apply_volume_rate(self.buoyancy, self.rate, t - self.last_time)
         if self.last_update is None or t - self.last_update >= self.period - 1e-12:
-            measured = round(m.depth / self.quantum) * self.quantum
+            measured = round(depth / self.quantum) * self.quantum
             dt = self.period if self.last_update is None else t - self.last_update
             self.rate, self.memory = depth_controller(
                 self.schedule(t), measured, self.gains, self.buoyancy, dt, self.memory
@@ -236,9 +235,9 @@ class TestSwimControllerOracle:
         streams = ([], [])
 
         class Both:
-            def command(self, measurement):
-                streams[1].append(reference.command(measurement))
-                streams[0].append(controller.command(measurement))
+            def command(self, t, depth):
+                streams[1].append(reference.command(t, depth))
+                streams[0].append(controller.command(t, depth))
                 return streams[0][-1]
 
         simulate(params, Both(), 2.0, 0.001, initial_state=FishState(depth=0.1))
@@ -252,4 +251,4 @@ class TestSwimControllerOracle:
             _environment(RunConfig()), GaitCommand(frequency=1.0, amplitude=20.0)
         )
         with pytest.raises(DomainError):
-            controller.command(Measurement(time=-0.001, depth=0.0))
+            controller.command(-0.001, 0.0)

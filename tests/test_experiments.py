@@ -30,7 +30,8 @@ from morphfin.experiments import (
     speed_sweep_spec,
     yaw_study_spec,
 )
-from morphfin.hydro import FishParams, FishState, NoiseConfig
+from morphfin.controllers import NoiseConfig
+from morphfin.hydro import FishParams, FishState
 from morphfin.metrics import PowerModel, cot, transient
 from morphfin.telemetry import HEADER, Telemetry
 
@@ -581,3 +582,15 @@ class TestCalibration:
         )
         assert set(result.residuals) == {"speed"}
         assert abs(result.residuals["speed"]) < 0.5
+
+    def test_verbose_progress_goes_to_stderr(self, capsys):
+        # diagnostics go to stderr; stdout carries only streamed data
+        calibrate(
+            self.TARGET, self.env_from(0.08),
+            bounds={"thrust_coeff": (0.05, 0.3)},
+            max_rounds=1,
+            verbose=True,
+        )
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("  thrust_coeff -> ") and " loss " in err

@@ -19,7 +19,6 @@ from morphfin.hydro import (
     ControlInput,
     FishParams,
     FishState,
-    Measurement,
     check_run,
     drag_force,
     mean_thrust,
@@ -37,7 +36,7 @@ class ConstantController:
     def __init__(self, control):
         self.control = control
 
-    def command(self, measurement):
+    def command(self, t, depth):
         return self.control
 
 
@@ -236,34 +235,34 @@ class TestSimulate:
     def test_record_count(self):
         gait = GaitCommand(frequency=1.0, amplitude=20.0)
         controller = SwimController(ENV, gait)
-        records = simulate(FishParams(), controller, 1.0, 0.001, seed=0)
+        records = simulate(FishParams(), controller, 1.0, 0.001)
         assert len(records) == 1001
         assert records[0].time_s == 0.0
 
-    def test_seed_reproducibility(self):
+    def test_runs_are_deterministic(self):
         def run():
             gait = GaitCommand(frequency=1.5, amplitude=15.0)
             controller = SwimController(ENV, gait)
-            return simulate(FishParams(), controller, 2.0, 0.001, seed=42)
+            return simulate(FishParams(), controller, 2.0, 0.001)
 
         assert run().values.tobytes() == run().values.tobytes()
 
     def test_non_finite_actuation_faults_with_time(self):
         class BadController:
-            def command(self, measurement: Measurement) -> ControlInput:
-                if measurement.time > 0.5:
+            def command(self, t: float, depth: float) -> ControlInput:
+                if t > 0.5:
                     return ControlInput(servo_rate=math.nan)
                 return ControlInput()
 
         with pytest.raises(SimulationFault) as exc:
-            simulate(FishParams(), BadController(), 2.0, 0.001, seed=0)
+            simulate(FishParams(), BadController(), 2.0, 0.001)
         assert 0.5 < exc.value.time < 0.6
 
     def test_steady_state_force_balance(self):
         p = FishParams()
         gait = GaitCommand(frequency=2.0, amplitude=20.0)
         controller = SwimController(ENV, gait)
-        records = simulate(p, controller, 15.0, 0.001, seed=0)
+        records = simulate(p, controller, 15.0, 0.001)
         thrust = mean_thrust(p, 2.0, 20.0 * DEG)
         # average |drag| over exactly 10 gait cycles after the transient
         window = [r for r in records if 10.0 <= r.time_s < 15.0]
@@ -274,7 +273,7 @@ class TestSimulate:
         p = FishParams()
         gait = GaitCommand(frequency=1.0, amplitude=20.0, bias=10.0)
         controller = SwimController(ENV, gait)
-        records = simulate(p, controller, 30.0, 0.001, seed=0)
+        records = simulate(p, controller, 30.0, 0.001)
         # the startup transient leaves a constant yaw offset, so measure the
         # drift accumulated over a late window rather than the absolute yaw
         yaw_at = {round(r.time_s, 6): r.yaw_deg for r in records}
@@ -284,18 +283,18 @@ class TestSimulate:
     def test_non_finite_syringe_volume_faults(self):
         controller = ConstantController(ControlInput(syringe_volume=math.nan))
         with pytest.raises(SimulationFault):
-            simulate(FishParams(), controller, 1.0, 0.001, seed=0)
+            simulate(FishParams(), controller, 1.0, 0.001)
 
     def test_erection_out_of_range_raises(self):
         controller = ConstantController(ControlInput(erection=1.5))
         with pytest.raises(DomainError):
-            simulate(FishParams(), controller, 1.0, 0.001, seed=0)
+            simulate(FishParams(), controller, 1.0, 0.001)
 
     def test_diverging_state_faults_with_field(self):
         # finite actuation whose heave response overflows within one step
         controller = ConstantController(ControlInput(buoyancy=1e308))
         with pytest.raises(SimulationFault) as exc:
-            simulate(FishParams(), controller, 1.0, 0.001, seed=0)
+            simulate(FishParams(), controller, 1.0, 0.001)
         assert "non-finite state depth" in str(exc.value)
 
     @pytest.mark.parametrize("duration", [math.inf, math.nan, 1e307])
@@ -306,9 +305,7 @@ class TestSimulate:
         assert exc.value.field == "sim.duration"
 
     def test_constant_controller_neutral(self):
-        records = simulate(
-            FishParams(), ConstantController(ControlInput()), 1.0, 0.001, seed=0
-        )
+        records = simulate(FishParams(), ConstantController(ControlInput()), 1.0, 0.001)
         last = records[-1]
         assert last.x_m == 0.0 and last.depth_m == 0.0 and last.yaw_deg == 0.0
 
@@ -406,8 +403,8 @@ class TestScalarRk4Oracle:
         assert _bits(_integrator(params, dt)(sv, loads)) == _bits(expected)
 
 
-# The per-step paths build ControlInput and Measurement positionally
-# (SwimController.command, simulate), so their field order is pinned here.
+# The per-step path builds ControlInput positionally (SwimController.command),
+# so its field order is pinned here.
 
 _CONTROL_FIELDS = (
     "servo_angle",
@@ -423,7 +420,6 @@ _CONTROL_FIELDS = (
 class TestValueTypes:
     def test_field_order_is_pinned(self):
         assert ControlInput._fields == _CONTROL_FIELDS
-        assert Measurement._fields == ("time", "depth")
 
     def test_keyword_and_default_construction(self):
         assert ControlInput() == ControlInput(*[0.0] * 7)
@@ -433,9 +429,6 @@ class TestValueTypes:
         assert tuple(ControlInput(1.0, 2.0, 3.0, 4.0, 0.5, 6.0, 7.0)) == (
             1.0, 2.0, 3.0, 4.0, 0.5, 6.0, 7.0
         )
-        assert Measurement(depth=0.1, time=0.5) == Measurement(0.5, 0.1)
-        with pytest.raises(TypeError):
-            Measurement(0.5)
 
     @given(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=7, max_size=7),
@@ -524,13 +517,13 @@ class TestLoadsMemo:
 
 
 class _Clock:
-    """A neutral controller that notes the time of every measurement."""
+    """A neutral controller that notes the time of every call."""
 
     def __init__(self):
         self.times = []
 
-    def command(self, measurement):
-        self.times.append(measurement.time)
+    def command(self, t, depth):
+        self.times.append(t)
         return ControlInput()
 
 
