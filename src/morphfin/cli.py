@@ -83,7 +83,7 @@ def _write_grid(
     out.mkdir(parents=True, exist_ok=True)
     (out / table).write_text(csv)
     for freq, amp, fin_state, records in kept:
-        write_telemetry(records, out / f"{prefix}_f{freq:.2f}_a{amp:.0f}_{fin_state}.csv")
+        write_telemetry(records, out / f"{prefix}_{xp.cell_name(freq, amp, fin_state)}.csv")
     emit_plot(series, style, out / chart)
     print(f"wrote {out / table}", file=sys.stderr)
 
@@ -155,7 +155,6 @@ def _cmd_calibrate(config: RunConfig, out: Path) -> int:
         xp.default_targets(),
         _environment(config),
         xp.DEFAULT_BOUNDS,
-        seed=config.sim.seed,
         step_fraction=0.05,
         verbose=True,
     )
@@ -248,11 +247,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_calibrate(config, out)
         if args.command == "replay":
             return _cmd_replay(config, args.telemetry, out)
-        if args.command == "plot":
-            ys = args.y if args.y else ["yaw_deg"]
-            return _cmd_plot(args.telemetry, args.x, ys, out)
-        parser.print_usage(sys.stderr)
-        return 1
+        ys = args.y if args.y else ["yaw_deg"]  # argparse admits no other command
+        return _cmd_plot(args.telemetry, args.x, ys, out)
     except MorphfinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

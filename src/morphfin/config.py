@@ -14,9 +14,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
-from .control import BuoyancyState, GaitCommand, PidGains
+from .control import BuoyancyState, GaitCommand, PidGains, step_schedule
 from .controllers import NoiseConfig
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .experiments import ExperimentSpec
 from .hydro import FishParams, check_run
 from .linkage import FinGeometry, LinkageGeometry
@@ -102,6 +102,10 @@ class RunConfig:
                 )
             if entry[1] < 0.0:
                 raise ConfigError("target must be >= 0", f"depth_schedule[{i}]")
+        try:  # a step schedule's own rules: nonempty, start times distinct
+            step_schedule(self.depth_schedule)
+        except DomainError as exc:
+            raise ConfigError(str(exc), "depth_schedule") from None
 
 
 def _coerce(value: Any, hint: Any, path: str) -> Any:

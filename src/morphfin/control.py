@@ -195,6 +195,8 @@ def step_schedule(steps: list[tuple[float, float]]) -> DepthSchedule:
         if not math.isfinite(target) or target < 0.0:
             raise ConfigError("depth targets must be finite and >= 0", "schedule")
     ordered = sorted(steps)
+    if any(a[0] == b[0] for a, b in zip(ordered, ordered[1:])):
+        raise DomainError("schedule start times must differ")
 
     def schedule(t: float) -> float:
         target = ordered[0][1]

@@ -13,7 +13,6 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import astuple, dataclass, field, replace
-from statistics import fmean, pstdev
 from typing import Sequence
 
 from .control import (
@@ -81,6 +80,21 @@ class ExperimentSpec:
                 f"duration must cover >= 10 cycles at {lowest} Hz",
                 "experiment.duration",
             )
+        # each cell's telemetry file is named after it, so no two cells may share a name
+        first = (self.frequencies[0], self.amplitudes[0], self.fin_states[0])
+        for axis, key in enumerate(("frequencies", "amplitudes", "fin_states")):
+            seen: dict[str, object] = {}
+            for value in getattr(self, key):
+                name = cell_name(*first[:axis], value, *first[axis + 1 :])
+                if name in seen:
+                    message = f"{seen[name]!r} and {value!r} share the cell name {name}"
+                    raise ConfigError(message, f"experiment.{key}")
+                seen[name] = value
+
+
+def cell_name(frequency: float, amplitude: float, fin_state: str) -> str:
+    """The name of a grid cell in its telemetry file's name."""
+    return f"f{frequency:.2f}_a{amplitude:.0f}_{fin_state}"
 
 
 def speed_sweep_spec(seed: int = 0) -> ExperimentSpec:
@@ -267,9 +281,7 @@ def _sweep_rows(
             ) from exc
         if keep_records is not None:
             keep_records.append((frequency, amplitude, fin_state, records))
-        # each ConditionMetrics field's mean, then its std, over `repeats` copies of
-        # its value, as a row always held: fmean of copies may round off the last bit
-        stats = [stat([v] * spec.repeats) for v in astuple(m) for stat in (fmean, pstdev)]
+        stats = [x for v in astuple(m) for x in (v, 0.0)]  # each metric, then its std
         rows.append(SweepRow(frequency, amplitude, fin_state, *stats))
     return rows
 
@@ -340,8 +352,6 @@ def run_depth_step(
     initial_depth: float,
 ) -> tuple[Telemetry, list[DepthStepReport]]:
     """Closed-loop depth tracking of a target schedule by a still fish, with per-step analysis."""
-    if not schedule:
-        raise DomainError("schedule must be nonempty")
     records = run_condition(
         env,
         _STILL_GAIT,
@@ -453,15 +463,15 @@ def _observable_duration(observable: str, frequency: float) -> float:
 def evaluate_targets(
     env: RunEnvironment, targets: Sequence[CalibrationTarget], seed: int = 0
 ) -> dict[str, float]:
-    """Simulated value of each target observable; one run per unique condition, kept as metrics."""
-    cache: dict[tuple, ConditionMetrics] = {}
+    """Simulated value of each target observable, from one run of its condition per target.
+
+    Only the run's steady-window metrics outlive it. The seed reaches no metric.
+    """
     out: dict[str, float] = {}
     for t in targets:
         duration = _observable_duration(t.observable, t.frequency)
-        key = (t.frequency, t.amplitude, t.fin_state, duration)
-        if key not in cache:
-            cache[key] = _cell(env, *key, seed)[1]
-        out[t.name] = getattr(cache[key], OBSERVABLES[t.observable])
+        m = _cell(env, t.frequency, t.amplitude, t.fin_state, duration, seed)[1]
+        out[t.name] = getattr(m, OBSERVABLES[t.observable])
     return out
 
 
@@ -470,7 +480,6 @@ def calibrate(
     env: RunEnvironment,
     bounds: dict[str, tuple[float, float]],
     *,
-    seed: int = 0,
     max_rounds: int = 60,
     step_fraction: float = 0.2,
     tol: float = 1e-3,
@@ -502,7 +511,7 @@ def calibrate(
             env, params=replace(env.params, **fish), power=replace(env.power, **power)
         )
         try:
-            simulated = evaluate_targets(trial_env, targets, seed)
+            simulated = evaluate_targets(trial_env, targets)
         except MorphfinError:
             return math.inf, {}
         residuals = {t.name: (simulated[t.name] - t.value) / t.value for t in targets}

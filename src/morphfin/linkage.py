@@ -8,7 +8,6 @@ angle, normalized between the folded and erect drive angles.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -17,11 +16,6 @@ from .errors import ConfigError, DomainError, UnreachableConfigurationError
 Point = tuple[float, float]
 
 CLOSURE_TOL = 1e-9  # m
-
-
-class Branch(enum.Enum):
-    OPEN = "open"
-    CROSSED = "crossed"
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,6 @@ class LinkageGeometry:
 class LinkageState:
     drive_angle: float
     joint_positions: tuple[Point, Point, Point, Point]  # A, crank tip, rocker tip, B
-    branch: Branch
     erection_fraction: float
 
 
@@ -84,7 +77,7 @@ class FinGeometry:
             )
 
 
-def _rocker_tip(geom: LinkageGeometry, drive_angle: float, branch: Branch) -> tuple[Point, Point]:
+def _rocker_tip(geom: LinkageGeometry, drive_angle: float) -> tuple[Point, Point]:
     """Crank tip and rocker tip via circle-circle intersection of the coupler dyad."""
     ax, ay = geom.ground_pivot_a
     bx, by = geom.ground_pivot_b
@@ -99,36 +92,32 @@ def _rocker_tip(geom: LinkageGeometry, drive_angle: float, branch: Branch) -> tu
     h_sq = r1 * r1 - a * a
     h = math.sqrt(h_sq) if h_sq > 0.0 else 0.0
     mx, my = cx + a * dx / d, cy + a * dy / d
-    # open branch: rocker tip on the left of the crank-tip -> pivot-B ray
-    sign = 1.0 if branch is Branch.OPEN else -1.0
-    px = mx + sign * h * (-dy) / d
-    py = my + sign * h * dx / d
+    # open assembly: rocker tip on the left of the crank-tip -> pivot-B ray
+    px = mx + h * (-dy) / d
+    py = my + h * dx / d
     return (cx, cy), (px, py)
 
 
-def _rocker_angle(geom: LinkageGeometry, drive_angle: float, branch: Branch) -> float:
-    (_, _), (px, py) = _rocker_tip(geom, drive_angle, branch)
+def _rocker_angle(geom: LinkageGeometry, drive_angle: float) -> float:
+    (_, _), (px, py) = _rocker_tip(geom, drive_angle)
     bx, by = geom.ground_pivot_b
     return math.atan2(py - by, px - bx)
 
 
-def solve_linkage(
-    geom: LinkageGeometry, drive_angle: float, branch: Branch = Branch.OPEN
-) -> LinkageState:
-    """Position solution of the four-bar loop at one drive angle.
+def solve_linkage(geom: LinkageGeometry, drive_angle: float) -> LinkageState:
+    """Position solution of the four-bar loop at one drive angle, in its open assembly.
 
     Raises UnreachableConfigurationError when the coupler-rocker dyad cannot
     span the crank tip to the second ground pivot.
     """
     geom.validate()
-    c, p = _rocker_tip(geom, drive_angle, branch)
+    c, p = _rocker_tip(geom, drive_angle)
     a = geom.ground_pivot_a
     b = geom.ground_pivot_b
     state = LinkageState(
         drive_angle=drive_angle,
         joint_positions=(a, c, p, b),
-        branch=branch,
-        erection_fraction=erection_fraction(geom, drive_angle, branch),
+        erection_fraction=erection_fraction(geom, drive_angle),
     )
     residual = closure_residual(geom, state)
     if residual > CLOSURE_TOL:
@@ -147,9 +136,7 @@ def closure_residual(geom: LinkageGeometry, state: LinkageState) -> float:
     )
 
 
-def erection_fraction(
-    geom: LinkageGeometry, drive_angle: float, branch: Branch = Branch.OPEN
-) -> float:
+def erection_fraction(geom: LinkageGeometry, drive_angle: float) -> float:
     """Normalized fin deployment: 0 at the folded drive angle, 1 at the erect one.
 
     Drive angles outside the folded-erect range clamp to its nearer end, and
@@ -160,11 +147,11 @@ def erection_fraction(
     lo = min(geom.drive_angle_folded, geom.drive_angle_erect)
     hi = max(geom.drive_angle_folded, geom.drive_angle_erect)
     angle = min(max(drive_angle, lo), hi)
-    r_folded = _rocker_angle(geom, geom.drive_angle_folded, branch)
-    r_erect = _rocker_angle(geom, geom.drive_angle_erect, branch)
+    r_folded = _rocker_angle(geom, geom.drive_angle_folded)
+    r_erect = _rocker_angle(geom, geom.drive_angle_erect)
     if r_folded == r_erect:
         raise DomainError("degenerate geometry: rocker does not move between endpoints")
-    frac = (_rocker_angle(geom, angle, branch) - r_folded) / (r_erect - r_folded)
+    frac = (_rocker_angle(geom, angle) - r_folded) / (r_erect - r_folded)
     return min(max(frac, 0.0), 1.0)
 
 

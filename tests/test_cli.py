@@ -384,6 +384,13 @@ class TestSweepAndStudy:
             ({"duration": 1e307}, "experiment.duration"),
             # a still tail has no COT and no yaw improvement: rejected before any cell runs
             ({"amplitudes": [20.0, 0.0]}, "experiment.amplitudes"),
+            # two cells that name one telemetry file, and a cell given twice
+            (
+                {"frequencies": [1.0], "amplitudes": [20.2, 20.4], "fin_states": ["folded"],
+                 "repeats": 1, "duration": 12.0},
+                "experiment.amplitudes",
+            ),
+            ({"frequencies": [1.0, 1.0], "repeats": 1, "duration": 12.0}, "experiment.frequencies"),
         ],
     )
     def test_rejected_experiment_writes_nothing(
@@ -524,6 +531,8 @@ def _telemetry() -> bytes:
 
 
 _GRID_KINDS = {"sweep-speed": "speed_sweep", "yaw-study": "yaw_study"}
+# each grid subcommand's table, its telemetry files' prefix and its cells per table row
+_GRID_FILES = {"sweep-speed": ("speed_sweep.csv", "run", 1), "yaw-study": ("yaw_study.csv", "yaw", 2)}
 
 
 def _short_grid(draw, command):
@@ -613,3 +622,8 @@ def test_main_exits_cleanly_and_a_failure_writes_nothing(data):
         assert "Traceback" not in stderr.getvalue()
         if rc == 1:
             assert not out.exists(), stderr.getvalue()
+        if rc == 0 and command in _GRID_KINDS:
+            # each table row keeps its cells' runs: a yaw row pairs a folded and an erect one
+            table, prefix, cells = _GRID_FILES[command]
+            rows = (out / table).read_text().count("\n") - 1
+            assert len(list(out.glob(f"{prefix}_f*.csv"))) == cells * rows

@@ -233,6 +233,19 @@ PINNED_ERRORS = [
      "depth_schedule[0]: entries must be [time, target] pairs"),
     ({"depth_schedule": [[0.0, -0.5]]}, "depth_schedule[0]",
      "depth_schedule[0]: target must be >= 0"),
+    # rejected at load, not at run time
+    ({"depth_schedule": []}, "depth_schedule", "depth_schedule: schedule must be nonempty"),
+    # two targets from one time: the loop tracked the last, the report settled the first
+    ({"depth_schedule": [[0.0, 0.2], [0.0, 0.4]]}, "depth_schedule",
+     "depth_schedule: schedule start times must differ"),
+    # two cells would write one telemetry file, or one cell would run twice
+    ({"experiment": {"frequencies": [1.0], "amplitudes": [20.2, 20.4], "duration": 12.0}},
+     "experiment.amplitudes",
+     "experiment.amplitudes: 20.2 and 20.4 share the cell name f1.00_a20_folded"),
+    ({"experiment": {"frequencies": [1.0, 1.004], "duration": 12.0}}, "experiment.frequencies",
+     "experiment.frequencies: 1.0 and 1.004 share the cell name f1.00_a20_folded"),
+    ({"experiment": {"fin_states": ["erect", "erect"]}}, "experiment.fin_states",
+     "experiment.fin_states: 'erect' and 'erect' share the cell name f0.80_a20_erect"),
     ({"sim": {"target_depth": math.nan}}, "sim.target_depth",
      "sim.target_depth: depths must be finite"),
     ({"sim": {"target_depth": math.inf}}, "sim.target_depth",

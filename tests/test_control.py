@@ -155,6 +155,9 @@ class TestStepSchedule:
             step_schedule([])
         with pytest.raises(ConfigError):
             step_schedule([(0.0, -1.0)])
+        # which of two targets holds from one start time would hang on the sort order
+        with pytest.raises(DomainError, match="^schedule start times must differ$"):
+            step_schedule([(5.0, 0.1), (0.0, 0.2), (0.0, 0.4)])
 
 
 class TestGaitValidation:

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import statistics
 import struct
 from array import array
 
@@ -14,7 +13,7 @@ from morphfin import experiments
 from morphfin.cli import _environment
 from morphfin.config import RunConfig, load_default_config
 from morphfin.control import BuoyancyState, GaitCommand
-from morphfin.errors import ConfigError, MorphfinError
+from morphfin.errors import ConfigError, DomainError, MorphfinError
 from morphfin.experiments import (
     DEFAULT_FREQUENCIES,
     YAW_AMPLITUDES,
@@ -179,26 +178,15 @@ class TestRepeatDedupe:
         assert len(calls) == len(rows) == 2  # one simulation per cell
         for cell, row in enumerate(rows):
             base = self.SPEC.seed + 1000 * cell
-            speeds, powers, cots, p2ps = [], [], [], []
+            got = _packed(row.mean_speed, row.mean_power, row.cot, row.p2p_yaw)
             for rep in range(self.SPEC.repeats):
                 gait = GaitCommand(frequency=row.frequency, amplitude=row.amplitude)
                 records = run_condition(env, gait, self.SPEC.duration, base + rep)
                 m = experiments.condition_metrics(records, row.frequency)
-                speeds.append(m.mean_speed)
-                powers.append(m.mean_power)
-                cots.append(cot(m.mean_power, env.params.mass, env.params.gravity, m.mean_speed))
-                p2ps.append(m.p2p_yaw)
-            expected = [
-                f(values)
-                for values in (speeds, powers, cots, p2ps)
-                for f in (statistics.fmean, statistics.pstdev)
-            ]
-            got = [
-                row.mean_speed, row.speed_std, row.mean_power, row.power_std,
-                row.cot, row.cot_std, row.p2p_yaw, row.p2p_std,
-            ]
-            assert _packed(*got) == _packed(*expected)
-            assert row.speed_std == row.power_std == row.cot_std == row.p2p_std == 0.0
+                value = cot(m.mean_power, env.params.mass, env.params.gravity, m.mean_speed)
+                assert got == _packed(m.mean_speed, m.mean_power, value, m.p2p_yaw)
+            stds = (row.speed_std, row.power_std, row.cot_std, row.p2p_std)
+            assert _packed(*stds) == _packed(0.0, 0.0, 0.0, 0.0)
         if noise_on:
             assert rows == run_speed_sweep(fast_env(depth_hold=True), self.SPEC).rows
 
@@ -297,6 +285,17 @@ class TestSeedProperties:
 
 
 class TestDepthStep:
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [([], "schedule must be nonempty"),
+         ([(0.0, 0.2), (0.0, 0.4)], "schedule start times must differ")],
+    )
+    def test_bad_schedule_fails_before_the_run(self, monkeypatch, schedule, message):
+        calls = _counting_run_condition(monkeypatch)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            run_depth_step(fast_env(), schedule, 12.0, initial_depth=0.0)
+        assert calls == []
+
     def test_depth_hold_needs_pid_and_buoyancy(self):
         gait = GaitCommand(frequency=1.0, amplitude=20.0)
         for missing in ("pid", "buoyancy"):
@@ -378,7 +377,10 @@ def _depth_runs(draw):
     start = st.sampled_from(times) | st.floats(-1.0, 35.0)
     # a target drawn from the depths gives a step of size zero
     target = st.sampled_from(depths) | st.floats(0.0, 1.0)
-    schedule = draw(st.lists(st.tuples(start, target), min_size=1, max_size=4))
+    # start times are distinct, as a step schedule requires
+    schedule = draw(
+        st.lists(st.tuples(start, target), min_size=1, max_size=4, unique_by=lambda s: s[0])
+    )
     return _depth_telemetry(times, depths), schedule
 
 
@@ -535,20 +537,6 @@ class TestCalibration:
             step_fraction=0.2,
         )
         assert result.parameters["thrust_coeff"] == pytest.approx(oracle, rel=0.01)
-
-    def test_a_shared_condition_runs_once(self, monkeypatch):
-        # top speed and COT at fmax read the same 25 s run of one condition
-        shared = {"frequency": 2.33, "amplitude": 20.0, "fin_state": "folded", "value": 1.0}
-        targets = [
-            CalibrationTarget(name="speed", observable="top_speed", **shared),
-            CalibrationTarget(name="cot", observable="cot_at_fmax", **shared),
-        ]
-        env = fast_env()
-        calls = _counting_run_condition(monkeypatch)
-        got = experiments.evaluate_targets(env, targets)
-        assert len(calls) == 1
-        m = experiments._metrics_with_cot(env, calls[0][1], 2.33)
-        assert _packed(got["speed"], got["cot"]) == _packed(m.mean_speed, m.cot)
 
     @pytest.mark.parametrize(
         "frequency, amplitude, message",

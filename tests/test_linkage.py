@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from morphfin.config import RunConfig
 from morphfin.errors import ConfigError, DomainError, UnreachableConfigurationError
 from morphfin.linkage import (
-    Branch,
     FinGeometry,
     LinkageGeometry,
     body_height,
@@ -39,7 +38,7 @@ def oracle_rocker_tip(geom: LinkageGeometry, drive_angle: float):
 
     Works in the frame of the crank tip: the rocker tip sits at the angle of
     the crank-tip -> pivot-B ray offset by the triangle angle from the law of
-    cosines. The open branch takes the positive offset.
+    cosines. The open assembly takes the positive offset.
     """
     ax, ay = geom.ground_pivot_a
     bx, by = geom.ground_pivot_b
@@ -59,7 +58,7 @@ def oracle_rocker_tip(geom: LinkageGeometry, drive_angle: float):
 
 class TestSolveLinkage:
     def test_parallelogram_at_ninety_degrees(self):
-        state = solve_linkage(parallelogram(), math.pi / 2, Branch.OPEN)
+        state = solve_linkage(parallelogram(), math.pi / 2)
         a, c, p, b = state.joint_positions
         assert c == pytest.approx((0.0, 1.0), abs=1e-12)
         assert p == pytest.approx((2.0, 1.0), abs=1e-12)
@@ -78,7 +77,7 @@ class TestSolveLinkage:
             drive_angle_erect=2.0,
         )
         drive = math.radians(60.0)
-        state = solve_linkage(geom, drive, Branch.OPEN)
+        state = solve_linkage(geom, drive)
         expected = oracle_rocker_tip(geom, drive)
         assert state.joint_positions[2] == pytest.approx(expected, abs=1e-9)
 
@@ -119,12 +118,6 @@ class TestSolveLinkage:
             jump = math.hypot(cur[0] - prev[0], cur[1] - prev[1])
             assert jump <= 10.0 * increment * longest
             prev = cur
-
-    def test_crossed_branch_differs(self):
-        geom = default_geometry()
-        open_tip = solve_linkage(geom, 1.0, Branch.OPEN).joint_positions[2]
-        crossed_tip = solve_linkage(geom, 1.0, Branch.CROSSED).joint_positions[2]
-        assert open_tip != pytest.approx(crossed_tip)
 
 
 def crank_turns_fully(geom: LinkageGeometry, samples: int) -> bool:
