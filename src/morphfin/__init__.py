@@ -7,18 +7,3 @@ from .metrics import PowerModel, cot
 from .telemetry import TelemetryRecord
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BuoyancyState",
-    "FinGeometry",
-    "FishParams",
-    "FishState",
-    "GaitCommand",
-    "LinkageGeometry",
-    "PidGains",
-    "PowerModel",
-    "TelemetryRecord",
-    "cot",
-    "simulate",
-    "__version__",
-]

@@ -50,6 +50,14 @@ def _replay_metrics(records, frequency: float, mass: float, gravity: float) -> d
     }
 
 
+def _make_out(out: Path, *runs) -> None:
+    """Make the output directory once every run's records pass write_telemetry's checks."""
+    for records in runs:
+        for _ in csv_rows(records):
+            pass
+    out.mkdir(parents=True, exist_ok=True)
+
+
 def _cmd_run(config: RunConfig, out: Path, stream: bool) -> int:
     env = _environment(config)
     records = xp.run_condition(env, config.gait, config.sim.duration, config.sim.seed)
@@ -60,7 +68,7 @@ def _cmd_run(config: RunConfig, out: Path, stream: bool) -> int:
     metrics = _replay_metrics(
         records, config.gait.frequency, config.fish.mass, config.fish.gravity
     )
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out, records)
     path = out / "run.csv"
     write_telemetry(records, path)
     (out / "run_metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
@@ -80,7 +88,7 @@ def _write_grid(
     out: Path, table: str, csv: str, kept: list, prefix: str, series, style, chart: str
 ) -> None:
     """The grid's table, the telemetry of each cell's one run, and its chart."""
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out, *(records for *_, records in kept))
     (out / table).write_text(csv)
     for freq, amp, fin_state, records in kept:
         write_telemetry(records, out / f"{prefix}_{xp.cell_name(freq, amp, fin_state)}.csv")
@@ -124,12 +132,11 @@ def _cmd_yaw_study(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_depth_step(config: RunConfig, out: Path) -> int:
-    env = _environment(config)
-    schedule = [(t, d) for t, d in config.depth_schedule]
     records, reports = xp.run_depth_step(
-        env, schedule, config.sim.duration, config.sim.seed, initial_depth=config.sim.initial_depth
+        _environment(config), config.depth_schedule, config.sim.duration, config.sim.seed,
+        initial_depth=config.sim.initial_depth,
     )
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out, records)
     write_telemetry(records, out / "depth_step.csv")
     payload = [
         {

@@ -108,6 +108,9 @@ class RunConfig:
             raise ConfigError(str(exc), "depth_schedule") from None
 
 
+_SCALARS = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
 def _coerce(value: Any, hint: Any, path: str) -> Any:
     origin = get_origin(hint)
     if hint is float:
@@ -117,17 +120,10 @@ def _coerce(value: Any, hint: Any, path: str) -> Any:
             return float(value)
         except OverflowError:  # an integer beyond the double range
             raise ConfigError("number out of the double range", path) from None
-    if hint is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"expected an integer, got {value!r}", path)
-        return value
-    if hint is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"expected a boolean, got {value!r}", path)
-        return value
-    if hint is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"expected a string, got {value!r}", path)
+    if hint in _SCALARS:
+        # a bool is an int to isinstance, but an int field takes none
+        if not isinstance(value, hint) or (hint is int and isinstance(value, bool)):
+            raise ConfigError(f"expected {_SCALARS[hint]}, got {value!r}", path)
         return value
     if origin is tuple:
         args = get_args(hint)

@@ -83,16 +83,11 @@ class BuoyancyState:
     neutral_volume: float = 3e-5
 
     def validate(self) -> None:
-        if not (self.volume_min <= self.syringe_volume <= self.volume_max):
-            raise ConfigError(
-                "syringe_volume must lie in [volume_min, volume_max]",
-                "buoyancy.syringe_volume",
-            )
-        if not (self.volume_min <= self.neutral_volume <= self.volume_max):
-            raise ConfigError(
-                "neutral_volume must lie in [volume_min, volume_max]",
-                "buoyancy.neutral_volume",
-            )
+        for name in ("syringe_volume", "neutral_volume"):
+            if not (self.volume_min <= getattr(self, name) <= self.volume_max):
+                raise ConfigError(
+                    f"{name} must lie in [volume_min, volume_max]", f"buoyancy.{name}"
+                )
         if not (self.max_rate > 0.0):
             raise ConfigError("max_rate must be > 0", "buoyancy.max_rate")
 

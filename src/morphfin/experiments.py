@@ -260,13 +260,15 @@ def _sweep_rows(
     """One row per (fin state, amplitude, frequency) cell of the grid, from one run of the cell.
 
     Cell `i` runs once, with seed `spec.seed + 1000*i`. The seed and the sensor
-    noise reach only the depth loop, and no metric reads depth, so every repeat
-    of a cell would give the same metrics: the one run stands for all
-    `spec.repeats`, and each std is 0.
+    noise reach only the depth loop, and no metric reads depth, so the one run
+    stands for all `spec.repeats`, and each std is 0. A run whose records are not
+    kept has no depth loop, so a heave that alone would diverge faults only then.
     """
     if spec.kind != kind:
         raise DomainError(f"spec kind must be {kind}, got {spec.kind!r}")
     spec.validate()
+    if keep_records is None:
+        env = replace(env, depth_hold=False)
     rows = []
     cells = itertools.product(spec.fin_states, spec.amplitudes, spec.frequencies)
     for i, (fin_state, amplitude, frequency) in enumerate(cells):
@@ -454,24 +456,38 @@ class CalibrationResult:
     residuals: dict[str, float]  # relative residual per target
 
 
-def _observable_duration(observable: str, frequency: float) -> float:
-    if observable == "p2p_yaw":
-        return transient(frequency) + 8.0 / frequency
-    return 25.0
-
-
 def evaluate_targets(
     env: RunEnvironment, targets: Sequence[CalibrationTarget], seed: int = 0
 ) -> dict[str, float]:
     """Simulated value of each target observable, from one run of its condition per target.
 
-    Only the run's steady-window metrics outlive it. The seed reaches no metric.
+    Its runs drop the depth loop, which no metric reads, so a heave that alone diverges faults none.
     """
-    out: dict[str, float] = {}
+    return _evaluate(env, targets, {})
+
+
+def _evaluate(env, targets, memo: dict) -> dict[str, float]:
+    """evaluate_targets, each run's metrics kept in `memo`, or None if the run faulted.
+
+    A key holds what reaches the planar dynamics and the power, the damping pair folded to
+    the body + e*fin read at erection e; a nan fold (inf*0) equals no key, so it never hits.
+    """
+    env = replace(env, depth_hold=False)
+    p = env.params
+    p.validate()  # a folded damping pair could hide a negative one
+    out = {}
     for t in targets:
-        duration = _observable_duration(t.observable, t.frequency)
-        m = _cell(env, t.frequency, t.amplitude, t.fin_state, duration, seed)[1]
-        out[t.name] = getattr(m, OBSERVABLES[t.observable])
+        e = _erection(t.fin_state)
+        duration = transient(t.frequency) + 8.0 / t.frequency if t.observable == "p2p_yaw" else 25.0
+        fish = replace(p, yaw_damping_body=p.yaw_damping_body + e * p.yaw_damping_fin,
+                       yaw_damping_fin=0.0)
+        key = (fish, env.power, t.frequency, t.amplitude, e, duration, env.dt, env.record_every)
+        if key not in memo:
+            memo[key] = None  # stays None if the run faults
+            memo[key] = _cell(env, t.frequency, t.amplitude, t.fin_state, duration, 0)[1]
+        if memo[key] is None:
+            raise MorphfinError(f"{t.name}: an equal run faulted earlier in this call")
+        out[t.name] = getattr(memo[key], OBSERVABLES[t.observable])
     return out
 
 
@@ -504,6 +520,8 @@ def calibrate(
         if not (lo <= current[n] <= hi):
             raise ConfigError(f"initial {n}={current[n]} outside [{lo}, {hi}]", n)
 
+    memo: dict = {}  # one entry per simulation; see _evaluate
+
     def loss_of(values: dict[str, float]) -> tuple[float, dict[str, float]]:
         fish = {k: v for k, v in values.items() if k not in _POWER_FIELDS}
         power = {k: v for k, v in values.items() if k in _POWER_FIELDS}
@@ -511,7 +529,7 @@ def calibrate(
             env, params=replace(env.params, **fish), power=replace(env.power, **power)
         )
         try:
-            simulated = evaluate_targets(trial_env, targets)
+            simulated = _evaluate(trial_env, targets, memo)
         except MorphfinError:
             return math.inf, {}
         residuals = {t.name: (simulated[t.name] - t.value) / t.value for t in targets}
@@ -520,6 +538,7 @@ def calibrate(
 
     best_loss, best_res = loss_of(current)
     trace = [best_loss]
+    evaluations = 1  # calls of loss_of
     steps = {n: step_fraction * (bounds[n][1] - bounds[n][0]) for n in names}
 
     for _ in range(max_rounds):
@@ -532,12 +551,14 @@ def calibrate(
                 if candidate[n] == current[n]:
                     continue
                 cand_loss, cand_res = loss_of(candidate)
+                evaluations += 1
                 if cand_loss < best_loss:
                     current, best_loss, best_res = candidate, cand_loss, cand_res
                     trace.append(best_loss)
                     improved = True
                     if verbose:
-                        print(f"  {n} -> {current[n]:.6g}  loss {best_loss:.6g}", file=sys.stderr)
+                        print(f"  {n} -> {current[n]:.6g}  loss {best_loss:.6g}  simulations "
+                              f"{len(memo)}  evaluations {evaluations}", file=sys.stderr)
                     break
         if not improved:
             for n in names:

@@ -69,14 +69,13 @@ class FishParams:
         for name in positives:
             if not (getattr(self, name) > 0.0):
                 raise ConfigError("must be > 0", f"fish.{name}")
-        if not (self.yaw_damping_fin >= 0.0):
-            raise ConfigError("must be >= 0", "fish.yaw_damping_fin")
         nonnegatives = (
             "body_length",
             "tail_length",
             "thrust_coeff",
             "tail_reaction_coeff",
             "yaw_damping_body",
+            "yaw_damping_fin",
             "heave_drag_coeff",
             "heave_added_mass",
         )

@@ -31,7 +31,8 @@ class PlotStyle:
     y_label: str = "y"
 
 
-def _axis_range(lo: float, hi: float, axis: str) -> tuple[float, float]:
+def _axis_range(values: list[float], axis: str) -> tuple[float, float]:
+    lo, hi = min(values), max(values)
     span = hi - lo
     if span == 0.0:
         span = abs(hi) if hi != 0.0 else 1.0
@@ -58,12 +59,8 @@ def emit_plot(series: list[Series], style: PlotStyle, destination) -> Path:
                 f"({len(s.x)} x vs {len(s.y)} y)"
             )
 
-    x_min = min(min(s.x) for s in series)
-    x_max = max(max(s.x) for s in series)
-    y_min = min(min(s.y) for s in series)
-    y_max = max(max(s.y) for s in series)
-    ax0, ax1 = _axis_range(x_min, x_max, "x")
-    ay0, ay1 = _axis_range(y_min, y_max, "y")
+    ax0, ax1 = _axis_range([x for s in series for x in s.x], "x")
+    ay0, ay1 = _axis_range([y for s in series for y in s.y], "y")
 
     w, h = 640, 440
     ml, mr, mt, mb = 70, 20, 40, 50  # plot margins

@@ -199,6 +199,29 @@ class TestExitCodes:
         assert err.startswith("error: run of 3.0 s is entirely transient")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, data, column",
+        [
+            ("run", {"power": {"efficiency": 5e-324}}, "power_w"),
+            ("run", {"power": {"idle_power": math.inf}}, "power_w"),
+            ("run", {"buoyancy": {"syringe_volume": 1e303, "volume_max": 2e303,
+                                  "neutral_volume": 1e303}}, "syringe_ml"),
+            ("depth-step", {"power": {"idle_power": math.inf}}, "power_w"),
+            ("sweep-speed", {"power": {"efficiency": 5e-324}}, "power_w"),
+        ],
+    )
+    def test_non_finite_telemetry_writes_nothing(self, tmp_path, capsys, command, data, column):
+        # the state stays finite, but a recorded column does not
+        config = tmp_path / "extreme.json"
+        grid = {"frequencies": [1.0], "repeats": 1, "duration": 12.0}
+        config.write_text(json.dumps({**data, "sim": {"duration": 12.0}, "experiment": grid}))
+        out = tmp_path / "out"
+        rc = main(["--config", str(config), "--out", str(out), command])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: non-finite {column} in record 0\n"
+        assert not out.exists()
+
     def test_undecodable_config_is_an_error(self, tmp_path, capsys):
         config = tmp_path / "binary.json"
         config.write_bytes(b"\xff\xfe{")

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphfin import experiments
+from morphfin import controllers, experiments
 from morphfin.cli import _environment
 from morphfin.config import RunConfig, load_default_config
 from morphfin.control import BuoyancyState, GaitCommand
-from morphfin.errors import ConfigError, DomainError, MorphfinError
+from morphfin.errors import ConfigError, DomainError, MorphfinError, SimulationFault
 from morphfin.experiments import (
     DEFAULT_FREQUENCIES,
     YAW_AMPLITUDES,
@@ -22,6 +22,7 @@ from morphfin.experiments import (
     ExperimentSpec,
     RunEnvironment,
     calibrate,
+    evaluate_targets,
     run_condition,
     run_depth_step,
     run_speed_sweep,
@@ -261,6 +262,68 @@ class TestPlanarHeaveDecoupling:
         if a is not None:  # the noise does reach the depth loop
             assert a.column("depth_m") != b.column("depth_m")
             assert a.column("syringe_ml") != b.column("syringe_ml")
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Route module.name through a wrapper that records one entry per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _field_bits(rows) -> list[list[str]]:
+    """Each row's fields, every float as its float.hex."""
+    return [[v if isinstance(v, str) else v.hex() for v in dataclasses.astuple(r)] for r in rows]
+
+
+def _noisy_held_env() -> RunEnvironment:
+    return fast_env(depth_hold=True, noise=NoiseConfig(enabled=True))
+
+
+class TestMetricOnlyRuns:
+    """A run whose records nobody keeps runs no depth loop, and its metrics keep their bits."""
+
+    def test_evaluate_targets_runs_no_depth_loop(self, monkeypatch):
+        env, targets = _noisy_held_env(), experiments.default_targets()
+        calls = _counting(monkeypatch, controllers, "depth_controller")
+        values = evaluate_targets(env, targets, seed=5)
+        assert calls == []
+        for t in targets:  # the oracle runs the noisy depth loop of env
+            yaw = t.observable == "p2p_yaw"
+            duration = transient(t.frequency) + 8.0 / t.frequency if yaw else 25.0
+            m = experiments._cell(env, t.frequency, t.amplitude, t.fin_state, duration, 5)[1]
+            want = getattr(m, experiments.OBSERVABLES[t.observable])
+            assert float.hex(values[t.name]) == float.hex(want)
+        assert calls != []
+
+    @pytest.mark.parametrize(
+        "protocol, spec",
+        [
+            (run_speed_sweep, ExperimentSpec(
+                frequencies=[1.0, 2.0], amplitudes=[20.0], repeats=2, duration=12.0, seed=3,
+            )),
+            (run_yaw_study, ExperimentSpec(
+                kind="yaw_study", frequencies=[1.0], amplitudes=[20.0], repeats=1, duration=12.0,
+            )),
+        ],
+        ids=["speed_sweep", "yaw_study"],
+    )
+    def test_grid_runs_the_depth_loop_only_for_kept_records(self, monkeypatch, protocol, spec):
+        env = _noisy_held_env()
+        calls = _counting(monkeypatch, controllers, "depth_controller")
+        bare = protocol(env, spec, keep_records=None)
+        assert calls == []
+        kept = []
+        held = protocol(env, spec, keep_records=kept)
+        assert len(calls) > 0 and len(kept) == 2 * len(spec.frequencies)
+        rows = (lambda r: r.rows) if protocol is run_speed_sweep else (lambda r: r.table)
+        assert _field_bits(rows(bare)) == _field_bits(rows(held))
 
 
 class TestSeedProperties:
@@ -582,3 +645,52 @@ class TestCalibration:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("  thrust_coeff -> ") and " loss " in err
+        # the first probe improves on the start: two loss evaluations, two runs
+        assert err.splitlines()[0].endswith("  simulations 2  evaluations 2")
+
+    def test_memo_simulates_each_distinct_run_once(self, monkeypatch):
+        # the fin damping reaches no folded run, so every probe after the
+        # first hits the memo; the start is no worse than any probe
+        targets = [t for t in experiments.default_targets() if t.fin_state == "folded"]
+        env = fast_env()
+        calls = _counting(monkeypatch, experiments, "simulate")
+        result = calibrate(targets, env, {"yaw_damping_fin": (0.0, 2.0)}, max_rounds=3)
+        assert len(calls) == len(targets) == 5
+        assert result.loss_trace == result.loss_trace[:1]
+        fresh = evaluate_targets(
+            dataclasses.replace(env, params=dataclasses.replace(env.params, **result.parameters)),
+            targets,
+        )
+        residuals = {t.name: ((fresh[t.name] - t.value) / t.value).hex() for t in targets}
+        assert {k: v.hex() for k, v in result.residuals.items()} == residuals
+
+    def test_memo_leaves_the_fit_unchanged(self, monkeypatch):
+        # the oracle simulates every target of every loss evaluation afresh
+        targets = [t for t in experiments.default_targets() if t.name.startswith("p2p_20deg")]
+        bounds = {n: experiments.DEFAULT_BOUNDS[n] for n in ("yaw_damping_body", "yaw_damping_fin")}
+        env = fast_env()
+        env = dataclasses.replace(
+            env, params=dataclasses.replace(env.params, yaw_damping_body=0.6, yaw_damping_fin=0.1)
+        )
+        calls = _counting(monkeypatch, experiments, "simulate")
+        fit = calibrate(targets, env, bounds, max_rounds=6)
+        memoized = len(calls)
+        fresh = experiments._evaluate
+        monkeypatch.setattr(
+            experiments, "_evaluate", lambda env, targets, memo: fresh(env, targets, {})
+        )
+        assert fit == calibrate(targets, env, bounds, max_rounds=6)
+        assert len(fit.loss_trace) > 2 and memoized < len(calls) - memoized
+
+    def test_memo_keeps_no_fault_and_a_hit_faults_again(self, monkeypatch):
+        # an overflowing thrust faults on the first step; its key keeps None,
+        # not the exception, whose traceback holds the run's records
+        env = fast_env()
+        env = dataclasses.replace(env, params=dataclasses.replace(env.params, thrust_coeff=1e308))
+        targets, memo = experiments.default_targets()[:1], {}
+        calls = _counting(monkeypatch, experiments, "simulate")
+        with pytest.raises(SimulationFault):
+            experiments._evaluate(env, targets, memo)
+        with pytest.raises(MorphfinError, match="faulted earlier"):
+            experiments._evaluate(env, targets, memo)
+        assert len(calls) == 1 and list(memo.values()) == [None]
