@@ -1,7 +1,9 @@
 """Command-line interface tying the simulator, experiments, and outputs together.
 
 Exit codes: 0 success, 1 domain/config error, 2 I/O error. Diagnostics go to
-stderr; all data goes to files (or stdout when streaming).
+stderr; all data goes to files (or stdout when streaming). Each subcommand
+builds its files in memory and `main` hands them to `_write_outputs`, the one
+place that makes the output directory and writes: an exit 1 writes nothing.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from pathlib import Path
 
 from . import experiments as xp
 from .config import RunConfig, load_config, load_default_config
-from .control import GaitCommand
 from .errors import MorphfinError
 from .metrics import cot, steady_window
 from .plotting import PlotStyle, Series, emit_plot
-from .telemetry import _COLUMNS, csv_rows, read_telemetry, write_telemetry
+from .telemetry import _COLUMNS, csv_rows, encode_telemetry, read_telemetry
 
 
 def _environment(config: RunConfig) -> xp.RunEnvironment:
@@ -50,30 +51,20 @@ def _replay_metrics(records, frequency: float, mass: float, gravity: float) -> d
     }
 
 
-def _make_out(out: Path, *runs) -> None:
-    """Make the output directory once every run's records pass write_telemetry's checks."""
-    for records in runs:
-        for _ in csv_rows(records):
-            pass
-    out.mkdir(parents=True, exist_ok=True)
+def _json(payload) -> bytes:
+    return (json.dumps(payload, indent=2) + "\n").encode()
 
 
-def _cmd_run(config: RunConfig, out: Path, stream: bool) -> int:
+def _cmd_run(config: RunConfig, stream: bool) -> dict:
     env = _environment(config)
     records = xp.run_condition(env, config.gait, config.sim.duration, config.sim.seed)
     if stream:
         sys.stdout.writelines(csv_rows(records))
-        return 0
-    # metrics first, so that a run with no steady window writes nothing
+        return {}
     metrics = _replay_metrics(
         records, config.gait.frequency, config.fish.mass, config.fish.gravity
     )
-    _make_out(out, records)
-    path = out / "run.csv"
-    write_telemetry(records, path)
-    (out / "run_metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
-    print(f"wrote {path}", file=sys.stderr)
-    return 0
+    return {"run.csv": encode_telemetry(records), "run_metrics.json": _json(metrics)}
 
 
 def _grid_spec(config: RunConfig, kind: str) -> xp.ExperimentSpec:
@@ -84,19 +75,20 @@ def _grid_spec(config: RunConfig, kind: str) -> xp.ExperimentSpec:
     return canonical(seed=config.sim.seed)
 
 
-def _write_grid(
-    out: Path, table: str, csv: str, kept: list, prefix: str, series, style, chart: str
-) -> None:
-    """The grid's table, the telemetry of each cell's one run, and its chart."""
-    _make_out(out, *(records for *_, records in kept))
-    (out / table).write_text(csv)
-    for freq, amp, fin_state, records in kept:
-        write_telemetry(records, out / f"{prefix}_{xp.cell_name(freq, amp, fin_state)}.csv")
-    emit_plot(series, style, out / chart)
-    print(f"wrote {out / table}", file=sys.stderr)
+def _grid_files(table: str, csv: str, kept: list, prefix: str, series, style, chart: str) -> dict:
+    """The grid's table, the telemetry of each cell's one run, and its chart.
+
+    Each run leaves `kept` once its bytes exist, so no run is held twice.
+    """
+    files = {table: csv.encode()}
+    while kept:
+        freq, amp, fin_state, records = kept.pop(0)
+        files[f"{prefix}_{xp.cell_name(freq, amp, fin_state)}.csv"] = encode_telemetry(records)
+    files[chart] = emit_plot(series, style)
+    return files
 
 
-def _cmd_sweep_speed(config: RunConfig, out: Path) -> int:
+def _cmd_sweep_speed(config: RunConfig) -> dict:
     spec = _grid_spec(config, "speed_sweep")
     kept: list = []
     result = xp.run_speed_sweep(_environment(config), spec, keep_records=kept)
@@ -107,14 +99,13 @@ def _cmd_sweep_speed(config: RunConfig, out: Path) -> int:
             Series(fin_state, [r.frequency for r in rows], [r.mean_speed for r in rows])
         )
     style = PlotStyle("Mean speed vs gait frequency", "frequency (Hz)", "speed (m/s)")
-    _write_grid(
-        out, "speed_sweep.csv", result.to_csv(), kept, "run", series, style,
+    return _grid_files(
+        "speed_sweep.csv", result.to_csv(), kept, "run", series, style,
         "speed_vs_frequency.svg",
     )
-    return 0
 
 
-def _cmd_yaw_study(config: RunConfig, out: Path) -> int:
+def _cmd_yaw_study(config: RunConfig) -> dict:
     spec = _grid_spec(config, "yaw_study")
     kept: list = []
     report = xp.run_yaw_study(_environment(config), spec, keep_records=kept)
@@ -124,20 +115,16 @@ def _cmd_yaw_study(config: RunConfig, out: Path) -> int:
         Series("erect", index, [r.erect_p2p for r in report.table]),
     ]
     style = PlotStyle("Peak-to-peak yaw per condition", "condition index", "yaw p2p (deg)")
-    _write_grid(
-        out, "yaw_study.csv", report.table_csv(), kept, "yaw", series, style,
-        "yaw_p2p.svg",
+    return _grid_files(
+        "yaw_study.csv", report.table_csv(), kept, "yaw", series, style, "yaw_p2p.svg"
     )
-    return 0
 
 
-def _cmd_depth_step(config: RunConfig, out: Path) -> int:
+def _cmd_depth_step(config: RunConfig) -> dict:
     records, reports = xp.run_depth_step(
         _environment(config), config.depth_schedule, config.sim.duration, config.sim.seed,
         initial_depth=config.sim.initial_depth,
     )
-    _make_out(out, records)
-    write_telemetry(records, out / "depth_step.csv")
     payload = [
         {
             "start_time_s": r.start_time,
@@ -147,17 +134,17 @@ def _cmd_depth_step(config: RunConfig, out: Path) -> int:
         }
         for r in reports
     ]
-    (out / "depth_step_report.json").write_text(json.dumps(payload, indent=2) + "\n")
-    emit_plot(
-        [Series("depth", records.column("time_s"), records.column("depth_m"))],
-        PlotStyle(title="Depth step response", x_label="time (s)", y_label="depth (m)"),
-        out / "depth_step.svg",
-    )
-    print(f"wrote {out / 'depth_step.csv'}", file=sys.stderr)
-    return 0
+    return {
+        "depth_step.csv": encode_telemetry(records),
+        "depth_step_report.json": _json(payload),
+        "depth_step.svg": emit_plot(
+            [Series("depth", records.column("time_s"), records.column("depth_m"))],
+            PlotStyle(title="Depth step response", x_label="time (s)", y_label="depth (m)"),
+        ),
+    }
 
 
-def _cmd_calibrate(config: RunConfig, out: Path) -> int:
+def _cmd_calibrate(config: RunConfig) -> dict:
     result = xp.calibrate(
         xp.default_targets(),
         _environment(config),
@@ -165,42 +152,48 @@ def _cmd_calibrate(config: RunConfig, out: Path) -> int:
         step_fraction=0.05,
         verbose=True,
     )
-    out.mkdir(parents=True, exist_ok=True)
     summary = {
         "parameters": result.parameters,
         "residuals": result.residuals,
         "final_loss": result.loss_trace[-1],
     }
-    (out / "calibration.json").write_text(json.dumps(summary, indent=2) + "\n")
-    (out / "loss_trace.csv").write_text(
-        "iteration,loss\n"
-        + "".join(f"{i},{v:.9g}\n" for i, v in enumerate(result.loss_trace))
-    )
-    print(f"wrote {out / 'calibration.json'}", file=sys.stderr)
-    return 0
+    trace = "".join(f"{i},{v:.9g}\n" for i, v in enumerate(result.loss_trace))
+    return {
+        "calibration.json": _json(summary),
+        "loss_trace.csv": ("iteration,loss\n" + trace).encode(),
+    }
 
 
-def _cmd_replay(config: RunConfig, telemetry_path: str, out: Path) -> int:
+def _cmd_replay(config: RunConfig, telemetry_path: str) -> dict:
     records = read_telemetry(telemetry_path)
     metrics = _replay_metrics(
         records, config.gait.frequency, config.fish.mass, config.fish.gravity
     )
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "replay_metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
-    print(f"wrote {out / 'replay_metrics.json'}", file=sys.stderr)
-    return 0
+    return {"replay_metrics.json": _json(metrics)}
 
 
-def _cmd_plot(telemetry_path: str, x: str, ys: list[str], out: Path) -> int:
+def _cmd_plot(telemetry_path: str, x: str, ys: list[str]) -> dict:
     records = read_telemetry(telemetry_path)
     for col in [x, *ys]:
         if col not in _COLUMNS:
             raise MorphfinError(f"unknown telemetry column {col!r}")
     series = [Series(name=col, x=records.column(x), y=records.column(col)) for col in ys]
-    dest = out / "plot.svg"
-    emit_plot(series, PlotStyle(x_label=x, y_label=", ".join(ys)), dest)
-    print(f"wrote {dest}", file=sys.stderr)
-    return 0
+    return {"plot.svg": emit_plot(series, PlotStyle(x_label=x, y_label=", ".join(ys)))}
+
+
+def _write_outputs(out: Path, files: dict) -> None:
+    """Make `out` and write each file's bytes (or byte blocks) in order.
+
+    The CLI's one writer: a subcommand hands it every file built, checked and
+    formatted, so a subcommand that fails has made no directory and no file.
+    """
+    if not files:
+        return
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        with open(out / name, "wb") as stream:
+            stream.writelines((data,) if isinstance(data, bytes) else data)
+    print(f"wrote {out / next(iter(files))}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,20 +235,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             config = replace(config, sim=replace(config.sim, seed=args.seed))
         out = Path(args.out if args.out is not None else config.output_dir)
-        if args.command == "run":
-            return _cmd_run(config, out, args.stream)
-        if args.command == "sweep-speed":
-            return _cmd_sweep_speed(config, out)
-        if args.command == "yaw-study":
-            return _cmd_yaw_study(config, out)
-        if args.command == "depth-step":
-            return _cmd_depth_step(config, out)
-        if args.command == "calibrate":
-            return _cmd_calibrate(config, out)
-        if args.command == "replay":
-            return _cmd_replay(config, args.telemetry, out)
-        ys = args.y if args.y else ["yaw_deg"]  # argparse admits no other command
-        return _cmd_plot(args.telemetry, args.x, ys, out)
+        commands = {
+            "run": lambda: _cmd_run(config, args.stream),
+            "sweep-speed": lambda: _cmd_sweep_speed(config),
+            "yaw-study": lambda: _cmd_yaw_study(config),
+            "depth-step": lambda: _cmd_depth_step(config),
+            "calibrate": lambda: _cmd_calibrate(config),
+            "replay": lambda: _cmd_replay(config, args.telemetry),
+            "plot": lambda: _cmd_plot(args.telemetry, args.x, args.y or ["yaw_deg"]),
+        }
+        _write_outputs(out, commands[args.command]())
+        return 0
     except MorphfinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 from xml.etree import ElementTree as ET
 
@@ -42,11 +41,11 @@ def _axis_range(values: list[float], axis: str) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def emit_plot(series: list[Series], style: PlotStyle, destination) -> Path:
+def emit_plot(series: list[Series], style: PlotStyle) -> bytes:
     """Render one polyline per series with axes, tick labels, and a legend.
 
-    The output is well-formed standalone SVG; the vertical axis spans the
-    data range with small symmetric padding.
+    The output is the bytes of a well-formed standalone SVG file; the vertical
+    axis spans the data range with small symmetric padding.
     """
     if not series:
         raise DomainError("at least one series is required")
@@ -126,7 +125,4 @@ def emit_plot(series: list[Series], style: PlotStyle, destination) -> Path:
         })
         text(s.name, {"x": str(ml + pw - 84), "y": str(ly), "font-size": "11", "class": "legend"})
 
-    dest = Path(destination)
-    dest.parent.mkdir(parents=True, exist_ok=True)  # once the plot is known drawable
-    ET.ElementTree(svg).write(dest, xml_declaration=True, encoding="utf-8")
-    return dest
+    return ET.tostring(svg, encoding="utf-8", xml_declaration=True)

@@ -95,16 +95,25 @@ def _pin_mmap_threshold() -> None:
         getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)(-3, 128 * 1024)  # M_MMAP_THRESHOLD
 
 
+def encode_telemetry(records: Iterable[TelemetryRecord]) -> list[bytes]:
+    """The records' CSV file, header first, as blocks of ASCII bytes.
+
+    A record that fails the checks, or no record at all, raises TelemetryFormatError.
+    """
+    _pin_mmap_threshold()
+    blocks = [(HEADER + "\n").encode("ascii"), *map(str.encode, csv_rows(records))]
+    if len(blocks) == 1:
+        raise TelemetryFormatError("no records to write")
+    return blocks
+
+
 def write_telemetry(records: Iterable[TelemetryRecord], destination) -> int:
     """Write records as CSV; returns the byte count written.
 
     A record that fails the checks creates no file: all are checked before the
     file opens. Raises OSError (I/O error with path) on an unwritable destination.
     """
-    _pin_mmap_threshold()
-    blocks = [(HEADER + "\n").encode("ascii"), *map(str.encode, csv_rows(records))]
-    if len(blocks) == 1:
-        raise TelemetryFormatError("no records to write")
+    blocks = encode_telemetry(records)
     with open(destination, "wb") as out:
         out.writelines(blocks)
     return sum(map(len, blocks))
@@ -135,8 +144,8 @@ def csv_rows(records: Iterable[TelemetryRecord]) -> Iterator[str]:
 def read_telemetry(source) -> Telemetry:
     """Parse a telemetry CSV, enforcing the exact header and monotone time.
 
-    A path or a binary stream is read as ASCII, the only bytes `write_telemetry`
-    writes; any other byte is a TelemetryFormatError naming its line, raised
+    A path or a binary stream is read as ASCII, the only bytes `encode_telemetry`
+    gives; any other byte is a TelemetryFormatError naming its line, raised
     ahead of every other error in the file. A text stream is parsed as it reads.
     """
     _pin_mmap_threshold()

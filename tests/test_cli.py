@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_config import _VALUES, _object_like
+from test_golden import SMALL_GRID
 
+from morphfin import cli, telemetry
 from morphfin import experiments as xp
 from morphfin.cli import _environment, main
 from morphfin.config import RunConfig, load_default_config
+from morphfin.errors import DomainError
 from morphfin.telemetry import _COLUMNS, write_telemetry
 
 
@@ -250,6 +253,7 @@ class TestRun:
         data = [l for l in lines if "," in l]
         assert len(data) > 100
         assert all(len(l.split(",")) == 13 for l in data[:5])
+        assert not out.exists()
 
     def test_determinism_byte_identical(self, fast_config, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -505,6 +509,64 @@ class TestPlot:
         assert rc == 1
         assert err == "error: the y axis spans more than the double range\n"
         assert not out.exists()
+
+
+class TestOutputs:
+    """Every file is built before the one writer makes the output directory."""
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("depth-step", {"sim": {"duration": 12.0}}),
+            ("sweep-speed", {"experiment": SMALL_GRID}),
+            ("yaw-study", {"experiment": {**SMALL_GRID, "kind": "yaw_study", "amplitudes": [20.0]}}),
+            ("plot", {}),
+        ],
+    )
+    def test_a_failing_chart_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, command, data
+    ):
+        def no_chart(*args):
+            raise DomainError("no chart")
+
+        monkeypatch.setattr(cli, "emit_plot", no_chart)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        argv = ["--config", str(config), "--out", str(out), command]
+        if command == "plot":
+            telemetry = tmp_path / "run.csv"
+            telemetry.write_bytes(_telemetry())
+            argv.append(str(telemetry))
+        rc = main(argv)
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no chart\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, runs, first",
+        [("run", 1, "run.csv"), ("depth-step", 1, "depth_step.csv"),
+         ("sweep-speed", 2, "speed_sweep.csv")],
+    )
+    def test_each_kept_run_is_formatted_once(
+        self, tmp_path, capsys, monkeypatch, command, runs, first
+    ):
+        calls, csv_rows = [], telemetry.csv_rows
+
+        def counted(records):
+            calls.append(records)
+            return csv_rows(records)
+
+        monkeypatch.setattr(telemetry, "csv_rows", counted)
+        monkeypatch.setattr(cli, "csv_rows", counted)
+        config = tmp_path / "config.json"
+        grid = {"frequencies": [1.0], "repeats": 1, "duration": 12.0}
+        config.write_text(json.dumps({"sim": {"dt": 0.005, "duration": 12.0}, "experiment": grid}))
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), command]) == 0
+        assert len(calls) == runs
+        assert len({id(records) for records in calls}) == runs
+        assert capsys.readouterr().err == f"wrote {out / first}\n"
 
 
 def test_calibrate_starts_from_the_config(tmp_path, capsys, monkeypatch):
