@@ -1,6 +1,7 @@
 """Command-line interface tying the simulator, experiments, and outputs together.
 
-Exit codes: 0 success, 1 domain/config error, 2 I/O error. Diagnostics go to
+Exit codes: 0 success, 1 domain/config error, 2 I/O error; a reader that
+closes streamed stdout early ends the run quietly with 0. Diagnostics go to
 stderr; all data goes to files (or stdout when streaming). Each subcommand
 builds its files in memory and `main` hands them to `_write_outputs`, the one
 place that makes the output directory and writes: an exit 1 writes nothing.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -52,7 +54,10 @@ def _replay_metrics(records, frequency: float, mass: float, gravity: float) -> d
 
 
 def _json(payload) -> bytes:
-    return (json.dumps(payload, indent=2) + "\n").encode()
+    try:
+        return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
+    except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
+        raise MorphfinError(f"output is not JSON: {exc}") from exc
 
 
 def _cmd_run(config: RunConfig, stream: bool) -> dict:
@@ -249,6 +254,10 @@ def main(argv: list[str] | None = None) -> int:
     except MorphfinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # a reader closed stdout early (`| head`): stop quietly; devnull takes the last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from .controllers import NoiseConfig, SwimController
 from .errors import (
     ConfigError, DomainError, InsufficientDataError, MorphfinError, SimulationFault,
 )
-from .hydro import FishParams, FishState, simulate
+from .hydro import YAW_FIELDS, FishParams, FishState, simulate
 from .metrics import PowerModel, cot, improvement, steady_window, transient
 from .telemetry import Telemetry
 
@@ -469,8 +469,10 @@ def evaluate_targets(
 def _evaluate(env, targets, memo: dict) -> dict[str, float]:
     """evaluate_targets, each run's metrics kept in `memo`, or None if the run faulted.
 
-    A key holds what reaches the planar dynamics and the power, the damping pair folded to
-    the body + e*fin read at erection e; a nan fold (inf*0) equals no key, so it never hits.
+    A p2p_yaw run integrates YAW_FIELDS alone, as yaw reads no other state; its other columns
+    hold the start state. A key holds what reaches the run's metric: the damping pair folded
+    to the body + e*fin read at erection e (a nan fold, inf*0, never hits), and for a yaw run
+    YAW_FIELDS in place of the PowerModel, which yaw does not read.
     """
     env = replace(env, depth_hold=False)
     p = env.params
@@ -478,13 +480,22 @@ def _evaluate(env, targets, memo: dict) -> dict[str, float]:
     out = {}
     for t in targets:
         e = _erection(t.fin_state)
-        duration = transient(t.frequency) + 8.0 / t.frequency if t.observable == "p2p_yaw" else 25.0
+        yaw = t.observable == "p2p_yaw"
+        duration = transient(t.frequency) + 8.0 / t.frequency if yaw else 25.0
         fish = replace(p, yaw_damping_body=p.yaw_damping_body + e * p.yaw_damping_fin,
                        yaw_damping_fin=0.0)
-        key = (fish, env.power, t.frequency, t.amplitude, e, duration, env.dt, env.record_every)
+        key = (fish, YAW_FIELDS if yaw else env.power, t.frequency, t.amplitude, e, duration,
+               env.dt, env.record_every)
         if key not in memo:
             memo[key] = None  # stays None if the run faults
-            memo[key] = _cell(env, t.frequency, t.amplitude, t.fin_state, duration, 0)[1]
+            if yaw:  # a speed of 0 has no COT, so this run never reaches _metrics_with_cot
+                gait = GaitCommand(t.frequency, t.amplitude, fin_erection_setpoint=e)
+                records = simulate(p, SwimController(env, gait), duration, env.dt,
+                                   power_model=env.power, record_every=env.record_every,
+                                   fields=YAW_FIELDS)
+                memo[key] = condition_metrics(records, t.frequency)
+            else:
+                memo[key] = _cell(env, t.frequency, t.amplitude, t.fin_state, duration, 0)[1]
         if memo[key] is None:
             raise MorphfinError(f"{t.name}: an equal run faulted earlier in this call")
         out[t.name] = getattr(memo[key], OBSERVABLES[t.observable])
@@ -507,7 +518,8 @@ def calibrate(
     from its value in `env.power` (efficiency, idle_power) or `env.params`.
     Derivative-free coordinate descent: probe each free parameter up and down
     by its current step, accept improvements, halve all steps after a sweep
-    with no improvement. A trial point whose simulation faults scores +inf.
+    with no improvement. A trial point whose simulation faults scores +inf,
+    and a MorphfinError is raised if no trial scores a finite loss.
     """
     if not targets:
         raise DomainError("need at least one calibration target")
@@ -565,4 +577,6 @@ def calibrate(
                 steps[n] *= 0.5
             if all(steps[n] / (bounds[n][1] - bounds[n][0]) < tol for n in names):
                 break
+    if not math.isfinite(best_loss):
+        raise MorphfinError(f"calibration failed: no trial of {evaluations} has a finite loss")
     return CalibrationResult(parameters=current, loss_trace=trace, residuals=best_res)

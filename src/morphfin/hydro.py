@@ -10,7 +10,10 @@ step classical Runge-Kutta (RK4) integrator.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
@@ -26,8 +29,26 @@ MAX_STEPS = 10**7
 
 _DEG = math.pi / 180.0
 
-# FishState fields the integrator advances, in the order of its flat tuple
-_STATE_FIELDS = ("x", "y", "depth", "yaw", "surge_vel", "sway_vel", "yaw_rate", "heave_vel")
+# The RK4 step is generated from this table: one row per integrated FishState
+# field, with its local name in the step and its rate at stage {k}. A rate reads
+# the loads (thrust, moment, damping, buoyancy), the run's coefficients and the
+# stage values of the locals it names; c and s are the cos and sin of the stage
+# yaw. Each rate keeps the association of the tuple-form oracle in
+# tests/test_hydro.py, so the step stays bit-identical to it.
+_RATES = (
+    ("x", "x", "u{k} * c{k} - v{k} * s{k}"),
+    ("y", "y", "u{k} * s{k} + v{k} * c{k}"),
+    ("depth", "depth", "w{k}"),
+    ("yaw", "yaw", "r{k}"),
+    ("surge_vel", "u", "(thrust - rho_cda * u{k} * abs(u{k})) / mass"),
+    ("sway_vel", "v", "-rho_cda * v{k} * abs(v{k}) / mass"),  # lightly damped, unforced
+    ("yaw_rate", "r", "(moment - damping * r{k} * abs(r{k})) / yaw_inertia"),
+    ("heave_vel", "w", "(-buoyancy - heave_drag_coeff * w{k} * abs(w{k})) / heave_mass"),
+)
+# the FishState fields the step advances, in the order of its flat tuple
+_STATE_FIELDS = tuple(field for field, _, _ in _RATES)
+# all that yaw reads: a step of these fields alone calls no cos or sin
+YAW_FIELDS = ("yaw", "yaw_rate")
 
 
 @dataclass(frozen=True)
@@ -58,27 +79,14 @@ class FishParams:
     gravity: float = 9.81  # m/s^2
 
     def validate(self) -> None:
-        positives = (
-            "mass",
-            "yaw_inertia",
-            "water_density",
-            "gravity",
-            "frontal_area",
-            "frontal_drag_coeff",
-        )
+        positives = ("mass", "yaw_inertia", "water_density", "gravity", "frontal_area",
+                     "frontal_drag_coeff")
         for name in positives:
             if not (getattr(self, name) > 0.0):
                 raise ConfigError("must be > 0", f"fish.{name}")
-        nonnegatives = (
-            "body_length",
-            "tail_length",
-            "thrust_coeff",
-            "tail_reaction_coeff",
-            "yaw_damping_body",
-            "yaw_damping_fin",
-            "heave_drag_coeff",
-            "heave_added_mass",
-        )
+        nonnegatives = ("body_length", "tail_length", "thrust_coeff", "tail_reaction_coeff",
+                        "yaw_damping_body", "yaw_damping_fin", "heave_drag_coeff",
+                        "heave_added_mass")
         for name in nonnegatives:
             if not (getattr(self, name) >= 0.0):
                 raise ConfigError("must be >= 0", f"fish.{name}")
@@ -128,15 +136,8 @@ class ControlInput(NamedTuple):
     def is_finite(self) -> bool:
         isfinite = math.isfinite
         angle, rate, frequency, amplitude, erection, buoyancy, volume = self
-        return (
-            isfinite(angle)
-            and isfinite(rate)
-            and isfinite(frequency)
-            and isfinite(amplitude)
-            and isfinite(erection)
-            and isfinite(buoyancy)
-            and isfinite(volume)
-        )
+        return (isfinite(angle) and isfinite(rate) and isfinite(frequency) and isfinite(amplitude)
+                and isfinite(erection) and isfinite(buoyancy) and isfinite(volume))
 
 
 def _rho_cda(params: FishParams) -> float:
@@ -160,14 +161,9 @@ def mean_thrust(params: FishParams, freq: float, amp: float) -> float:
     if freq == 0.0 or amp == 0.0:
         return 0.0
     try:
-        return (
-            params.thrust_coeff
-            * params.water_density
-            * params.frontal_area
-            * params.tail_length**2
-            * freq**params.thrust_freq_exponent
-            * amp**params.thrust_amp_exponent
-        )
+        return (params.thrust_coeff * params.water_density * params.frontal_area
+                * params.tail_length**2 * freq**params.thrust_freq_exponent
+                * amp**params.thrust_amp_exponent)
     except OverflowError:  # a power beyond the double range
         return math.inf
 
@@ -204,79 +200,57 @@ def _loads(params: FishParams):
     return load
 
 
-# Internal fast path: state as a flat tuple (x, y, depth, yaw, u, v, r, w),
-# loads as the tuple a _loads closure returns. The per-step loop works on scalar
-# locals and allocates nothing but the returned tuples. Every expression keeps
-# the association of the tuple-form oracle in tests/test_hydro.py, so the
-# output stays bit-identical to it.
+@functools.cache
+def _step_factory(fields: tuple[str, ...]):
+    """make(coefficients) -> advance(sv, loads) -> sv, an RK4 step of `fields` alone.
 
-
-def _integrator(params: FishParams, dt: float):
-    """The RK4 step advance(sv, loads) -> sv for fixed params and dt.
-
-    The coefficients are read from params once here, not in each of the four
-    derivative stages of every step; simulate builds one per run.
+    Its source is generated from _RATES, compiled once per field set and kept
+    in linecache, so tracebacks and inspect.getsource show it. Fields outside
+    the set keep their values, so the set must hold every field its rates read.
     """
-    rho_cda = _rho_cda(params)
-    mass = params.mass
-    yaw_inertia = params.yaw_inertia
-    heave_drag_coeff = params.heave_drag_coeff
-    heave_mass = mass + params.heave_added_mass
-    cos, sin = math.cos, math.sin
-    half = dt / 2.0
-    sixth = dt / 6.0
+    rows = [row for row in _RATES if row[0] in fields]
+    read = set(re.findall(r"(\w+)\{k\}", " ".join(rate for _, _, rate in rows)))
+    trig = bool(read & {"c", "s"})
+    staged = sorted(read - {"c", "s"} | ({"yaw"} if trig else set()))
+    if len(rows) != len(set(fields)) or not set(staged) <= {local for _, local, _ in rows}:
+        raise ValueError(f"{fields} is not a closed set of state fields")
+    body = ["thrust, moment, damping, buoyancy = loads"]
+    ks = {}  # (local, stage) -> the rate's name, or its expression if no stage reads it
+    for k, h in enumerate(("half", "half", "dt", None), 1):
+        n = k if k > 1 else ""  # stage 1 reads the state itself
+        if trig:
+            body.append(f"c{n}, s{n} = cos(yaw{n}), sin(yaw{n})")
+        for _, local, rate in rows:
+            ks[local, k] = rate.format(k=n)
+            if not ks[local, k].isidentifier():
+                if local in staged:
+                    body.append(f"d{local}{k} = {ks[local, k]}")
+                ks[local, k] = f"d{local}{k}" if local in staged else f"({ks[local, k]})"
+        body += [f"{local}{k + 1} = {local} + {h} * {ks[local, k]}" for local in staged if h]
+    new = {local: "{0} + sixth * ({1} + 2.0 * {2} + 2.0 * {3} + {4})".format(
+        local, *(ks[local, k] for k in (1, 2, 3, 4))) for _, local, _ in rows}
+    if "depth" in fields:  # hard free-surface boundary: clamp depth, kill upward heave on contact
+        body += [f"depth = {new.pop('depth')}", f"w = {new.pop('w')}",
+                 "if depth < 0.0:", "    depth = 0.0", "    w = max(w, 0.0)"]
+    body += ["return (", *(f"    {new.get(local, local)}," for _, local, _ in _RATES), ")"]
+    source = (
+        "def make(rho_cda, mass, yaw_inertia, heave_drag_coeff, heave_mass, dt, half, sixth):\n"
+        f"    def advance(sv, loads):\n        {', '.join(local for _, local, _ in _RATES)} = sv\n"
+        + "".join(f"        {line}\n" for line in body) + "    return advance\n"
+    )
+    filename = f"<hydro RK4 step of {', '.join(fields)}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"cos": math.cos, "sin": math.sin}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["make"]
 
-    def advance(sv, loads):
-        # Four derivative stages: stage k's d(depth) is w_k, d(yaw) is r_k, and
-        # its dx, dy are summed below from c_k, s_k, the cos and sin of its yaw.
-        x, y, depth, yaw, u, v, r, w = sv
-        f, m, c, b = loads
-        c1, s1 = cos(yaw), sin(yaw)
-        du1 = (f - rho_cda * u * abs(u)) / mass
-        dv1 = -rho_cda * v * abs(v) / mass  # lightly damped, unforced at zero bias
-        dr1 = (m - c * r * abs(r)) / yaw_inertia
-        dw1 = (-b - heave_drag_coeff * w * abs(w)) / heave_mass
-        u2, v2, r2, w2 = u + half * du1, v + half * dv1, r + half * dr1, w + half * dw1
-        yaw_k = yaw + half * r
-        c2, s2 = cos(yaw_k), sin(yaw_k)
-        du2 = (f - rho_cda * u2 * abs(u2)) / mass
-        dv2 = -rho_cda * v2 * abs(v2) / mass
-        dr2 = (m - c * r2 * abs(r2)) / yaw_inertia
-        dw2 = (-b - heave_drag_coeff * w2 * abs(w2)) / heave_mass
-        u3, v3, r3, w3 = u + half * du2, v + half * dv2, r + half * dr2, w + half * dw2
-        yaw_k = yaw + half * r2
-        c3, s3 = cos(yaw_k), sin(yaw_k)
-        du3 = (f - rho_cda * u3 * abs(u3)) / mass
-        dv3 = -rho_cda * v3 * abs(v3) / mass
-        dr3 = (m - c * r3 * abs(r3)) / yaw_inertia
-        dw3 = (-b - heave_drag_coeff * w3 * abs(w3)) / heave_mass
-        u4, v4, r4, w4 = u + dt * du3, v + dt * dv3, r + dt * dr3, w + dt * dw3
-        yaw_k = yaw + dt * r3
-        c4, s4 = cos(yaw_k), sin(yaw_k)
-        du4 = (f - rho_cda * u4 * abs(u4)) / mass
-        dv4 = -rho_cda * v4 * abs(v4) / mass
-        dr4 = (m - c * r4 * abs(r4)) / yaw_inertia
-        dw4 = (-b - heave_drag_coeff * w4 * abs(w4)) / heave_mass
-        depth = depth + sixth * (w + 2.0 * w2 + 2.0 * w3 + w4)
-        w = w + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
-        # hard free-surface boundary: clamp depth, kill upward heave on contact
-        if depth < 0.0:
-            depth = 0.0
-            w = max(w, 0.0)
-        return (
-            x + sixth * ((u * c1 - v * s1) + 2.0 * (u2 * c2 - v2 * s2)
-                         + 2.0 * (u3 * c3 - v3 * s3) + (u4 * c4 - v4 * s4)),
-            y + sixth * ((u * s1 + v * c1) + 2.0 * (u2 * s2 + v2 * c2)
-                         + 2.0 * (u3 * s3 + v3 * c3) + (u4 * s4 + v4 * c4)),
-            depth,
-            yaw + sixth * (r + 2.0 * r2 + 2.0 * r3 + r4),
-            u + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4),
-            v + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
-            r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4),
-            w,
-        )
 
-    return advance
+def _integrator(params: FishParams, dt: float, fields: tuple[str, ...] = _STATE_FIELDS):
+    """The RK4 step advance(sv, loads) -> sv of `fields` for fixed params and dt, which
+    reads its coefficients once; simulate builds one per run."""
+    return _step_factory(tuple(fields))(
+        _rho_cda(params), params.mass, params.yaw_inertia, params.heave_drag_coeff,
+        params.mass + params.heave_added_mass, dt, dt / 2.0, dt / 6.0)
 
 
 def _check_dt(dt: float) -> None:
@@ -317,12 +291,14 @@ def simulate(
     initial_state: FishState | None = None,
     power_model: PowerModel = PowerModel(),
     record_every: int = 1,
+    fields: tuple[str, ...] = _STATE_FIELDS,
 ) -> Telemetry:
     """Run a closed-loop simulation and return sampled telemetry.
 
     Every `record_every`-th step is sampled (1 keeps all steps, so a run of
     duration/dt steps yields ceil(duration/dt)+1 records, the first being the
-    initial state). The controller is handed the true time and depth.
+    initial state). The controller is handed the true time and depth. Only
+    the state `fields` are integrated; the others hold their start values.
     """
     check_run(duration, dt)
     if record_every < 1:
@@ -332,7 +308,7 @@ def simulate(
     state.validate()
 
     n_steps = math.ceil(duration / dt)
-    advance = _integrator(params, dt)
+    advance = _integrator(params, dt, fields)
     load = _loads(params)
     # bound once per run; a tracer that wraps the class method wraps this too
     command = controller.command

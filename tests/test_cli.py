@@ -5,6 +5,9 @@ import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -254,6 +257,22 @@ class TestRun:
         assert len(data) > 100
         assert all(len(l.split(",")) == 13 for l in data[:5])
         assert not out.exists()
+
+    def test_stream_to_a_closed_reader_stops_quietly_with_exit_0(self, fast_config, tmp_path):
+        # as `morphfin run --stream | head -c 0`: the reader is gone before the first row
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        args = [sys.executable, "-m", "morphfin.cli", "--config", str(fast_config), "run",
+                "--stream"]
+        proc = subprocess.Popen(
+            args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""  # no error line, and no "Exception ignored" at shutdown
 
     def test_determinism_byte_identical(self, fast_config, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -596,6 +615,18 @@ def test_calibrate_rejects_a_start_outside_its_bounds(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert rc == 1
     assert err == "error: thrust_coeff: initial thrust_coeff=5.0 outside [0.01, 1.0]\n"
+    assert not out.exists()
+
+
+def test_calibrate_in_which_every_trial_faults_exits_1_and_writes_nothing(tmp_path, capsys):
+    # every run of this fish faults: no trial has a finite loss to report
+    config = tmp_path / "faulting.json"
+    config.write_text('{"fish": {"yaw_inertia": 1e-9}}')
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out), "calibrate"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: calibration failed: no trial of 61 has a finite loss\n"
+    assert not (out / "calibration.json").exists()
     assert not out.exists()
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphfin import controllers, experiments
+from morphfin import cli, controllers, experiments, hydro
 from morphfin.cli import _environment
 from morphfin.config import RunConfig, load_default_config
 from morphfin.control import BuoyancyState, GaitCommand
@@ -264,14 +264,90 @@ class TestPlanarHeaveDecoupling:
             assert a.column("syringe_ml") != b.column("syringe_ml")
 
 
-def _counting(monkeypatch, module, name: str) -> list:
-    """Route module.name through a wrapper that records one entry per call."""
+_YAW_COLUMNS = ("yaw_deg", "yaw_rate_dps", "torque_nm", "power_w")
+
+
+def _yaw_outcome(env, gait, duration, fields):
+    """(the bits of a metric-only run's yaw, torque and power columns, or None; its fault)."""
+    controller = controllers.SwimController(env, gait)
+    try:
+        records = experiments.simulate(
+            env.params, controller, duration, env.dt, power_model=env.power,
+            record_every=env.record_every, fields=fields,
+        )
+    except SimulationFault as exc:
+        return None, exc
+    return b"".join(_packed(*records.column(c)) for c in _YAW_COLUMNS), None
+
+
+class TestYawDecoupling:
+    """Yaw, torque and power read no surge, sway, position, depth or heave.
+
+    So a run that integrates YAW_FIELDS alone gives the full run's yaw,
+    torque and power columns bit for bit, whatever the mass, the hull drag and
+    the heave coefficients; calibration runs each p2p_yaw target on this
+    property. That step calls no cos or sin, so a diverging yaw faults there
+    at the next record check, which may be later than in the full run.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        frequency=st.floats(0.5, 2.5),
+        amplitude=st.floats(1.0, 45.0),
+        erection=st.floats(0.0, 1.0),
+        hull=st.fixed_dictionaries({
+            "mass": st.floats(0.5, 5.0),
+            "frontal_drag_coeff": st.floats(0.05, 1.0),
+            "heave_drag_coeff": st.floats(0.0, 200.0),
+            "heave_added_mass": st.floats(0.0, 3.0),
+        }),
+        planar=st.fixed_dictionaries(
+            {n: st.floats(*experiments.DEFAULT_BOUNDS[n]) for n in _PLANAR_PARAMS}
+        ),
+        dt=st.sampled_from([0.01, 0.005, 0.001]),
+    )
+    # the default robot at 1 Hz and 20 deg; and the yaw that diverges at dt = 0.01
+    @example(1.0, 20.0, 1.0, {}, {}, 0.01)
+    @example(
+        2.0, 30.0, 0.5, {},
+        {"thrust_coeff": 0.2, "tail_reaction_coeff": 0.5, "yaw_damping_body": 2.0,
+         "yaw_damping_fin": 1.0},
+        0.01,
+    )
+    def test_yaw_only_run_keeps_the_yaw_columns(
+        self, frequency, amplitude, erection, hull, planar, dt
+    ):
+        env = fast_env(dt=dt, record_every=round(0.01 / dt))
+        env = dataclasses.replace(env, params=dataclasses.replace(env.params, **hull, **planar))
+        gait = GaitCommand(frequency, amplitude, fin_erection_setpoint=erection)
+        duration = transient(frequency) + 4.0 / frequency
+        full = _yaw_outcome(env, gait, duration, hydro._STATE_FIELDS)
+        yaw_only = _yaw_outcome(env, gait, duration, hydro.YAW_FIELDS)
+        assert full[0] == yaw_only[0]
+        assert (full[1] is None) == (yaw_only[1] is None)
+
+    def test_a_diverging_yaw_faults_in_both_runs(self):
+        planar = {"thrust_coeff": 0.2, "tail_reaction_coeff": 0.5, "yaw_damping_body": 2.0,
+                  "yaw_damping_fin": 1.0}
+        env = fast_env(params=dataclasses.replace(FishParams(), **planar))
+        gait = GaitCommand(2.0, 30.0, fin_erection_setpoint=0.5)
+        fields = (hydro._STATE_FIELDS, hydro.YAW_FIELDS)
+        faults = [_yaw_outcome(env, gait, 12.0, f)[1] for f in fields]
+        assert all(isinstance(fault, SimulationFault) for fault in faults)
+        assert faults[0].time <= faults[1].time
+
+
+def _counting(monkeypatch, module, name: str, result: bool = False) -> list:
+    """Route module.name through a wrapper that records (args, kwargs[, result]) per call."""
     calls = []
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        calls.append((args, kwargs))
+        value = original(*args, **kwargs)
+        if result:  # kept alive with the entry
+            calls[-1] += (value,)
+        return value
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -694,3 +770,40 @@ class TestCalibration:
         with pytest.raises(MorphfinError, match="faulted earlier"):
             experiments._evaluate(env, targets, memo)
         assert len(calls) == 1 and list(memo.values()) == [None]
+
+    def test_a_probe_of_efficiency_runs_each_yaw_target_once(self, monkeypatch):
+        # yaw reads no PowerModel, so its key omits it: only the top-speed and
+        # COT targets run again for each efficiency probed
+        targets = experiments.default_targets()
+        calls = _counting(monkeypatch, experiments, "simulate")
+        bounds = {"efficiency": experiments.DEFAULT_BOUNDS["efficiency"]}
+        calibrate(targets, fast_env(), bounds, max_rounds=2)
+        yaw_runs = [c for c in calls if c[1].get("fields") == hydro.YAW_FIELDS]
+        assert len(yaw_runs) == sum(t.observable == "p2p_yaw" for t in targets) == 6
+        full_runs = len(calls) - len(yaw_runs)
+        assert full_runs > 3 and full_runs % 3 == 0
+
+    def test_no_yaw_only_run_reaches_the_cot(self, monkeypatch):
+        # a yaw-only run does not move, and cot raises at speed 0
+        simulated = _counting(monkeypatch, experiments, "simulate", result=True)
+        with_cot = _counting(monkeypatch, experiments, "_metrics_with_cot")
+        evaluate_targets(fast_env(), experiments.default_targets())
+        yaw_runs = {id(c[2]) for c in simulated if c[1].get("fields") == hydro.YAW_FIELDS}
+        assert len(yaw_runs) == 6 and len(with_cot) == 3
+        assert not yaw_runs & {id(args[1]) for args, _ in with_cot}
+
+    def test_a_calibration_in_which_every_trial_faults_raises(self):
+        # every run of this fish faults, so every trial scores +inf
+        env = fast_env()
+        env = dataclasses.replace(env, params=dataclasses.replace(env.params, yaw_inertia=1e-9))
+        with pytest.raises(MorphfinError, match="^calibration failed: no trial of 61 has"):
+            calibrate(experiments.default_targets(), env, experiments.DEFAULT_BOUNDS,
+                      step_fraction=0.05)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_cli_json_holds_no_nan_or_infinity(value):
+    # RFC 8259 has neither, so an output that would hold one is an error
+    with pytest.raises(MorphfinError, match="^output is not JSON: "):
+        cli._json({"final_loss": value})
+    assert cli._json({"final_loss": 0.5}) == b'{\n  "final_loss": 0.5\n}\n'

@@ -1,3 +1,4 @@
+import inspect
 import math
 import struct
 
@@ -310,8 +311,8 @@ class TestSimulate:
         assert last.x_m == 0.0 and last.depth_m == 0.0 and last.yaw_deg == 0.0
 
 
-# The tuple-form integrator the scalar _integrator replaced, kept as its oracle:
-# the scalar form must reproduce it bit for bit.
+# The tuple-form integrator the scalar step replaced, kept as its oracle: the
+# step _integrator generates must reproduce it bit for bit.
 
 
 def _oracle_derivs(params, sv, loads):
@@ -401,6 +402,49 @@ class TestScalarRk4Oracle:
         expected = _oracle_rk4(params, sv, loads, dt)
         assert expected[2] == 0.0  # the clamp acted
         assert _bits(_integrator(params, dt)(sv, loads)) == _bits(expected)
+
+    # field sets each holding every field its rates read
+    CLOSED = [
+        hydro._STATE_FIELDS,
+        hydro.YAW_FIELDS,
+        ("x", "y", "yaw", "surge_vel", "sway_vel", "yaw_rate"),
+        ("surge_vel",),
+        ("depth", "heave_vel"),
+    ]
+
+    def test_the_generated_full_step_is_the_oracle_and_reads_as_source(self):
+        params, dt = FishParams(), 0.001
+        advance = _integrator(params, dt, hydro._STATE_FIELDS)
+        sv, loads = (0.1, -0.2, 0.3, 0.7, 0.25, 0.01, -0.4, 0.02), (0.3, 0.01, 0.4, 0.1)
+        assert _bits(advance(sv, loads)) == _bits(_oracle_rk4(params, sv, loads, dt))
+        source = inspect.getsource(advance)
+        assert source.startswith("    def advance(sv, loads):\n")
+        assert "        dr4 = (moment - damping * r4 * abs(r4)) / yaw_inertia\n" in source
+        yaw_only = inspect.getsource(_integrator(params, dt, hydro.YAW_FIELDS))
+        assert "cos(" not in yaw_only and "du1" not in yaw_only
+
+    @given(
+        _params,
+        st.tuples(
+            st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(0.0, 2.0),
+            st.floats(-7.0, 7.0), _vel, _vel, _vel, _vel,
+        ),
+        _load_tuples,
+        st.floats(1e-5, 0.01),
+        st.sampled_from(CLOSED),
+    )
+    @settings(max_examples=200)
+    def test_a_field_set_advances_as_the_oracle_and_holds_the_rest(
+        self, params, sv, loads, dt, fields
+    ):
+        got, want = _integrator(params, dt, fields)(sv, loads), _oracle_rk4(params, sv, loads, dt)
+        held = [want[i] if f in fields else sv[i] for i, f in enumerate(hydro._STATE_FIELDS)]
+        assert _bits(got) == _bits(held)
+
+    @pytest.mark.parametrize("fields", [("x",), ("yaw",), ("depth",), ("yaw", "spin")])
+    def test_a_set_missing_a_field_its_rates_read_is_refused(self, fields):
+        with pytest.raises(ValueError, match="is not a closed set of state fields"):
+            _integrator(FishParams(), 0.001, fields)
 
 
 # The per-step path builds ControlInput positionally (SwimController.command),
