@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .control import BuoyancyState, GaitCommand, PidGains, step_schedule
-from .controllers import NoiseConfig
 from .errors import ConfigError, DomainError
 from .experiments import ExperimentSpec
 from .hydro import FishParams, check_run
@@ -34,8 +33,8 @@ class SimSettings:
     target_depth: float = 0.2
     initial_depth: float = 0.2
     depth_resolution_m: float = 0.001
-    noise_enabled: bool = NoiseConfig.enabled
-    noise_depth_std_m: float = NoiseConfig.depth_std_m
+    noise_enabled: bool = False
+    noise_depth_std_m: float = 0.001
 
     def validate(self) -> None:
         check_run(self.duration, self.dt)
@@ -68,8 +67,8 @@ class SimSettings:
     def control_period(self) -> float:
         return 1.0 / self.control_hz
 
-    def noise(self) -> NoiseConfig:
-        return NoiseConfig(enabled=self.noise_enabled, depth_std_m=self.noise_depth_std_m)
+    def noise(self) -> float:
+        return self.noise_depth_std_m if self.noise_enabled else 0.0
 
 
 @dataclass(frozen=True)

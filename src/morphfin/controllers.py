@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 # apply_volume_rate is unused here but stays importable: perfbench's tracer
@@ -33,20 +33,13 @@ if TYPE_CHECKING:  # experiments imports this module
 _DEG = math.pi / 180.0
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Seeded white sensor noise on the depth channel; off by default."""
-
-    enabled: bool = False
-    depth_std_m: float = 0.001
-
-
 class SwimController:
     """Gait generation plus optional depth hold through the buoyancy syringe.
 
     The depth loop runs exactly when a depth schedule is given, with the
-    PID gains, syringe, control period, depth noise and depth resolution of
-    `env`; the noise is drawn from `seed`, by the depth loop alone.
+    PID gains, syringe, control period, depth noise std and depth resolution
+    of `env`; the noise is drawn from `seed`, by the depth loop alone, and
+    only when its std is > 0.
     `command` runs every simulation step, so it keeps the syringe volume as a
     float and builds a BuoyancyState only for the PID updates. The servo
     angle and rate are control.servo_angle/servo_rate with 2*pi*f and
@@ -84,9 +77,8 @@ class SwimController:
         self._omega = 2.0 * math.pi * gait.frequency
         self._amp_omega = gait.amplitude * self._omega
         self._amplitude_rad = gait.amplitude * _DEG
-        noisy = self.depth_hold and env.noise.enabled
-        self._gauss = random.Random(seed).gauss if noisy else None
-        self._depth_std = env.noise.depth_std_m
+        self._gauss = random.Random(seed).gauss if self.depth_hold and env.noise > 0.0 else None
+        self._depth_std = env.noise
 
     def command(self, t: float, depth: float) -> ControlInput:
         if t < 0.0:

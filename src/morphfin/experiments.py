@@ -18,11 +18,11 @@ from typing import Sequence
 from .control import (
     MAX_AMPLITUDE_DEG, BuoyancyState, DepthSchedule, GaitCommand, PidGains, step_schedule,
 )
-from .controllers import NoiseConfig, SwimController
+from .controllers import SwimController
 from .errors import (
     ConfigError, DomainError, InsufficientDataError, MorphfinError, SimulationFault,
 )
-from .hydro import YAW_FIELDS, FishParams, FishState, simulate
+from .hydro import _STATE_FIELDS, YAW_FIELDS, FishParams, FishState, simulate
 from .metrics import PowerModel, cot, improvement, steady_window, transient
 from .telemetry import Telemetry
 
@@ -125,7 +125,7 @@ class RunEnvironment:
     depth_resolution: float
     depth_hold: bool
     target_depth: float
-    noise: NoiseConfig
+    noise: float  # the depth sensor's noise std in m; 0.0 draws none
 
 
 def run_condition(
@@ -244,16 +244,6 @@ def _erection(fin_state: str) -> float:
     return 1.0 if fin_state == "erect" else 0.0
 
 
-def _cell(
-    env: RunEnvironment, frequency: float, amplitude: float, fin_state: str, duration: float,
-    seed: int,
-) -> tuple[Telemetry, ConditionMetrics]:
-    """One seeded run of a (frequency, amplitude, fin state) condition, and its metrics."""
-    gait = GaitCommand(frequency, amplitude, fin_erection_setpoint=_erection(fin_state))
-    records = run_condition(env, gait, duration, seed)
-    return records, _metrics_with_cot(env, records, frequency)
-
-
 def _sweep_rows(
     env: RunEnvironment, spec: ExperimentSpec, kind: str, keep_records: list | None
 ) -> list[SweepRow]:
@@ -272,10 +262,10 @@ def _sweep_rows(
     rows = []
     cells = itertools.product(spec.fin_states, spec.amplitudes, spec.frequencies)
     for i, (fin_state, amplitude, frequency) in enumerate(cells):
+        gait = GaitCommand(frequency, amplitude, fin_erection_setpoint=_erection(fin_state))
         try:
-            records, m = _cell(
-                env, frequency, amplitude, fin_state, spec.duration, spec.seed + 1000 * i
-            )
+            records = run_condition(env, gait, spec.duration, spec.seed + 1000 * i)
+            m = _metrics_with_cot(env, records, frequency)
         except SimulationFault as exc:
             raise MorphfinError(
                 f"sweep aborted: condition (f={frequency} Hz, amp={amplitude} deg, "
@@ -462,6 +452,7 @@ def evaluate_targets(
     """Simulated value of each target observable, from one run of its condition per target.
 
     Its runs drop the depth loop, which no metric reads, so a heave that alone diverges faults none.
+    `seed` is accepted and reaches no code: without a depth loop no noise is drawn.
     """
     return _evaluate(env, targets, {})
 
@@ -469,12 +460,12 @@ def evaluate_targets(
 def _evaluate(env, targets, memo: dict) -> dict[str, float]:
     """evaluate_targets, each run's metrics kept in `memo`, or None if the run faulted.
 
-    A p2p_yaw run integrates YAW_FIELDS alone, as yaw reads no other state; its other columns
+    Every run is a SwimController with no depth schedule, so no depth loop and no noise. A
+    p2p_yaw run integrates YAW_FIELDS alone, as yaw reads no other state; its other columns
     hold the start state. A key holds what reaches the run's metric: the damping pair folded
     to the body + e*fin read at erection e (a nan fold, inf*0, never hits), and for a yaw run
     YAW_FIELDS in place of the PowerModel, which yaw does not read.
     """
-    env = replace(env, depth_hold=False)
     p = env.params
     p.validate()  # a folded damping pair could hide a negative one
     out = {}
@@ -488,16 +479,14 @@ def _evaluate(env, targets, memo: dict) -> dict[str, float]:
                env.dt, env.record_every)
         if key not in memo:
             memo[key] = None  # stays None if the run faults
-            if yaw:  # a speed of 0 has no COT, so this run never reaches _metrics_with_cot
-                gait = GaitCommand(t.frequency, t.amplitude, fin_erection_setpoint=e)
-                records = simulate(p, SwimController(env, gait), duration, env.dt,
-                                   power_model=env.power, record_every=env.record_every,
-                                   fields=YAW_FIELDS)
-                memo[key] = condition_metrics(records, t.frequency)
-            else:
-                memo[key] = _cell(env, t.frequency, t.amplitude, t.fin_state, duration, 0)[1]
+            gait = GaitCommand(t.frequency, t.amplitude, fin_erection_setpoint=e)
+            records = simulate(p, SwimController(env, gait), duration, env.dt,
+                               power_model=env.power, record_every=env.record_every,
+                               fields=YAW_FIELDS if yaw else _STATE_FIELDS)
+            memo[key] = (condition_metrics(records, t.frequency) if yaw  # no move, so no COT
+                         else _metrics_with_cot(env, records, t.frequency))
         if memo[key] is None:
-            raise MorphfinError(f"{t.name}: an equal run faulted earlier in this call")
+            raise MorphfinError(f"{t.name}: an equal run faulted earlier")
         out[t.name] = getattr(memo[key], OBSERVABLES[t.observable])
     return out
 

@@ -30,10 +30,12 @@ from morphfin.experiments import (
     speed_sweep_spec,
     yaw_study_spec,
 )
-from morphfin.controllers import NoiseConfig
 from morphfin.hydro import FishParams, FishState
 from morphfin.metrics import PowerModel, cot, transient
 from morphfin.telemetry import HEADER, Telemetry
+
+
+NOISE_STD = load_default_config().sim.noise_depth_std_m  # the std a noise-on config runs with
 
 
 def fast_env(**overrides) -> RunEnvironment:
@@ -170,10 +172,10 @@ class TestRepeatDedupe:
         repeats=5, duration=12.0, seed=3,
     )
 
-    @pytest.mark.parametrize("noise_on", [False, True], ids=["noise_off", "noise_on"])
-    def test_row_is_bit_equal_to_every_repeat_run(self, monkeypatch, noise_on):
+    @pytest.mark.parametrize("noise", [0.0, NOISE_STD], ids=["noise_off", "noise_on"])
+    def test_row_is_bit_equal_to_every_repeat_run(self, monkeypatch, noise):
         # the oracle simulates every repeat with its own seed
-        env = fast_env(noise=NoiseConfig(enabled=noise_on), depth_hold=True)
+        env = fast_env(noise=noise, depth_hold=True)
         calls = _counting_run_condition(monkeypatch)
         rows = run_speed_sweep(env, self.SPEC).rows
         assert len(calls) == len(rows) == 2  # one simulation per cell
@@ -188,13 +190,13 @@ class TestRepeatDedupe:
                 assert got == _packed(m.mean_speed, m.mean_power, value, m.p2p_yaw)
             stds = (row.speed_std, row.power_std, row.cot_std, row.p2p_std)
             assert _packed(*stds) == _packed(0.0, 0.0, 0.0, 0.0)
-        if noise_on:
+        if noise:
             assert rows == run_speed_sweep(fast_env(depth_hold=True), self.SPEC).rows
 
-    @pytest.mark.parametrize("noise_on", [False, True], ids=["noise_off", "noise_on"])
-    def test_runs_seeds_and_kept_records_per_cell(self, monkeypatch, noise_on):
+    @pytest.mark.parametrize("noise", [0.0, NOISE_STD], ids=["noise_off", "noise_on"])
+    def test_runs_seeds_and_kept_records_per_cell(self, monkeypatch, noise):
         # each cell is simulated once, with or without noise, and its run is kept
-        env = fast_env(noise=NoiseConfig(enabled=noise_on), depth_hold=True)
+        env = fast_env(noise=noise, depth_hold=True)
         calls = _counting_run_condition(monkeypatch)
         kept = []
         run_speed_sweep(env, self.SPEC, keep_records=kept)
@@ -254,7 +256,7 @@ class TestPlanarHeaveDecoupling:
         gait = GaitCommand(frequency, amplitude, fin_erection_setpoint=erection)
         duration = transient(frequency) + 4.0 / frequency
         held = dataclasses.replace(env, depth_hold=True)
-        noisy = dataclasses.replace(held, noise=NoiseConfig(enabled=True))
+        noisy = dataclasses.replace(held, noise=NOISE_STD)
         runs = [(env, seed), (held, seed), (noisy, seed), (noisy, seed + 1)]
         outcomes = [_planar_outcome(e, gait, duration, s) for e, s in runs]
         assert len({bits for bits, _ in outcomes}) == 1
@@ -359,7 +361,7 @@ def _field_bits(rows) -> list[list[str]]:
 
 
 def _noisy_held_env() -> RunEnvironment:
-    return fast_env(depth_hold=True, noise=NoiseConfig(enabled=True))
+    return fast_env(depth_hold=True, noise=NOISE_STD)
 
 
 class TestMetricOnlyRuns:
@@ -368,12 +370,18 @@ class TestMetricOnlyRuns:
     def test_evaluate_targets_runs_no_depth_loop(self, monkeypatch):
         env, targets = _noisy_held_env(), experiments.default_targets()
         calls = _counting(monkeypatch, controllers, "depth_controller")
+        simulated = _counting(monkeypatch, experiments, "simulate")
         values = evaluate_targets(env, targets, seed=5)
         assert calls == []
-        for t in targets:  # the oracle runs the noisy depth loop of env
+        assert simulated and all(args[1].depth_hold is False for args, _ in simulated)
+        for t in targets:  # the oracle runs the noisy depth loop of env, on all eight fields
             yaw = t.observable == "p2p_yaw"
             duration = transient(t.frequency) + 8.0 / t.frequency if yaw else 25.0
-            m = experiments._cell(env, t.frequency, t.amplitude, t.fin_state, duration, 5)[1]
+            e = experiments._erection(t.fin_state)
+            gait = GaitCommand(t.frequency, t.amplitude, fin_erection_setpoint=e)
+            records = run_condition(env, gait, duration, 5)
+            m = (experiments.condition_metrics(records, t.frequency) if yaw
+                 else experiments._metrics_with_cot(env, records, t.frequency))
             want = getattr(m, experiments.OBSERVABLES[t.observable])
             assert float.hex(values[t.name]) == float.hex(want)
         assert calls != []
@@ -416,7 +424,7 @@ class TestSeedProperties:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**64))
     def test_noisy_telemetry_is_a_function_of_the_seed(self, seed):
-        env = fast_env(noise=NoiseConfig(enabled=True), depth_hold=True)
+        env = fast_env(noise=NOISE_STD, depth_hold=True)
         first = _telemetry_bits(run_condition(env, self.GAIT, 1.0, seed))
         assert first == _telemetry_bits(run_condition(env, self.GAIT, 1.0, seed))
         quiet = run_condition(fast_env(depth_hold=True), self.GAIT, 1.0, seed)

@@ -119,3 +119,16 @@ def test_cli_outputs_are_byte_identical(case, tmp_path, capsys):
 def test_evaluate_targets_is_bit_identical():
     simulated = xp.evaluate_targets(_environment(load_default_config()), xp.default_targets())
     assert {name: value.hex() for name, value in simulated.items()} == TARGETS_HEX
+
+
+@pytest.mark.parametrize(
+    "noise", [{}, {"noise_enabled": True, "noise_depth_std_m": 0}], ids=["noise_off", "zero_std"]
+)
+def test_a_zero_noise_std_writes_the_noise_off_run(noise, tmp_path, capsys):
+    # a std of 0 draws no noise, so the seed reaches nothing and the run is the noise-off one
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sim": {"duration": 12.0, **noise}}))
+    argv = ["--config", str(config), "--seed", "7", "--out", str(tmp_path / "out"), "run"]
+    assert main(argv) == 0
+    digest = "58bd5331a8b7b8a47efac3458721311b029d62604b68f8d4c0fd20eed2a7ac0e"
+    assert _digests(tmp_path / "out")["run.csv"] == digest
