@@ -8,6 +8,7 @@ the volume rate of the swim-bladder syringe, which is rate- and range-limited.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -193,13 +194,9 @@ def step_schedule(steps: list[tuple[float, float]]) -> DepthSchedule:
     if any(a[0] == b[0] for a, b in zip(ordered, ordered[1:])):
         raise DomainError("schedule start times must differ")
 
-    def schedule(t: float) -> float:
-        target = ordered[0][1]
-        for start, value in ordered:
-            if t >= start:
-                target = value
-            else:
-                break
-        return target
+    starts = [start for start, _ in ordered]
+
+    def schedule(t: float) -> float:  # the last target started by t, else the first
+        return ordered[max(bisect_right(starts, t) - 1, 0)][1]
 
     return schedule

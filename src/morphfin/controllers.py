@@ -25,12 +25,10 @@ from .control import (  # noqa: F401
     syringe_buoyancy,
 )
 from .errors import ConfigError, DomainError
-from .hydro import ControlInput
+from .hydro import _DEG, ControlInput
 
 if TYPE_CHECKING:  # experiments imports this module
     from .experiments import RunEnvironment
-
-_DEG = math.pi / 180.0
 
 
 class SwimController:

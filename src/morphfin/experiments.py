@@ -22,7 +22,7 @@ from .controllers import SwimController
 from .errors import (
     ConfigError, DomainError, InsufficientDataError, MorphfinError, SimulationFault,
 )
-from .hydro import _STATE_FIELDS, YAW_FIELDS, FishParams, FishState, simulate
+from .hydro import _STATE_FIELDS, PLANAR_FIELDS, YAW_FIELDS, FishParams, FishState, simulate
 from .metrics import PowerModel, cot, improvement, steady_window, transient
 from .telemetry import Telemetry
 
@@ -141,8 +141,10 @@ def run_condition(
 
     The depth loop tracks `depth_schedule` when one is given; otherwise, with
     `env.depth_hold`, it holds `env.target_depth` from a start at that depth.
-    Either needs `env.pid` and `env.buoyancy`.
+    Either needs `env.pid` and `env.buoyancy`. With neither and no `initial_state`, it
+    integrates PLANAR_FIELDS alone: with no buoyancy, heave and depth stay 0.0 from rest.
     """
+    planar = depth_schedule is None and not env.depth_hold and initial_state is None
     if depth_schedule is None and env.depth_hold:
         depth_schedule = step_schedule([(0.0, env.target_depth)])
         if initial_state is None:
@@ -155,6 +157,7 @@ def run_condition(
         initial_state=initial_state,
         power_model=env.power,
         record_every=env.record_every,
+        fields=PLANAR_FIELDS if planar else _STATE_FIELDS,
     )
 
 
@@ -251,8 +254,8 @@ def _sweep_rows(
 
     Cell `i` runs once, with seed `spec.seed + 1000*i`. The seed and the sensor
     noise reach only the depth loop, and no metric reads depth, so the one run
-    stands for all `spec.repeats`, and each std is 0. A run whose records are not
-    kept has no depth loop, so a heave that alone would diverge faults only then.
+    stands for all `spec.repeats`, and each std is 0. A run whose records are not kept has
+    no depth loop, so it integrates PLANAR_FIELDS alone, and no heave or depth can fault it.
     """
     if spec.kind != kind:
         raise DomainError(f"spec kind must be {kind}, got {spec.kind!r}")
@@ -460,11 +463,11 @@ def evaluate_targets(
 def _evaluate(env, targets, memo: dict) -> dict[str, float]:
     """evaluate_targets, each run's metrics kept in `memo`, or None if the run faulted.
 
-    Every run is a SwimController with no depth schedule, so no depth loop and no noise. A
-    p2p_yaw run integrates YAW_FIELDS alone, as yaw reads no other state; its other columns
-    hold the start state. A key holds what reaches the run's metric: the damping pair folded
-    to the body + e*fin read at erection e (a nan fold, inf*0, never hits), and for a yaw run
-    YAW_FIELDS in place of the PowerModel, which yaw does not read.
+    Every run is a SwimController with no depth schedule, so no depth loop and no noise. It
+    integrates YAW_FIELDS for a p2p_yaw target, as yaw reads no other state, else PLANAR_FIELDS
+    (see run_condition); the rest hold the start state. A key holds what reaches the metric:
+    the damping pair folded to the body + e*fin read at erection e (a nan fold, inf*0, never
+    hits), and for a yaw run YAW_FIELDS in place of the PowerModel, which yaw does not read.
     """
     p = env.params
     p.validate()  # a folded damping pair could hide a negative one
@@ -482,7 +485,7 @@ def _evaluate(env, targets, memo: dict) -> dict[str, float]:
             gait = GaitCommand(t.frequency, t.amplitude, fin_erection_setpoint=e)
             records = simulate(p, SwimController(env, gait), duration, env.dt,
                                power_model=env.power, record_every=env.record_every,
-                               fields=YAW_FIELDS if yaw else _STATE_FIELDS)
+                               fields=YAW_FIELDS if yaw else PLANAR_FIELDS)
             memo[key] = (condition_metrics(records, t.frequency) if yaw  # no move, so no COT
                          else _metrics_with_cot(env, records, t.frequency))
         if memo[key] is None:

@@ -49,6 +49,8 @@ _RATES = (
 _STATE_FIELDS = tuple(field for field, _, _ in _RATES)
 # all that yaw reads: a step of these fields alone calls no cos or sin
 YAW_FIELDS = ("yaw", "yaw_rate")
+# all but heave and depth, which a run with no buoyancy from rest holds at 0.0 bit for bit
+PLANAR_FIELDS = ("x", "y", "yaw", "surge_vel", "sway_vel", "yaw_rate")
 
 
 @dataclass(frozen=True)
@@ -81,15 +83,17 @@ class FishParams:
     def validate(self) -> None:
         positives = ("mass", "yaw_inertia", "water_density", "gravity", "frontal_area",
                      "frontal_drag_coeff")
-        for name in positives:
-            if not (getattr(self, name) > 0.0):
-                raise ConfigError("must be > 0", f"fish.{name}")
         nonnegatives = ("body_length", "tail_length", "thrust_coeff", "tail_reaction_coeff",
                         "yaw_damping_body", "yaw_damping_fin", "heave_drag_coeff",
                         "heave_added_mass")
-        for name in nonnegatives:
-            if not (getattr(self, name) >= 0.0):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if name in positives and not (value > 0.0):
+                raise ConfigError("must be > 0", f"fish.{name}")
+            if name in nonnegatives and not (value >= 0.0):
                 raise ConfigError("must be >= 0", f"fish.{name}")
+            if not math.isfinite(value):  # JSON's 1e400 loads as inf
+                raise ConfigError("must be finite", f"fish.{name}")
 
 
 @dataclass(frozen=True)
@@ -253,14 +257,10 @@ def _integrator(params: FishParams, dt: float, fields: tuple[str, ...] = _STATE_
         params.mass + params.heave_added_mass, dt, dt / 2.0, dt / 6.0)
 
 
-def _check_dt(dt: float) -> None:
-    if not (0.0 < dt <= MAX_DT):
-        raise ConfigError(f"dt must be in (0, {MAX_DT}] s", "sim.dt")
-
-
 def check_run(duration: float, dt: float, field: str = "sim.duration") -> None:
     """Raise ConfigError unless a run of `duration` at step `dt` takes 1 to MAX_STEPS steps."""
-    _check_dt(dt)
+    if not (0.0 < dt <= MAX_DT):
+        raise ConfigError(f"dt must be in (0, {MAX_DT}] s", "sim.dt")
     if not (duration > 0.0):
         raise ConfigError("duration must be > 0", field)
     if not (duration / dt <= MAX_STEPS):
@@ -271,7 +271,7 @@ def step(
     params: FishParams, state: FishState, control: ControlInput, dt: float
 ) -> FishState:
     """Advance the state by exactly dt with one RK4 step (controls held)."""
-    _check_dt(dt)
+    check_run(dt, dt)
     sv = _integrator(params, dt)(state.vector(), _loads(params)(control))
     new = FishState(*sv, time=state.time + dt)
     new.validate()

@@ -107,6 +107,26 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            # JSON's 1e400 loads as inf: this fish once ran and never yawed
+            ('{"fish": {"yaw_inertia": 1e400}}', "fish.yaw_inertia"),
+            # and this one once faulted in a depth its run no longer integrates
+            ('{"fish": {"heave_drag_coeff": 1e400}, "sim": {"duration": 12, "depth_hold": false}}',
+             "fish.heave_drag_coeff"),
+        ],
+        ids=["yaw_inertia", "heave_drag_coeff"],
+    )
+    def test_an_infinite_fish_coefficient_is_an_error(self, tmp_path, capsys, text, field):
+        path = tmp_path / "inf.json"
+        path.write_text(text)
+        rc = main(["--config", str(path), "--out", str(tmp_path / "out"), "run"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {field}: must be finite\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field", ["record_hz", "control_hz"])
     def test_rate_not_dividing_step_rate_is_an_error(self, tmp_path, capsys, field):
         config = tmp_path / "rate.json"
@@ -703,11 +723,14 @@ def _optional(**keys):
 
 
 # values that once escaped as tracebacks: powers in the thrust law beyond the
-# double range, and depths of no finite number of subnormal quanta
+# double range, and depths of no finite number of subnormal quanta; and infinite
+# fish coefficients, which once ran or faulted as a simulation
+_INFINITE = st.sampled_from([math.inf, -math.inf])
 _EXTREMES = _optional(
     gait=_optional(frequency=st.floats(1.0, 1e300)),
     fish=_optional(
-        thrust_freq_exponent=st.floats(0.0, 1e300), thrust_amp_exponent=st.floats(0.0, 1e300)
+        thrust_freq_exponent=st.floats(0.0, 1e300), thrust_amp_exponent=st.floats(0.0, 1e300),
+        yaw_inertia=_INFINITE, heave_drag_coeff=_INFINITE, heave_added_mass=_INFINITE,
     ),
     sim=_optional(depth_resolution_m=st.floats(0.0, 1e-309)),
 )

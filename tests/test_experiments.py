@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from morphfin import cli, controllers, experiments, hydro
 from morphfin.cli import _environment
 from morphfin.config import RunConfig, load_default_config
-from morphfin.control import BuoyancyState, GaitCommand
+from morphfin.control import BuoyancyState, GaitCommand, step_schedule
 from morphfin.errors import ConfigError, DomainError, MorphfinError, SimulationFault
 from morphfin.experiments import (
     DEFAULT_FREQUENCIES,
@@ -269,8 +269,8 @@ class TestPlanarHeaveDecoupling:
 _YAW_COLUMNS = ("yaw_deg", "yaw_rate_dps", "torque_nm", "power_w")
 
 
-def _yaw_outcome(env, gait, duration, fields):
-    """(the bits of a metric-only run's yaw, torque and power columns, or None; its fault)."""
+def _outcome(env, gait, duration, fields, columns=tuple(HEADER.split(","))):
+    """(the bits of a metric-only run's `columns`, or None; its SimulationFault, or None)."""
     controller = controllers.SwimController(env, gait)
     try:
         records = experiments.simulate(
@@ -279,7 +279,91 @@ def _yaw_outcome(env, gait, duration, fields):
         )
     except SimulationFault as exc:
         return None, exc
-    return b"".join(_packed(*records.column(c)) for c in _YAW_COLUMNS), None
+    return b"".join(_packed(*records.column(c)) for c in columns), None
+
+
+def _fault(exc):
+    return None if exc is None else (exc.time, str(exc))
+
+
+# the yaw that diverges at dt = 0.01
+_DIVERGING = {"thrust_coeff": 0.2, "tail_reaction_coeff": 0.5, "yaw_damping_body": 2.0,
+              "yaw_damping_fin": 1.0}
+
+
+class TestPlanarFieldsRun:
+    """A run with no depth loop from rest integrates PLANAR_FIELDS alone, bit for bit.
+
+    With no depth loop the buoyancy is 0.0, so from heave 0.0 the heave rate is
+    -0.0 at every stage, whatever the finite heave coefficients and mass: heave
+    stays 0.0, depth holds its start and the surface clamp never acts. So the
+    planar run writes every column of the full run, and faults where it does.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        frequency=st.floats(0.5, 2.5),
+        amplitude=st.floats(1.0, 45.0),
+        bias=st.floats(-30.0, 30.0),
+        erection=st.floats(0.0, 1.0),
+        hull=st.fixed_dictionaries({
+            "mass": st.floats(0.5, 5.0),
+            "frontal_drag_coeff": st.floats(0.05, 1.0),
+            "heave_drag_coeff": st.floats(0.0, 1e300),
+            "heave_added_mass": st.floats(0.0, 1e300),
+        }),
+        planar=st.fixed_dictionaries(
+            {n: st.floats(*experiments.DEFAULT_BOUNDS[n]) for n in _PLANAR_PARAMS}
+        ),
+        dt=st.sampled_from([0.01, 0.005, 0.001]),
+    )
+    # the default robot at 1 Hz and 20 deg; and the diverging yaw
+    @example(1.0, 20.0, 0.0, 0.0, {}, {}, 0.01)
+    @example(2.0, 30.0, 0.0, 0.5, {}, _DIVERGING, 0.01)
+    def test_a_planar_run_is_the_full_run(
+        self, frequency, amplitude, bias, erection, hull, planar, dt
+    ):
+        env = fast_env(dt=dt, record_every=round(0.01 / dt))
+        env = dataclasses.replace(env, params=dataclasses.replace(env.params, **hull, **planar))
+        gait = GaitCommand(frequency, amplitude, bias, fin_erection_setpoint=erection)
+        duration = transient(frequency) + 4.0 / frequency
+        full = _outcome(env, gait, duration, hydro._STATE_FIELDS)
+        bits, fault = _outcome(env, gait, duration, hydro.PLANAR_FIELDS)
+        assert bits == full[0] and _fault(fault) == _fault(full[1])
+
+    def test_a_diverging_yaw_faults_alike(self):
+        env = fast_env(params=dataclasses.replace(FishParams(), **_DIVERGING))
+        gait = GaitCommand(2.0, 30.0, fin_erection_setpoint=0.5)
+        full, planar = (_outcome(env, gait, 12.0, f)[1]
+                        for f in (hydro._STATE_FIELDS, hydro.PLANAR_FIELDS))
+        assert full is not None and _fault(planar) == _fault(full)
+
+    @pytest.mark.parametrize(
+        "held, kwargs, planar",
+        [
+            (False, {}, True),
+            (True, {}, False),
+            (False, {"depth_schedule": step_schedule([(0.0, 0.2)])}, False),
+            (False, {"initial_state": FishState()}, False),
+        ],
+        ids=["no_depth_loop", "depth_hold", "schedule", "given_start"],
+    )
+    def test_run_condition_runs_planar_fields_only_with_no_depth_loop_or_start(
+        self, monkeypatch, held, kwargs, planar
+    ):
+        simulated = _counting(monkeypatch, experiments, "simulate")
+        run_condition(fast_env(depth_hold=held), GaitCommand(), 1.0, 0, **kwargs)
+        [(_, called)] = simulated
+        assert called["fields"] == (hydro.PLANAR_FIELDS if planar else hydro._STATE_FIELDS)
+
+    def test_evaluate_targets_runs_planar_fields_for_every_target_but_yaw(self, monkeypatch):
+        targets = experiments.default_targets()
+        simulated = _counting(monkeypatch, experiments, "simulate")
+        evaluate_targets(fast_env(), targets)
+        yaw = [t.observable == "p2p_yaw" for t in targets]
+        assert [kw["fields"] for _, kw in simulated] == [
+            hydro.YAW_FIELDS if y else hydro.PLANAR_FIELDS for y in yaw
+        ]
 
 
 class TestYawDecoupling:
@@ -310,12 +394,7 @@ class TestYawDecoupling:
     )
     # the default robot at 1 Hz and 20 deg; and the yaw that diverges at dt = 0.01
     @example(1.0, 20.0, 1.0, {}, {}, 0.01)
-    @example(
-        2.0, 30.0, 0.5, {},
-        {"thrust_coeff": 0.2, "tail_reaction_coeff": 0.5, "yaw_damping_body": 2.0,
-         "yaw_damping_fin": 1.0},
-        0.01,
-    )
+    @example(2.0, 30.0, 0.5, {}, _DIVERGING, 0.01)
     def test_yaw_only_run_keeps_the_yaw_columns(
         self, frequency, amplitude, erection, hull, planar, dt
     ):
@@ -323,18 +402,16 @@ class TestYawDecoupling:
         env = dataclasses.replace(env, params=dataclasses.replace(env.params, **hull, **planar))
         gait = GaitCommand(frequency, amplitude, fin_erection_setpoint=erection)
         duration = transient(frequency) + 4.0 / frequency
-        full = _yaw_outcome(env, gait, duration, hydro._STATE_FIELDS)
-        yaw_only = _yaw_outcome(env, gait, duration, hydro.YAW_FIELDS)
+        full = _outcome(env, gait, duration, hydro._STATE_FIELDS, _YAW_COLUMNS)
+        yaw_only = _outcome(env, gait, duration, hydro.YAW_FIELDS, _YAW_COLUMNS)
         assert full[0] == yaw_only[0]
         assert (full[1] is None) == (yaw_only[1] is None)
 
     def test_a_diverging_yaw_faults_in_both_runs(self):
-        planar = {"thrust_coeff": 0.2, "tail_reaction_coeff": 0.5, "yaw_damping_body": 2.0,
-                  "yaw_damping_fin": 1.0}
-        env = fast_env(params=dataclasses.replace(FishParams(), **planar))
+        env = fast_env(params=dataclasses.replace(FishParams(), **_DIVERGING))
         gait = GaitCommand(2.0, 30.0, fin_erection_setpoint=0.5)
         fields = (hydro._STATE_FIELDS, hydro.YAW_FIELDS)
-        faults = [_yaw_outcome(env, gait, 12.0, f)[1] for f in fields]
+        faults = [_outcome(env, gait, 12.0, f)[1] for f in fields]
         assert all(isinstance(fault, SimulationFault) for fault in faults)
         assert faults[0].time <= faults[1].time
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import struct
@@ -140,6 +141,27 @@ def _heave_params(coeff=0.95):
 
 
 _EXACT_DT = 2.0**-10  # a power of two, so duration/dt is exact at the ceiling
+
+
+class TestFishParamsValidate:
+    FIELDS = [f.name for f in dataclasses.fields(FishParams)]
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_an_infinite_coefficient_is_refused_by_name(self, name):
+        # JSON's 1e400 loads as inf; an infinite yaw inertia once ran a fish that never yaws
+        with pytest.raises(ConfigError, match=rf"^fish\.{name}: must be finite$"):
+            dataclasses.replace(FishParams(), **{name: math.inf}).validate()
+
+    @pytest.mark.parametrize("value", [-math.inf, math.nan])
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_a_negative_infinite_or_nan_coefficient_is_refused_by_name(self, name, value):
+        with pytest.raises(ConfigError, match=rf"^fish\.{name}: must be "):
+            dataclasses.replace(FishParams(), **{name: value}).validate()
+
+    def test_simulate_refuses_an_infinite_heave_drag_before_a_step(self):
+        controller = ConstantController(ControlInput())
+        with pytest.raises(ConfigError, match="fish.heave_drag_coeff"):
+            simulate(FishParams(heave_drag_coeff=math.inf), controller, 1.0, 0.01)
 
 
 class TestCheckRun:
@@ -407,7 +429,7 @@ class TestScalarRk4Oracle:
     CLOSED = [
         hydro._STATE_FIELDS,
         hydro.YAW_FIELDS,
-        ("x", "y", "yaw", "surge_vel", "sway_vel", "yaw_rate"),
+        hydro.PLANAR_FIELDS,
         ("surge_vel",),
         ("depth", "heave_vel"),
     ]
