@@ -172,7 +172,7 @@ def load_config(path) -> RunConfig:
     """Load and validate a JSON config file."""
     try:
         data = json.loads(Path(path).read_text())
-    except ValueError as exc:  # not JSON, or bytes that are not text
+    except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
         raise ConfigError(f"invalid JSON: {exc}", str(path)) from exc
     return config_from_dict(data)
 

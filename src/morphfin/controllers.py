@@ -24,7 +24,7 @@ from .control import (  # noqa: F401
     slew_volume,
     syringe_buoyancy,
 )
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .hydro import _DEG, ControlInput
 
 if TYPE_CHECKING:  # experiments imports this module
@@ -53,8 +53,6 @@ class SwimController:
         seed: int = 0,
     ):
         self.depth_hold = depth_schedule is not None
-        if self.depth_hold and (env.pid is None or env.buoyancy is None):
-            raise ConfigError("depth control needs PID gains and a buoyancy state", "env")
         gait.validate()
         if self.depth_hold:
             env.pid.validate()

@@ -117,8 +117,8 @@ class RunEnvironment:
 
     params: FishParams
     power: PowerModel
-    pid: PidGains | None
-    buoyancy: BuoyancyState | None
+    pid: PidGains
+    buoyancy: BuoyancyState
     dt: float
     record_every: int
     control_period: float
@@ -140,9 +140,9 @@ def run_condition(
     """One seeded simulation of a single gait condition.
 
     The depth loop tracks `depth_schedule` when one is given; otherwise, with
-    `env.depth_hold`, it holds `env.target_depth` from a start at that depth.
-    Either needs `env.pid` and `env.buoyancy`. With neither and no `initial_state`, it
-    integrates PLANAR_FIELDS alone: with no buoyancy, heave and depth stay 0.0 from rest.
+    `env.depth_hold`, it holds `env.target_depth` from a start at that depth. With
+    neither and no `initial_state`, it integrates PLANAR_FIELDS alone: with no
+    buoyancy, heave and depth stay 0.0 from rest.
     """
     planar = depth_schedule is None and not env.depth_hold and initial_state is None
     if depth_schedule is None and env.depth_hold:

@@ -7,11 +7,10 @@ import operator
 import os
 import sys
 from array import array
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, islice, repeat, starmap
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import TelemetryFormatError
@@ -29,8 +28,8 @@ _WIDTH = len(_COLUMNS)
 _LINE = ",".join(["%.9g"] * _WIDTH) + "\n"
 _row_values = operator.attrgetter(*_COLUMNS)
 
-# Characters (or bytes) per read and records per formatted block: the reader
-# holds one block of text, the writer one plus the file's encoded bytes.
+# Bytes per read and records per formatted block: the reader holds one block
+# of text, the writer one plus the file's encoded bytes.
 _READ_BLOCK = 1 << 16
 _WRITE_BLOCK = 1024
 
@@ -141,15 +140,15 @@ def csv_rows(records: Iterable[TelemetryRecord]) -> Iterator[str]:
         start, prev = start + n, times[-1]
 
 
-def read_telemetry(source) -> Telemetry:
+def read_telemetry(path) -> Telemetry:
     """Parse a telemetry CSV, enforcing the exact header and monotone time.
 
-    A path or a binary stream is read as ASCII, the only bytes `encode_telemetry`
-    gives; any other byte is a TelemetryFormatError naming its line, raised
-    ahead of every other error in the file. A text stream is parsed as it reads.
+    The file is read as ASCII, the only bytes `encode_telemetry` gives; any
+    other byte is a TelemetryFormatError naming its line, raised ahead of every
+    other error in the file.
     """
     _pin_mmap_threshold()
-    with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as stream:
+    with open(path, "rb") as stream:
         blocks = _line_blocks(stream)
         records = Telemetry()
         prev, header = -math.inf, False
@@ -174,22 +173,20 @@ def read_telemetry(source) -> Telemetry:
 
 
 def _line_blocks(stream):
-    """(first line number, lines) per block read; a block ends after its last
-    complete line break, so the lines are those `str.splitlines` gives the text.
+    """(first line number, lines) per block of a binary stream; a block ends after
+    its last complete line break, so the lines are those `str.splitlines` gives.
     """
     carry, lineno = "", 1
     while chunk := stream.read(_READ_BLOCK):
-        if isinstance(chunk, bytes):
-            try:
-                chunk = chunk.decode("ascii")
-            except UnicodeDecodeError as exc:
-                # the bytes before the bad one are ASCII; count lines as splitlines does
-                head = carry + chunk[: exc.start].decode("ascii") + "x"
-                raise TelemetryFormatError(
-                    f"non-ASCII byte 0x{chunk[exc.start]:02x}",
-                    line=lineno - 1 + len(head.splitlines()),
-                ) from exc
-        text = carry + chunk
+        try:
+            text = carry + chunk.decode("ascii")
+        except UnicodeDecodeError as exc:
+            # the bytes before the bad one are ASCII; count lines as splitlines does
+            head = carry + chunk[: exc.start].decode("ascii") + "x"
+            raise TelemetryFormatError(
+                f"non-ASCII byte 0x{chunk[exc.start]:02x}",
+                line=lineno - 1 + len(head.splitlines()),
+            ) from exc
         # a "\r" that ends the text may be the first half of a "\r\n"
         cut = 1 + max(text.rfind("\n"), text.rfind("\r", 0, -1))
         lines, carry = text[:cut].splitlines(), text[cut:]

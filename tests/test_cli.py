@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,7 @@ class TestExitCodes:
             ("sweep-speed", '{"experiment": {"duration": 1e400}}', "experiment.duration"),
             # finite, but 1e301 to 1e303 steps: the step ceiling names the duration
             ("run", '{"sim": {"dt": 1e-300}}', "sim.duration"),
+            ("run", '{"sim": {"duration": 1e300}}', "sim.duration"),
             ("depth-step", '{"sim": {"duration": 1e300}}', "sim.duration"),
             ("sweep-speed", '{"experiment": {"duration": 1e300}}', "experiment.duration"),
         ],
@@ -248,12 +250,23 @@ class TestExitCodes:
         assert err == f"error: non-finite {column} in record 0\n"
         assert not out.exists()
 
-    def test_undecodable_config_is_an_error(self, tmp_path, capsys):
-        config = tmp_path / "binary.json"
-        config.write_bytes(b"\xff\xfe{")
-        rc = main(["--config", str(config), "--out", str(tmp_path / "out"), "run"])
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe{", b"[" * 100000 + b"]" * 100000,
+         b'{"fish": ' + b"[" * 100000 + b"]" * 100000 + b"}"],
+        ids=["binary", "nested", "nested-in-fish"],
+    )
+    def test_undecodable_config_is_an_error(self, tmp_path, capsys, data):
+        # nesting deeper than the recursion limit once escaped as a RecursionError
+        config = tmp_path / "config.json"
+        config.write_bytes(data)
+        out = tmp_path / "out"
+        rc = main(["--config", str(config), "--out", str(out), "run"])
+        err = capsys.readouterr().err
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error: {config}: invalid JSON:")
+        assert err.startswith(f"error: {config}: invalid JSON:")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestRun:
@@ -332,7 +345,11 @@ class TestRun:
 
 
 class TestReplay:
-    def test_replay_matches_live_metrics(self, fast_config, tmp_path, capsys):
+    # 1 kHz records make a CSV of many read blocks
+    @pytest.mark.parametrize("sim", [{}, {"dt": 0.001, "record_hz": 1000.0}], ids=["100hz", "1khz"])
+    def test_replay_matches_live_metrics(self, fast_config, tmp_path, capsys, sim):
+        config = json.loads(fast_config.read_text())
+        fast_config.write_text(json.dumps({**config, "sim": {**config["sim"], **sim}}))
         out = tmp_path / "out"
         main(["--config", str(fast_config), "--out", str(out), "run"])
         live = json.loads((out / "run_metrics.json").read_text())
@@ -351,11 +368,25 @@ class TestReplay:
         for key in ("mean_speed_mps", "mean_power_w", "cot", "p2p_yaw_deg"):
             assert replayed[key] == pytest.approx(live[key], rel=1e-8)
 
-    def test_replay_rejects_malformed_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (lambda: b"not,a,telemetry,file\n1,2,3,4\n", 1),
+            # a time of "0.5x" at line 5000 of a 1 kHz run's CSV, many read blocks in
+            (lambda: _with_bad_time(_telemetry(1000.0), 5000), 5000),
+        ],
+        ids=["header", "1khz-row"],
+    )
+    def test_replay_rejects_malformed_file(self, tmp_path, capsys, data, line):
         bad = tmp_path / "bad.csv"
-        bad.write_text("not,a,telemetry,file\n1,2,3,4\n")
-        rc = main(["--out", str(tmp_path), "replay", str(bad)])
+        bad.write_bytes(data())
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "replay", str(bad)])
+        err = capsys.readouterr().err
         assert rc == 1
+        assert err.startswith(f"error: line {line}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["replay", "plot"])
@@ -638,6 +669,9 @@ def test_calibrate_rejects_a_start_outside_its_bounds(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+_NO_FINITE_TRIAL = "error: calibration failed: no trial of 61 has a finite loss\n"
+
+
 def test_calibrate_in_which_every_trial_faults_exits_1_and_writes_nothing(tmp_path, capsys):
     # every run of this fish faults: no trial has a finite loss to report
     config = tmp_path / "faulting.json"
@@ -645,7 +679,7 @@ def test_calibrate_in_which_every_trial_faults_exits_1_and_writes_nothing(tmp_pa
     out = tmp_path / "out"
     assert main(["--config", str(config), "--out", str(out), "calibrate"]) == 1
     err = capsys.readouterr().err
-    assert err == "error: calibration failed: no trial of 61 has a finite loss\n"
+    assert err == _NO_FINITE_TRIAL
     assert not (out / "calibration.json").exists()
     assert not out.exists()
 
@@ -657,13 +691,20 @@ def test_default_config_is_packaged():
 
 
 @functools.cache
-def _telemetry() -> bytes:
+def _telemetry(record_hz: float = RunConfig().sim.record_hz) -> bytes:
     """The CSV of an 8 s default run, whose steady window at 1 Hz holds 3 cycles."""
-    records = xp.run_condition(_environment(RunConfig()), RunConfig().gait, 8.0, 0)
+    config = replace(RunConfig(), sim=replace(RunConfig().sim, record_hz=record_hz))
+    records = xp.run_condition(_environment(config), config.gait, 8.0, 0)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.csv"
         write_telemetry(records, path)
         return path.read_bytes()
+
+
+def _with_bad_time(data: bytes, line: int) -> bytes:
+    lines = data.split(b"\n")
+    lines[line - 1] = b"0.5x," + lines[line - 1].partition(b",")[2]
+    return b"\n".join(lines)
 
 
 _GRID_KINDS = {"sweep-speed": "speed_sweep", "yaw-study": "yaw_study"}
@@ -739,10 +780,15 @@ _EXTREMES = _optional(
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_main_exits_cleanly_and_a_failure_writes_nothing(data):
-    commands = ["run", "depth-step", "replay", "plot", *_GRID_KINDS]
+    commands = ["run", "depth-step", "replay", "plot", "calibrate", *_GRID_KINDS]
     command = data.draw(st.sampled_from(commands))
-    drawn = data.draw(_object_like(RunConfig()) | _VALUES | _EXTREMES)
-    config = _short_config(drawn, data.draw, command)
+    if command == "calibrate":
+        # a fish this light in yaw faults in every trial, so calibrate ends in
+        # well under a second; a fuller fish could run the whole ~35 s fit
+        config = {"fish": {"yaw_inertia": data.draw(st.floats(1e-9, 1e-4))}}
+    else:
+        drawn = data.draw(_object_like(RunConfig()) | _VALUES | _EXTREMES)
+        config = _short_config(drawn, data.draw, command)
     with tempfile.TemporaryDirectory() as tmp:
         config_path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         config_path.write_text(json.dumps(config))
@@ -761,6 +807,8 @@ def test_main_exits_cleanly_and_a_failure_writes_nothing(data):
         assert "Traceback" not in stderr.getvalue()
         if rc == 1:
             assert not out.exists(), stderr.getvalue()
+        if command == "calibrate":
+            assert (rc, stderr.getvalue()) == (1, _NO_FINITE_TRIAL)
         if rc == 0 and command in _GRID_KINDS:
             # each table row keeps its cells' runs: a yaw row pairs a folded and an erect one
             table, prefix, cells = _GRID_FILES[command]

@@ -103,11 +103,18 @@ def test_load_config_round_trip(tmp_path):
     assert config.fish.mass == RunConfig().fish.mass
 
 
-def test_invalid_json_is_config_error(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", "[" * 100000 + "]" * 100000, '{"fish": ' + "[" * 100000 + "]" * 100000 + "}"],
+    ids=["broken", "nested", "nested-in-fish"],
+)
+def test_invalid_json_is_config_error(tmp_path, text):
+    # nesting deeper than the recursion limit is invalid JSON, not a RecursionError
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError):
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="invalid JSON: ") as exc:
         load_config(path)
+    assert exc.value.field == str(path)
 
 
 def test_missing_file_is_os_error(tmp_path):

@@ -520,13 +520,6 @@ class TestDepthStep:
             run_depth_step(fast_env(), schedule, 12.0, initial_depth=0.0)
         assert calls == []
 
-    def test_depth_hold_needs_pid_and_buoyancy(self):
-        gait = GaitCommand(frequency=1.0, amplitude=20.0)
-        for missing in ("pid", "buoyancy"):
-            env = fast_env(depth_hold=True, target_depth=0.3, **{missing: None})
-            with pytest.raises(ConfigError):
-                run_condition(env, gait, 12.0, seed=0)
-
     def test_constant_schedule_holds_depth(self):
         env = fast_env(depth_hold=True, target_depth=0.2)
         records, reports = run_depth_step(env, [(0.0, 0.2)], 20.0, initial_depth=0.2)

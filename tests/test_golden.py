@@ -37,6 +37,12 @@ CASES = {
         ["--seed", "4", "sweep-speed"],
     ),
     "depth-step-noise": ({"sim": {**NOISY, "duration": 12.0}}, ["--seed", "5", "depth-step"]),
+    # the depth noise and the depth loop move only a cell's depth columns: the
+    # table and chart of these two are those of "sweep-speed", byte for byte
+    "sweep-speed-noise-one-repeat": (
+        {"sim": {"noise_enabled": True}, "experiment": SMALL_GRID}, ["sweep-speed"]
+    ),
+    "sweep-speed-free": ({"sim": {"depth_hold": False}, "experiment": SMALL_GRID}, ["sweep-speed"]),
 }
 
 DIGESTS = {
@@ -81,6 +87,22 @@ DIGESTS = {
         "depth_step.csv": "403b6a73028b9c9be6915dd76427de686db75234277a001a804ca085518869e1",
         "depth_step.svg": "3f4fadb0d40e21b57268a2f38935939754312f7f972ae036ccd4f93b2dd5e265",
         "depth_step_report.json": "16446f6847825b888cc05659c5f062002bf7d80e9275860f6454d02be4a54858",
+    },
+    "sweep-speed-noise-one-repeat": {
+        "run_f1.00_a20_erect.csv": "5b8380934f91c817055c6e4787f5fce699dbf6e332d1c1c8fbc6a6eb2bdad17f",
+        "run_f1.00_a20_folded.csv": "0ebbf10e662dc90eed862ad751055904b783d19d28c1d2bdf2c2fa7e23108d6d",
+        "run_f1.50_a20_erect.csv": "3ad1ff058fa9abf07c552f5369de35b40ab45e800bed582d67132a79ce937089",
+        "run_f1.50_a20_folded.csv": "29e3b0b49586217ec3a7cde47756926d9f3363c952789491fc75f2552587bf5a",
+        "speed_sweep.csv": "3cade773ab62f4fe20496bf560f4899e2ce72dd3bcffb40265186175414934e1",
+        "speed_vs_frequency.svg": "243a2f74c111b39fc674cacf9bcab8e5d25d3cb1fda616f853517e76d7b84c8f",
+    },
+    "sweep-speed-free": {
+        "run_f1.00_a20_erect.csv": "3b2258e45dc2bdfffa7783abe3f81af17610c56499c7e002fdb2f215e7d29794",
+        "run_f1.00_a20_folded.csv": "319019aba71307f572c02562f68b93df00830a00f49c160dafa8ba7f1785341e",
+        "run_f1.50_a20_erect.csv": "438810f244db309f224abfd0b2cc4743e3d3c0ca32cfeec37763ffedace720d4",
+        "run_f1.50_a20_folded.csv": "6a5af339ad88529b6c15cdae17947eb53279b663bf0b5e783d951ad21f92599f",
+        "speed_sweep.csv": "3cade773ab62f4fe20496bf560f4899e2ce72dd3bcffb40265186175414934e1",
+        "speed_vs_frequency.svg": "243a2f74c111b39fc674cacf9bcab8e5d25d3cb1fda616f853517e76d7b84c8f",
     },
 }
 

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 import struct
 from array import array
@@ -275,24 +274,12 @@ class TestRead:
         ],
         ids=["first-byte", "in-header", "second-line", "crlf-third-line"],
     )
-    @pytest.mark.parametrize("source", ["path", "binary stream"])
-    def test_non_ascii_byte_names_its_line(self, tmp_path, prefix, line, source):
+    def test_non_ascii_byte_names_its_line(self, tmp_path, prefix, line):
         path = tmp_path / "binary.csv"
         path.write_bytes(prefix + b"\xff" + b"\n" + GOLDEN_ROW.encode() + b"\n")
-        if source == "binary stream":
-            path = io.BytesIO(path.read_bytes())
         with pytest.raises(TelemetryFormatError, match="non-ASCII byte 0xff$") as exc:
             read_telemetry(path)
         assert exc.value.line == line
-
-    def test_binary_stream_reads_as_the_path(self, tmp_path):
-        path = tmp_path / "run.csv"
-        controller = SwimController(_environment(RunConfig()), GaitCommand(1.0, 20.0))
-        write_telemetry(simulate(FishParams(), controller, 1.0, 0.01), path)
-        with open(path, "rb") as stream:
-            assert read_telemetry(stream) == read_telemetry(path)
-        with open(path) as stream:
-            assert read_telemetry(stream) == read_telemetry(path)
 
 
 # The whole-text reader and single-pass writer the block-wise ones replaced,
@@ -433,24 +420,20 @@ class TestBlockReader:
         raw = data.draw(_telemetry_bytes(corruption))
         path = tmp_path_factory.getbasetemp() / "blocks.csv"
         path.write_bytes(raw)
-        binary = _outcome(lambda: _oracle_parse(_oracle_decode(raw)))
-        # latin-1 text keeps every byte as one character, "\r" included
-        text = _outcome(lambda: _oracle_parse(raw.decode("latin-1")))
+        expected = _outcome(lambda: _oracle_parse(_oracle_decode(raw)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(telemetry, "_READ_BLOCK", block)
-            assert _outcome(lambda: read_telemetry(path)) == binary
-            assert _outcome(lambda: read_telemetry(str(path))) == binary
-            assert _outcome(lambda: read_telemetry(io.BytesIO(raw))) == binary
-            stream = io.TextIOWrapper(io.BytesIO(raw), encoding="latin-1", newline="")
-            assert _outcome(lambda: read_telemetry(stream)) == text
+            assert _outcome(lambda: read_telemetry(path)) == expected
+            assert _outcome(lambda: read_telemetry(str(path))) == expected
 
-    def test_non_ascii_byte_is_raised_ahead_of_an_earlier_bad_row(self, monkeypatch):
+    def test_non_ascii_byte_is_raised_ahead_of_an_earlier_bad_row(self, tmp_path, monkeypatch):
         monkeypatch.setattr(telemetry, "_READ_BLOCK", 64)
         # the bad row is in the first 64-byte block, the bad byte blocks later
         rows = [GOLDEN_ROW, "not,a,row"] + [GOLDEN_ROW] * 8
-        raw = (HEADER + "\n" + "\n".join(rows) + "\n\xff\n").encode("latin-1")
+        path = tmp_path / "late.csv"
+        path.write_bytes((HEADER + "\n" + "\n".join(rows) + "\n\xff\n").encode("latin-1"))
         with pytest.raises(TelemetryFormatError, match="^line 12: non-ASCII byte 0xff$"):
-            read_telemetry(io.BytesIO(raw))
+            read_telemetry(path)
 
     def test_a_default_size_block_boundary_falls_inside_a_row(self, tmp_path):
         records = [record(0.001 * i) for i in range(1, 3001)]
@@ -568,12 +551,16 @@ class TestMmapThreshold:
         read_telemetry(path)
         assert mallopt_calls == [(-3, 128 * 1024)]
 
-    def test_an_explicit_environment_setting_wins(self, monkeypatch, mallopt_calls):
+    def test_an_explicit_environment_setting_wins(self, tmp_path, monkeypatch, mallopt_calls):
         monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "65536")
-        read_telemetry(io.BytesIO((HEADER + "\n" + GOLDEN_ROW + "\n").encode()))
+        path = tmp_path / "t.csv"
+        path.write_text(HEADER + "\n" + GOLDEN_ROW + "\n")
+        read_telemetry(path)
         assert mallopt_calls == []
 
-    def test_not_called_off_linux(self, monkeypatch, mallopt_calls):
+    def test_not_called_off_linux(self, tmp_path, monkeypatch, mallopt_calls):
         monkeypatch.setattr(telemetry.sys, "platform", "darwin")
-        read_telemetry(io.BytesIO((HEADER + "\n" + GOLDEN_ROW + "\n").encode()))
+        path = tmp_path / "t.csv"
+        path.write_text(HEADER + "\n" + GOLDEN_ROW + "\n")
+        read_telemetry(path)
         assert mallopt_calls == []
