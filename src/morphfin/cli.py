@@ -19,7 +19,7 @@ from pathlib import Path
 from . import experiments as xp
 from .config import RunConfig, load_config, load_default_config
 from .errors import MorphfinError
-from .metrics import cot, steady_window
+from .metrics import steady_window
 from .plotting import PlotStyle, Series, emit_plot
 from .telemetry import _COLUMNS, csv_rows, encode_telemetry, read_telemetry
 
@@ -43,12 +43,12 @@ def _environment(config: RunConfig) -> xp.RunEnvironment:
 
 def _replay_metrics(records, frequency: float, mass: float, gravity: float) -> dict:
     window = steady_window(records[0].time_s, records[-1].time_s, frequency)
-    m = xp.condition_metrics(records, frequency)
+    m = xp.condition_metrics(records, frequency, mass=mass, gravity=gravity)
     return {
         "window_s": list(window),
         "mean_speed_mps": m.mean_speed,
         "mean_power_w": m.mean_power,
-        "cot": cot(m.mean_power, mass, gravity, m.mean_speed),
+        "cot": m.cot,
         "p2p_yaw_deg": m.p2p_yaw,
     }
 

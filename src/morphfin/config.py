@@ -9,6 +9,7 @@ loader's type-hint lookups compile no strings.
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -114,7 +115,7 @@ def _coerce(value: Any, hint: Any, path: str) -> Any:
     origin = get_origin(hint)
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"expected a number, got {value!r}", path)
+            raise ConfigError(f"expected a number, got {reprlib.repr(value)}", path)
         try:
             return float(value)
         except OverflowError:  # an integer beyond the double range
@@ -122,7 +123,7 @@ def _coerce(value: Any, hint: Any, path: str) -> Any:
     if hint in _SCALARS:
         # a bool is an int to isinstance, but an int field takes none
         if not isinstance(value, hint) or (hint is int and isinstance(value, bool)):
-            raise ConfigError(f"expected {_SCALARS[hint]}, got {value!r}", path)
+            raise ConfigError(f"expected {_SCALARS[hint]}, got {reprlib.repr(value)}", path)
         return value
     if origin is tuple:
         args = get_args(hint)

@@ -93,21 +93,6 @@ class BuoyancyState:
             raise ConfigError("max_rate must be > 0", "buoyancy.max_rate")
 
 
-def servo_angle(gait: GaitCommand, t: float) -> float:
-    """Commanded servo angle in degrees at time t (seconds)."""
-    if t < 0.0:
-        raise DomainError(f"time must be >= 0, got {t}")
-    return gait.bias + gait.amplitude * math.sin(2.0 * math.pi * gait.frequency * t)
-
-
-def servo_rate(gait: GaitCommand, t: float) -> float:
-    """Servo angular rate in deg/s at time t (analytic derivative of the sine)."""
-    if t < 0.0:
-        raise DomainError(f"time must be >= 0, got {t}")
-    w = 2.0 * math.pi * gait.frequency
-    return gait.amplitude * w * math.cos(w * t)
-
-
 def _clamp(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 

@@ -3,7 +3,7 @@
 SwimController combines the open-loop caudal gait with the optional PID
 depth hold and its sensor, which adds seeded noise to the true depth, then
 quantizes it. The PID updates at the control rate (default 50 Hz) while the
-commanded servo angle is evaluated analytically every simulation step.
+commanded servo angle is evaluated analytically at every command.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ class SwimController:
     PID gains, syringe, control period, depth noise std and depth resolution
     of `env`; the noise is drawn from `seed`, by the depth loop alone, and
     only when its std is > 0.
-    `command` runs every simulation step, so it keeps the syringe volume as a
-    float and builds a BuoyancyState only for the PID updates. The servo
-    angle and rate are control.servo_angle/servo_rate with 2*pi*f and
-    amplitude*2*pi*f computed once, in the same association, so the
-    commands are bit-identical to theirs.
+    With a depth loop, simulate calls `command` every step, so it keeps the
+    syringe volume as a float and builds a BuoyancyState only for the PID
+    updates. With none, `open_loop` hands simulate the gait's control law, and
+    `command` runs once a run, for its checks.
     """
 
     def __init__(
@@ -58,7 +57,6 @@ class SwimController:
             env.pid.validate()
             env.buoyancy.validate()
         self.params = env.params
-        self.gait = gait
         self.gains = env.pid
         self.buoyancy = env.buoyancy
         self.depth_schedule = depth_schedule
@@ -70,11 +68,25 @@ class SwimController:
         self._last_update: float | None = None
         self._last_time: float | None = None
         self._update_after = env.control_period - 1e-12
-        self._omega = 2.0 * math.pi * gait.frequency
-        self._amp_omega = gait.amplitude * self._omega
-        self._amplitude_rad = gait.amplitude * _DEG
+        omega = 2.0 * math.pi * gait.frequency
+        bias, amplitude, amp_omega = gait.bias, gait.amplitude, gait.amplitude * omega
+        frequency, amp_rad, erection = gait.frequency, amplitude * _DEG, gait.fin_erection_setpoint
+
+        def control(t: float, buoyancy: float = 0.0, volume: float = 0.0) -> tuple:
+            wt = omega * t
+            return (  # ControlInput's fields: a plain tuple builds and unpacks faster
+                (bias + amplitude * math.sin(wt)) * _DEG, amp_omega * math.cos(wt) * _DEG,
+                frequency, amp_rad, erection, buoyancy, volume,
+            )
+
+        self._control = control
         self._gauss = random.Random(seed).gauss if self.depth_hold and env.noise > 0.0 else None
         self._depth_std = env.noise
+
+    def open_loop(self):
+        """control(t) -> ControlInput's fields as `command` gives them at t >= 0 with no depth
+        loop, else None. It reads no state; w = 2*pi*f and amplitude*w are computed once."""
+        return None if self.depth_hold else self._control
 
     def command(self, t: float, depth: float) -> ControlInput:
         if t < 0.0:
@@ -118,15 +130,5 @@ class SwimController:
             buoyancy_n = syringe_buoyancy(
                 self.params.water_density, self.params.gravity, self._volume, buoy.neutral_volume
             )
-        gait = self.gait
-        wt = self._omega * t
-        # in ControlInput's field order; tuple.__new__ skips its generated Python __new__
-        return tuple.__new__(ControlInput, (
-            (gait.bias + gait.amplitude * math.sin(wt)) * _DEG,
-            self._amp_omega * math.cos(wt) * _DEG,
-            gait.frequency,
-            self._amplitude_rad,
-            gait.fin_erection_setpoint,
-            buoyancy_n,
-            self._volume,
-        ))
+        # tuple.__new__ skips ControlInput's generated Python __new__
+        return tuple.__new__(ControlInput, self._control(t, buoyancy_n, self._volume))

@@ -169,8 +169,10 @@ class ConditionMetrics:
     p2p_yaw: float
 
 
-def condition_metrics(records: Telemetry, frequency: float) -> ConditionMetrics:
-    """Steady-window metrics of one run; `cot` is NaN, as it needs the mass.
+def condition_metrics(
+    records: Telemetry, frequency: float, *, mass: float | None = None, gravity: float | None = None
+) -> ConditionMetrics:
+    """Steady-window metrics of one run; `cot` is NaN unless `mass` and `gravity` are given.
 
     The speed is the net planar displacement between the window's first and
     last records over their elapsed time, as timing a traverse of a known
@@ -194,15 +196,12 @@ def condition_metrics(records: Telemetry, frequency: float) -> ConditionMetrics:
             f"window of {t1 - t0:.3f} s holds fewer than 3 cycles at {frequency} Hz"
         )
     yaws = records.column("yaw_deg")[a:b]
-    return ConditionMetrics(speed, power, math.nan, max(yaws) - min(yaws))
+    value = math.nan if mass is None or gravity is None else cot(power, mass, gravity, speed)
+    return ConditionMetrics(speed, power, value, max(yaws) - min(yaws))
 
 
-def _metrics_with_cot(
-    env: RunEnvironment, records: Telemetry, frequency: float
-) -> ConditionMetrics:
-    m = condition_metrics(records, frequency)
-    value = cot(m.mean_power, env.params.mass, env.params.gravity, m.mean_speed)
-    return replace(m, cot=value)
+def _metrics_with_cot(env: RunEnvironment, records: Telemetry, frequency: float):
+    return condition_metrics(records, frequency, mass=env.params.mass, gravity=env.params.gravity)
 
 
 @dataclass(frozen=True)

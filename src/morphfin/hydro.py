@@ -297,8 +297,10 @@ def simulate(
 
     Every `record_every`-th step is sampled (1 keeps all steps, so a run of
     duration/dt steps yields ceil(duration/dt)+1 records, the first being the
-    initial state). The controller is handed the true time and depth. Only
-    the state `fields` are integrated; the others hold their start values.
+    initial state). The controller is handed the true time and depth; one whose
+    `open_loop()` gives a control law is commanded at the start alone, for its
+    checks, then law(t) runs each step. Only the state `fields` are integrated;
+    the others hold their start values.
     """
     check_run(duration, dt)
     if record_every < 1:
@@ -312,8 +314,12 @@ def simulate(
     load = _loads(params)
     # bound once per run; a tracer that wraps the class method wraps this too
     command = controller.command
+    law = controller.open_loop() if hasattr(controller, "open_loop") else None
     sv = state.vector()
     t0 = state.time
+    if law and not command(t0, sv[2]).is_finite():
+        raise SimulationFault(t0)
+    isfinite = math.isfinite
     records = Telemetry()
     extend = records.values.extend
 
@@ -326,19 +332,24 @@ def simulate(
                 sv = advance(sv, loads)
             except ValueError as exc:  # math.cos/sin of an infinite yaw
                 raise SimulationFault(t, "non-finite state yaw") from exc
-        control = command(t, sv[2])
-        if not control.is_finite():
-            raise SimulationFault(t)
+        if law:  # only the servo angle and rate change
+            control = law(t)
+            if not (isfinite(control[0]) and isfinite(control[1])):
+                raise SimulationFault(t)
+        else:
+            control = command(t, sv[2])
+            if not control.is_finite():
+                raise SimulationFault(t)
         loads = load(control)
         if i % record_every == 0 or i == n_steps:
-            if not all(map(math.isfinite, sv)):
-                name = next(n for n, v in zip(_STATE_FIELDS, sv) if not math.isfinite(v))
+            if not all(map(isfinite, sv)):
+                name = next(n for n, v in zip(_STATE_FIELDS, sv) if not isfinite(v))
                 raise SimulationFault(t, f"non-finite state {name}")
             x, y, z, yaw, u, v, r, _ = sv
+            angle, rate, _, _, erection, _, volume = control
             torque = abs(loads[1])
             extend((  # in CSV column order
-                t, x, y, z, yaw / _DEG, r / _DEG, u, v, control.servo_angle / _DEG, torque,
-                servo_power(power_model, torque, abs(control.servo_rate)),
-                control.erection, control.syringe_volume * 1e6,
+                t, x, y, z, yaw / _DEG, r / _DEG, u, v, angle / _DEG, torque,
+                servo_power(power_model, torque, abs(rate)), erection, volume * 1e6,
             ))
     return records

@@ -268,6 +268,34 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (b'{"fish": {"mass": "' + b"x" * 1000000 + b'"}}',
+             "error: fish.mass: expected a number, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n"),
+            (b'{"fish": {"mass": ' + b"[" * 980 + b"]" * 980 + b"}}",
+             "error: fish.mass: expected a number, got [[[[[[[...]]]]]]]\n"),
+            (b'{"sim": {"seed": "' + b"7" * 1000000 + b'"}}',
+             "error: sim.seed: expected an integer, got '777777777777...7777777777777'\n"),
+        ],
+        ids=["long-string", "deep-list", "long-string-for-an-integer"],
+    )
+    def test_a_value_of_the_wrong_type_is_echoed_short(self, tmp_path, data, expected):
+        # the whole value was echoed: a 1,000,044-byte line for the long string. A fresh
+        # interpreter, as the console script, parses the 980-deep list under its recursion limit
+        config = tmp_path / "config.json"
+        config.write_bytes(data)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "morphfin.cli", "--config", str(config), "--out", "out", "run"],
+            capture_output=True, cwd=tmp_path, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        )
+        assert done.returncode == 1
+        assert done.stderr.decode() == expected
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_run_writes_telemetry_and_metrics(self, fast_config, tmp_path, capsys):

@@ -14,8 +14,6 @@ from morphfin.control import (
     apply_volume_rate,
     depth_controller,
     pid_step,
-    servo_angle,
-    servo_rate,
     step_schedule,
     syringe_buoyancy,
 )
@@ -36,28 +34,63 @@ def default_buoyancy(volume=3e-5):
     )
 
 
+def servo_angle(gait, t):
+    """The commanded servo angle in degrees at time t: the textbook biased sine."""
+    if t < 0.0:
+        raise DomainError(f"time must be >= 0, got {t}")
+    return gait.bias + gait.amplitude * math.sin(2.0 * math.pi * gait.frequency * t)
+
+
+def servo_rate(gait, t):
+    """The servo's angular rate in deg/s at time t: the sine's analytic derivative."""
+    if t < 0.0:
+        raise DomainError(f"time must be >= 0, got {t}")
+    w = 2.0 * math.pi * gait.frequency
+    return gait.amplitude * w * math.cos(w * t)
+
+
+def _servo_deg(gait, t):
+    """The servo angle in degrees of the control law SwimController hands simulate."""
+    return SwimController(_environment(RunConfig()), gait).open_loop()(t)[0] * 180.0 / math.pi
+
+
 class TestServoAngle:
     def test_zero_crossing_at_t0(self):
         gait = GaitCommand(frequency=1.3, amplitude=17.0, bias=5.0)
-        assert servo_angle(gait, 0.0) == pytest.approx(5.0)
+        assert _servo_deg(gait, 0.0) == pytest.approx(5.0)
 
     def test_quarter_period_peak(self):
         gait = GaitCommand(frequency=1.0, amplitude=20.0)
-        assert servo_angle(gait, 0.25) == pytest.approx(20.0)
+        assert _servo_deg(gait, 0.25) == pytest.approx(20.0)
 
     def test_eighth_period(self):
         gait = GaitCommand(frequency=1.0, amplitude=20.0)
         # 20 * sin(pi/4)
-        assert servo_angle(gait, 0.125) == pytest.approx(14.142, abs=5e-4)
+        assert _servo_deg(gait, 0.125) == pytest.approx(14.142, abs=5e-4)
 
     @given(st.floats(0.2, 3.0), st.floats(1.0, 45.0))
     @settings(max_examples=30)
     def test_symmetric_cycle_zero_mean(self, freq, amp):
-        gait = GaitCommand(frequency=freq, amplitude=amp)
+        servo = SwimController(
+            _environment(RunConfig()), GaitCommand(frequency=freq, amplitude=amp)
+        ).open_loop()
         n = 1000
         period = 1.0 / freq
-        mean = sum(servo_angle(gait, i * period / n) for i in range(n)) / n
-        assert abs(mean) <= 1e-12 * amp
+        mean = sum(servo(i * period / n)[0] for i in range(n)) / n
+        assert abs(mean) <= 1e-12 * amp * math.pi / 180.0
+
+    @given(
+        st.floats(0.0, 5.0), st.floats(0.0, 45.0), st.floats(-30.0, 30.0), st.floats(0.0, 1e4)
+    )
+    @settings(max_examples=200)
+    def test_is_the_textbook_sine_and_the_command_bit_for_bit(self, freq, amp, bias, t):
+        gait = GaitCommand(frequency=freq, amplitude=amp, bias=bias)
+        deg = math.pi / 180.0
+        expected = (servo_angle(gait, t) * deg, servo_rate(gait, t) * deg)
+        controller = SwimController(_environment(RunConfig()), gait)
+        got = controller.open_loop()(t)
+        assert struct.pack("<2d", *got[:2]) == struct.pack("<2d", *expected)
+        assert _bits(got) == _bits(controller.command(t, 0.3))  # the whole command
 
 
 class TestPidStep:
@@ -174,8 +207,8 @@ class _ReferenceController:
     """SwimController's law rebuilt from the public per-state functions.
 
     The syringe is a BuoyancyState advanced by apply_volume_rate every call,
-    the buoyancy comes from syringe_buoyancy, and the servo from servo_angle
-    and servo_rate: the straightforward form the controller must match.
+    the buoyancy comes from syringe_buoyancy, and the servo from this file's
+    servo_angle and servo_rate: the straightforward form the controller must match.
     """
 
     def __init__(self, params, gait, gains, buoyancy, schedule, period=0.02, quantum=0.001):

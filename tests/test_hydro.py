@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from morphfin import hydro
 from morphfin.cli import _environment
 from morphfin.config import RunConfig
-from morphfin.control import GaitCommand
+from morphfin.control import GaitCommand, step_schedule
 from morphfin.controllers import SwimController
 from morphfin.errors import ConfigError, DomainError, SimulationFault
+from morphfin.experiments import run_condition
 from morphfin.hydro import (
     _integrator,
     _loads,
@@ -613,3 +614,94 @@ class TestRecordSchedule:
         assert _bits([r.time_s for r in records]) == _bits(kept)
         # the controller is asked once per step, at the step's time
         assert _bits(clock.times) == _bits(step_times)
+
+
+class _CommandOnly:
+    """The same controller seen through `command` alone, so simulate calls it every step."""
+
+    def __init__(self, controller):
+        self.command = controller.command
+
+
+def _outcome(controller, duration, dt, t0, every, fields):
+    """The packed bits of a run's 13 columns, or the type, message and time of its fault."""
+    try:
+        records = simulate(
+            FishParams(), controller, duration, dt,
+            initial_state=FishState(time=t0), record_every=every, fields=fields,
+        )
+    except Exception as exc:  # each path must raise the same, however it fails
+        return type(exc), str(exc), getattr(exc, "time", None)
+    return records.values.tobytes()
+
+
+class TestOpenLoopPath:
+    """A SwimController with no depth loop hands simulate its control law: command runs once."""
+
+    @given(
+        frequency=st.floats(0.0, 5.0),
+        amplitude=st.floats(0.0, 45.0),
+        bias=st.floats(-30.0, 30.0),
+        erection=st.floats(0.0, 1.0),
+        dt=st.sampled_from([0.01, 0.005, 0.001, 0.0007]),
+        every=st.integers(1, 12),
+        t0=st.floats(0.0, 1e4),
+        fields=st.sampled_from([hydro.YAW_FIELDS, hydro.PLANAR_FIELDS, hydro._STATE_FIELDS]),
+    )
+    @example(1.5, 20.0, 0.0, 0.0, 0.001, 10, 0.0, hydro._STATE_FIELDS)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_step_command_in_every_column(
+        self, frequency, amplitude, bias, erection, dt, every, t0, fields
+    ):
+        gait = GaitCommand(frequency, amplitude, bias, erection)
+        run = (0.5, dt, t0, every, fields)
+        direct = _outcome(SwimController(ENV, gait), *run)
+        assert isinstance(direct, bytes)
+        assert direct == _outcome(_CommandOnly(SwimController(ENV, gait)), *run)
+
+    def _count_commands(self, monkeypatch):
+        calls = []
+        command = SwimController.command
+
+        def counted(self, t, depth):
+            calls.append(t)
+            return command(self, t, depth)
+
+        monkeypatch.setattr(SwimController, "command", counted)
+        return calls
+
+    def test_command_runs_once_without_a_depth_loop(self, monkeypatch):
+        calls = self._count_commands(monkeypatch)
+        simulate(FishParams(), SwimController(ENV, GaitCommand(1.0, 20.0)), 1.0, 0.001)
+        assert calls == [0.0]
+
+    @pytest.mark.parametrize("loop", ["schedule", "depth_hold"])
+    def test_command_runs_every_step_with_a_depth_loop(self, monkeypatch, loop):
+        calls = self._count_commands(monkeypatch)
+        gait = GaitCommand(1.0, 20.0)
+        if loop == "schedule":
+            schedule = step_schedule([(0.0, 0.2)])
+            simulate(FishParams(), SwimController(ENV, gait, schedule), 1.0, 0.001,
+                     initial_state=FishState(depth=0.2))
+        else:
+            assert ENV.depth_hold and ENV.dt == 0.001
+            run_condition(ENV, gait, 1.0, 0)
+        assert len(calls) == math.ceil(1.0 / 0.001) + 1
+
+    @pytest.mark.parametrize(
+        "frequency, amplitude, t0",
+        [
+            (math.inf, 20.0, 0.0),  # inf * 0 is nan: a nan servo angle at the start
+            (math.inf, 20.0, 1.0),  # sin(inf) raises ValueError in the first command
+            (1e307, 20.0, 0.0),  # amplitude * 2*pi*f overflows: an infinite servo rate
+            (1e307, 1e-300, 2.8),  # a finite servo, an infinite thrust: the yaw diverges
+            (1.0, 20.0, -0.5),  # a start before t = 0
+        ],
+    )
+    @pytest.mark.parametrize("fields", [hydro.YAW_FIELDS, hydro._STATE_FIELDS])
+    def test_a_fault_is_the_same_on_both_paths(self, frequency, amplitude, t0, fields):
+        gait = GaitCommand(frequency, amplitude)
+        run = (0.2, 0.01, t0, 1, fields)
+        direct = _outcome(SwimController(ENV, gait), *run)
+        assert not isinstance(direct, bytes)
+        assert direct == _outcome(_CommandOnly(SwimController(ENV, gait)), *run)

@@ -276,6 +276,26 @@ def test_metrics_do_not_depend_on_the_time_origin(frequency, step, origin):
     assert (moved.mean_power, moved.p2p_yaw) == (base.mean_power, base.p2p_yaw)
 
 
+def test_condition_metrics_gives_the_cot_only_with_mass_and_gravity():
+    times = [i * 0.01 for i in range(3001)]
+    records = _swim(times, 1.0)
+    plain = condition_metrics(records, 1.0)
+    assert math.isnan(plain.cot)
+    assert math.isnan(condition_metrics(records, 1.0, mass=2.3).cot)
+    assert math.isnan(condition_metrics(records, 1.0, gravity=9.81).cot)
+    full = condition_metrics(records, 1.0, mass=2.3, gravity=9.81)
+    assert astuple(full) == (
+        plain.mean_speed, plain.mean_power,
+        cot(plain.mean_power, 2.3, 9.81, plain.mean_speed), plain.p2p_yaw,
+    )
+    with pytest.raises(TypeError):  # mass and gravity are keyword-only
+        condition_metrics(records, 1.0, 2.3, 9.81)
+    still = _telemetry([_record(t, power=1.0) for t in times])
+    assert math.isnan(condition_metrics(still, 1.0).cot)
+    with pytest.raises(UndefinedCotError):  # no displacement: the COT is undefined
+        condition_metrics(still, 1.0, mass=2.3, gravity=9.81)
+
+
 # The steady-window metrics as three functions computed them, each filtering
 # the window from the times again: the reference condition_metrics must match.
 
