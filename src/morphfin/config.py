@@ -146,7 +146,7 @@ def _build(default, data: Any, path: str = ""):
         raise ConfigError("expected an object", path)
     unknown = set(data) - {f.name for f in fields(default)}
     if unknown:
-        raise ConfigError(f"unknown key(s): {sorted(unknown)}", path or "config")
+        raise ConfigError(f"unknown key(s): {reprlib.repr(sorted(unknown))}", path or "config")
     hints = get_type_hints(type(default))
     kwargs = {}
     for name, value in data.items():

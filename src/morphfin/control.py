@@ -32,6 +32,8 @@ class GaitCommand:
     def validate(self) -> None:
         if not (self.frequency >= 0.0):
             raise ConfigError("frequency must be >= 0", "gait.frequency")
+        if self.frequency == math.inf:  # sin of an infinite phase is undefined
+            raise ConfigError("frequency must be finite", "gait.frequency")
         if not (0.0 <= self.amplitude <= MAX_AMPLITUDE_DEG):
             raise ConfigError(
                 f"amplitude must be in [0, {MAX_AMPLITUDE_DEG:g}] deg", "gait.amplitude"

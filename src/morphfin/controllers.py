@@ -25,7 +25,7 @@ from .control import (  # noqa: F401
     syringe_buoyancy,
 )
 from .errors import DomainError
-from .hydro import _DEG, ControlInput
+from .hydro import _DEG
 
 if TYPE_CHECKING:  # experiments imports this module
     from .experiments import RunEnvironment
@@ -38,10 +38,10 @@ class SwimController:
     PID gains, syringe, control period, depth noise std and depth resolution
     of `env`; the noise is drawn from `seed`, by the depth loop alone, and
     only when its std is > 0.
-    With a depth loop, simulate calls `command` every step, so it keeps the
-    syringe volume as a float and builds a BuoyancyState only for the PID
-    updates. With none, `open_loop` hands simulate the gait's control law, and
-    `command` runs once a run, for its checks.
+    `command` returns ControlInput's seven fields as a plain tuple. With a depth
+    loop, simulate calls it every step, so it keeps the syringe volume as a float
+    and builds a BuoyancyState only for the PID updates. With none, `open_loop`
+    hands simulate the gait's control law, and `command` runs at the start alone.
     """
 
     def __init__(
@@ -56,12 +56,8 @@ class SwimController:
         if self.depth_hold:
             env.pid.validate()
             env.buoyancy.validate()
-        self.params = env.params
-        self.gains = env.pid
-        self.buoyancy = env.buoyancy
+        self.env = env  # the depth loop reads its settings here
         self.depth_schedule = depth_schedule
-        self.control_period = env.control_period
-        self.depth_resolution = env.depth_resolution
         self._volume = env.buoyancy.syringe_volume if self.depth_hold else 0.0
         self._memory = PidMemory()
         self._rate = 0.0
@@ -74,31 +70,30 @@ class SwimController:
 
         def control(t: float, buoyancy: float = 0.0, volume: float = 0.0) -> tuple:
             wt = omega * t
-            return (  # ControlInput's fields: a plain tuple builds and unpacks faster
+            return (  # ControlInput's fields: a plain tuple builds, indexes and unpacks faster
                 (bias + amplitude * math.sin(wt)) * _DEG, amp_omega * math.cos(wt) * _DEG,
                 frequency, amp_rad, erection, buoyancy, volume,
             )
 
         self._control = control
         self._gauss = random.Random(seed).gauss if self.depth_hold and env.noise > 0.0 else None
-        self._depth_std = env.noise
 
     def open_loop(self):
-        """control(t) -> ControlInput's fields as `command` gives them at t >= 0 with no depth
-        loop, else None. It reads no state; w = 2*pi*f and amplitude*w are computed once."""
+        """control(t) -> `command`'s tuple at t >= 0 with no depth loop, else None. It
+        reads no state; w = 2*pi*f and amplitude*w are computed once."""
         return None if self.depth_hold else self._control
 
-    def command(self, t: float, depth: float) -> ControlInput:
+    def command(self, t: float, depth: float) -> tuple:
         if t < 0.0:
             raise DomainError(f"time must be >= 0, got {t}")
         buoyancy_n = 0.0
         if self.depth_hold:
+            env, buoy = self.env, self.env.buoyancy
             if self._gauss is not None:
                 # gauss makes its normals in pairs and the reading takes the
                 # second of each, so the first is drawn and dropped every call
                 self._gauss(0.0, 1.0)
-                depth = max(0.0, depth + self._gauss(0.0, self._depth_std))
-            buoy = self.buoyancy
+                depth = max(0.0, depth + self._gauss(0.0, env.noise))
             # integrate the syringe between calls, then refresh the PID at
             # the control rate on the quantized depth reading
             last = self._last_time
@@ -108,19 +103,19 @@ class SwimController:
                     buoy.volume_min, buoy.volume_max, buoy.max_rate,
                 )
             if self._last_update is None or t - self._last_update >= self._update_after:
-                quantum = self.depth_resolution
+                quantum = env.depth_resolution
                 # a depth of no finite number of quanta is used unquantized
                 steps = depth / quantum if quantum > 0.0 else math.inf
                 measured = round(steps) * quantum if math.isfinite(steps) else depth
                 dt = (
-                    self.control_period
+                    env.control_period
                     if self._last_update is None
                     else t - self._last_update
                 )
                 self._rate, self._memory = depth_controller(
                     self.depth_schedule(t),
                     measured,
-                    self.gains,
+                    env.pid,
                     replace(buoy, syringe_volume=self._volume),
                     dt,
                     self._memory,
@@ -128,7 +123,6 @@ class SwimController:
                 self._last_update = t
             self._last_time = t
             buoyancy_n = syringe_buoyancy(
-                self.params.water_density, self.params.gravity, self._volume, buoy.neutral_volume
+                env.params.water_density, env.params.gravity, self._volume, buoy.neutral_volume
             )
-        # tuple.__new__ skips ControlInput's generated Python __new__
-        return tuple.__new__(ControlInput, self._control(t, buoyancy_n, self._volume))
+        return self._control(t, buoyancy_n, self._volume)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import astuple, dataclass, field, replace
@@ -58,7 +59,7 @@ class ExperimentSpec:
 
     def validate(self) -> None:
         if self.kind not in ("speed_sweep", "yaw_study"):
-            raise ConfigError(f"unknown kind {self.kind!r}", "experiment.kind")
+            raise ConfigError(f"unknown kind {reprlib.repr(self.kind)}", "experiment.kind")
         # a cell runs once whatever its repeats; this bound only keeps the set of
         # configs that load as it was when each repeat drew its own seed
         if not 1 <= self.repeats <= 1000:
@@ -136,16 +137,16 @@ def run_condition(
     *,
     initial_state: FishState | None = None,
     depth_schedule: DepthSchedule | None = None,
+    fields: tuple[str, ...] = _STATE_FIELDS,
 ) -> Telemetry:
-    """One seeded simulation of a single gait condition.
+    """One seeded simulation of a single gait condition, integrating the state `fields`.
 
     The depth loop tracks `depth_schedule` when one is given; otherwise, with
-    `env.depth_hold`, it holds `env.target_depth` from a start at that depth. With
-    neither and no `initial_state`, it integrates PLANAR_FIELDS alone: with no
-    buoyancy, heave and depth stay 0.0 from rest.
+    `env.depth_hold` and `depth` in `fields`, it holds `env.target_depth` from a start at
+    that depth. A metric that reads no depth passes the fields it reads: from rest with
+    no depth loop, heave and depth stay 0.0, so PLANAR_FIELDS give the full run's bits.
     """
-    planar = depth_schedule is None and not env.depth_hold and initial_state is None
-    if depth_schedule is None and env.depth_hold:
+    if depth_schedule is None and env.depth_hold and "depth" in fields:
         depth_schedule = step_schedule([(0.0, env.target_depth)])
         if initial_state is None:
             initial_state = FishState(depth=env.target_depth)
@@ -157,7 +158,7 @@ def run_condition(
         initial_state=initial_state,
         power_model=env.power,
         record_every=env.record_every,
-        fields=PLANAR_FIELDS if planar else _STATE_FIELDS,
+        fields=fields,
     )
 
 
@@ -253,20 +254,19 @@ def _sweep_rows(
 
     Cell `i` runs once, with seed `spec.seed + 1000*i`. The seed and the sensor
     noise reach only the depth loop, and no metric reads depth, so the one run
-    stands for all `spec.repeats`, and each std is 0. A run whose records are not kept has
-    no depth loop, so it integrates PLANAR_FIELDS alone, and no heave or depth can fault it.
+    stands for all `spec.repeats`, and each std is 0. A run whose records are not kept
+    integrates PLANAR_FIELDS alone, so it has no depth loop and no heave or depth can fault it.
     """
     if spec.kind != kind:
         raise DomainError(f"spec kind must be {kind}, got {spec.kind!r}")
     spec.validate()
-    if keep_records is None:
-        env = replace(env, depth_hold=False)
+    fields = PLANAR_FIELDS if keep_records is None else _STATE_FIELDS
     rows = []
     cells = itertools.product(spec.fin_states, spec.amplitudes, spec.frequencies)
     for i, (fin_state, amplitude, frequency) in enumerate(cells):
         gait = GaitCommand(frequency, amplitude, fin_erection_setpoint=_erection(fin_state))
         try:
-            records = run_condition(env, gait, spec.duration, spec.seed + 1000 * i)
+            records = run_condition(env, gait, spec.duration, spec.seed + 1000 * i, fields=fields)
             m = _metrics_with_cot(env, records, frequency)
         except SimulationFault as exc:
             raise MorphfinError(
@@ -462,11 +462,10 @@ def evaluate_targets(
 def _evaluate(env, targets, memo: dict) -> dict[str, float]:
     """evaluate_targets, each run's metrics kept in `memo`, or None if the run faulted.
 
-    Every run is a SwimController with no depth schedule, so no depth loop and no noise. It
-    integrates YAW_FIELDS for a p2p_yaw target, as yaw reads no other state, else PLANAR_FIELDS
-    (see run_condition); the rest hold the start state. A key holds what reaches the metric:
-    the damping pair folded to the body + e*fin read at erection e (a nan fold, inf*0, never
-    hits), and for a yaw run YAW_FIELDS in place of the PowerModel, which yaw does not read.
+    Each run is a run_condition from rest on YAW_FIELDS for a p2p_yaw target, as yaw reads no
+    other state, else on PLANAR_FIELDS: no depth loop. A key holds what reaches the metric: the
+    damping pair folded to the body + e*fin read at erection e (a nan fold, inf*0, never hits),
+    and for a yaw run YAW_FIELDS in place of the PowerModel, which yaw does not read.
     """
     p = env.params
     p.validate()  # a folded damping pair could hide a negative one
@@ -482,9 +481,8 @@ def _evaluate(env, targets, memo: dict) -> dict[str, float]:
         if key not in memo:
             memo[key] = None  # stays None if the run faults
             gait = GaitCommand(t.frequency, t.amplitude, fin_erection_setpoint=e)
-            records = simulate(p, SwimController(env, gait), duration, env.dt,
-                               power_model=env.power, record_every=env.record_every,
-                               fields=YAW_FIELDS if yaw else PLANAR_FIELDS)
+            records = run_condition(env, gait, duration, 0,
+                                    fields=YAW_FIELDS if yaw else PLANAR_FIELDS)
             memo[key] = (condition_metrics(records, t.frequency) if yaw  # no move, so no COT
                          else _metrics_with_cot(env, records, t.frequency))
         if memo[key] is None:

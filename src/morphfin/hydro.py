@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
-from .errors import ConfigError, DomainError, SimulationFault
+from .errors import ConfigError, DomainError, MorphfinError, SimulationFault
 from .metrics import PowerModel, servo_power
 from .telemetry import Telemetry
 
@@ -125,8 +125,8 @@ class FishState:
 class ControlInput(NamedTuple):
     """Instantaneous actuation fed to the force model for one step.
 
-    A NamedTuple, so the per-step controller can build it positionally at
-    the cost of a tuple; the field order is part of its interface.
+    A NamedTuple for callers that build an input by name; its field order is part of
+    its interface, as SwimController.command returns the seven fields as a plain tuple.
     """
 
     servo_angle: float = 0.0  # rad
@@ -136,12 +136,6 @@ class ControlInput(NamedTuple):
     erection: float = 0.0  # [0, 1]
     buoyancy: float = 0.0  # N, positive up
     syringe_volume: float = 0.0  # m^3, carried for telemetry only
-
-    def is_finite(self) -> bool:
-        isfinite = math.isfinite
-        angle, rate, frequency, amplitude, erection, buoyancy, volume = self
-        return (isfinite(angle) and isfinite(rate) and isfinite(frequency) and isfinite(amplitude)
-                and isfinite(erection) and isfinite(buoyancy) and isfinite(volume))
 
 
 def _rho_cda(params: FishParams) -> float:
@@ -279,7 +273,7 @@ def step(
 
 
 class Controller(Protocol):
-    def command(self, time: float, depth: float) -> ControlInput: ...
+    def command(self, time: float, depth: float) -> tuple: ...  # ControlInput's fields
 
 
 def simulate(
@@ -298,9 +292,9 @@ def simulate(
     Every `record_every`-th step is sampled (1 keeps all steps, so a run of
     duration/dt steps yields ceil(duration/dt)+1 records, the first being the
     initial state). The controller is handed the true time and depth; one whose
-    `open_loop()` gives a control law is commanded at the start alone, for its
-    checks, then law(t) runs each step. Only the state `fields` are integrated;
-    the others hold their start values.
+    `open_loop()` gives a law is commanded at step 0 alone, then law(t) runs. A
+    non-finite control, or a ValueError from either that is no MorphfinError, is a
+    SimulationFault. Only `fields` are integrated; the others hold their start values.
     """
     check_run(duration, dt)
     if record_every < 1:
@@ -317,8 +311,6 @@ def simulate(
     law = controller.open_loop() if hasattr(controller, "open_loop") else None
     sv = state.vector()
     t0 = state.time
-    if law and not command(t0, sv[2]).is_finite():
-        raise SimulationFault(t0)
     isfinite = math.isfinite
     records = Telemetry()
     extend = records.values.extend
@@ -332,14 +324,19 @@ def simulate(
                 sv = advance(sv, loads)
             except ValueError as exc:  # math.cos/sin of an infinite yaw
                 raise SimulationFault(t, "non-finite state yaw") from exc
-        if law:  # only the servo angle and rate change
-            control = law(t)
-            if not (isfinite(control[0]) and isfinite(control[1])):
-                raise SimulationFault(t)
-        else:
-            control = command(t, sv[2])
-            if not control.is_finite():
-                raise SimulationFault(t)
+        try:
+            if law and i:  # after step 0 only the servo angle and rate change
+                control = law(t)
+                finite = isfinite(control[0]) and isfinite(control[1])
+            else:
+                control = command(t, sv[2])
+                finite = all(map(isfinite, control))
+        except MorphfinError:  # a DomainError is a ValueError too
+            raise
+        except ValueError as exc:  # math.sin/cos of an infinite gait phase
+            raise SimulationFault(t) from exc
+        if not finite:
+            raise SimulationFault(t)
         loads = load(control)
         if i % record_every == 0 or i == n_steps:
             if not all(map(isfinite, sv)):

@@ -277,11 +277,15 @@ class TestExitCodes:
              "error: fish.mass: expected a number, got [[[[[[[...]]]]]]]\n"),
             (b'{"sim": {"seed": "' + b"7" * 1000000 + b'"}}',
              "error: sim.seed: expected an integer, got '777777777777...7777777777777'\n"),
+            (b'{"fish": {"' + b"k" * 100000 + b'": 1}}',
+             "error: fish: unknown key(s): ['kkkkkkkkkkkk...kkkkkkkkkkkkk']\n"),
+            (b'{"experiment": {"kind": "' + b"k" * 100000 + b'"}}',
+             "error: experiment.kind: unknown kind 'kkkkkkkkkkkk...kkkkkkkkkkkkk'\n"),
         ],
-        ids=["long-string", "deep-list", "long-string-for-an-integer"],
+        ids=["long-string", "deep-list", "long-string-for-an-integer", "long-key", "long-kind"],
     )
     def test_a_value_of_the_wrong_type_is_echoed_short(self, tmp_path, data, expected):
-        # the whole value was echoed: a 1,000,044-byte line for the long string. A fresh
+        # the whole value or key was echoed: a 1,000,044-byte line for the long string. A fresh
         # interpreter, as the console script, parses the 980-deep list under its recursion limit
         config = tmp_path / "config.json"
         config.write_bytes(data)

@@ -366,16 +366,24 @@ def _object_like(default):
     return st.lists(st.one_of(entries), max_size=2).map(dict)
 
 
+# the longest error message: the config's own text is echoed cut short, so a
+# message fits a few terminal lines however long the keys and values are
+_MESSAGE_CAP = 300
+
+
 def _loads_or_config_error(data) -> None:
     try:
         config_from_dict(data)
-    except ConfigError:
-        pass
+    except ConfigError as exc:
+        assert len(str(exc)) <= _MESSAGE_CAP
 
 
 @given(_object_like(RunConfig()) | _VALUES)
 @example({"sim": {"record_hz": 5e-324}})
 @example({"fish": {"mass": 10**400}})
+@example({"fish": {"k" * 100000: 1.0}})
+@example({"experiment": {"kind": "k" * 100000}})
+@example({"sim": {"x" * 1000 + str(i): 0 for i in range(50)}})
 @settings(max_examples=300)
 def test_only_config_errors_escape_the_loader(data):
     _loads_or_config_error(data)

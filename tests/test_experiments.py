@@ -271,12 +271,8 @@ _YAW_COLUMNS = ("yaw_deg", "yaw_rate_dps", "torque_nm", "power_w")
 
 def _outcome(env, gait, duration, fields, columns=tuple(HEADER.split(","))):
     """(the bits of a metric-only run's `columns`, or None; its SimulationFault, or None)."""
-    controller = controllers.SwimController(env, gait)
     try:
-        records = experiments.simulate(
-            env.params, controller, duration, env.dt, power_model=env.power,
-            record_every=env.record_every, fields=fields,
-        )
+        records = run_condition(env, gait, duration, 0, fields=fields)
     except SimulationFault as exc:
         return None, exc
     return b"".join(_packed(*records.column(c)) for c in columns), None
@@ -339,22 +335,34 @@ class TestPlanarFieldsRun:
         assert full is not None and _fault(planar) == _fault(full)
 
     @pytest.mark.parametrize(
-        "held, kwargs, planar",
+        "held, kwargs",
         [
-            (False, {}, True),
-            (True, {}, False),
-            (False, {"depth_schedule": step_schedule([(0.0, 0.2)])}, False),
-            (False, {"initial_state": FishState()}, False),
+            (False, {}),
+            (True, {}),
+            (False, {"depth_schedule": step_schedule([(0.0, 0.2)])}),
+            (False, {"initial_state": FishState()}),
         ],
         ids=["no_depth_loop", "depth_hold", "schedule", "given_start"],
     )
-    def test_run_condition_runs_planar_fields_only_with_no_depth_loop_or_start(
-        self, monkeypatch, held, kwargs, planar
+    @pytest.mark.parametrize(
+        "fields", [hydro._STATE_FIELDS, hydro.PLANAR_FIELDS, hydro.YAW_FIELDS],
+        ids=["all", "planar", "yaw"],
+    )
+    def test_run_condition_passes_its_fields_and_holds_depth_only_if_they_hold_it(
+        self, monkeypatch, held, kwargs, fields
     ):
+        # env.depth_hold starts a depth loop from its target depth only on a run of
+        # depth; a given schedule runs its loop on any fields
+        env = fast_env(depth_hold=held)
         simulated = _counting(monkeypatch, experiments, "simulate")
-        run_condition(fast_env(depth_hold=held), GaitCommand(), 1.0, 0, **kwargs)
-        [(_, called)] = simulated
-        assert called["fields"] == (hydro.PLANAR_FIELDS if planar else hydro._STATE_FIELDS)
+        run_condition(env, GaitCommand(), 1.0, 0, fields=fields, **kwargs)
+        [(args, called)] = simulated
+        assert called["fields"] == fields
+        holds = held and "depth" in fields
+        assert args[1].depth_hold == (holds or "depth_schedule" in kwargs)
+        assert called["initial_state"] == (
+            FishState(depth=env.target_depth) if holds else kwargs.get("initial_state")
+        )
 
     def test_evaluate_targets_runs_planar_fields_for_every_target_but_yaw(self, monkeypatch):
         targets = experiments.default_targets()

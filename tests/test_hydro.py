@@ -12,7 +12,7 @@ from morphfin.cli import _environment
 from morphfin.config import RunConfig
 from morphfin.control import GaitCommand, step_schedule
 from morphfin.controllers import SwimController
-from morphfin.errors import ConfigError, DomainError, SimulationFault
+from morphfin.errors import ConfigError, DomainError, MorphfinError, SimulationFault
 from morphfin.experiments import run_condition
 from morphfin.hydro import (
     _integrator,
@@ -304,10 +304,14 @@ class TestSimulate:
         drift = yaw_at[30.0] - yaw_at[10.0]
         assert drift > 1.0
 
-    def test_non_finite_syringe_volume_faults(self):
-        controller = ConstantController(ControlInput(syringe_volume=math.nan))
-        with pytest.raises(SimulationFault):
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ControlInput._fields)
+    def test_non_finite_syringe_volume_faults(self, name, value):
+        # any one non-finite field faults the first step, the syringe volume included
+        controller = ConstantController(ControlInput(**{name: value}))
+        with pytest.raises(SimulationFault) as exc:
             simulate(FishParams(), controller, 1.0, 0.001)
+        assert exc.value.time == 0.0
 
     def test_erection_out_of_range_raises(self):
         controller = ConstantController(ControlInput(erection=1.5))
@@ -470,8 +474,8 @@ class TestScalarRk4Oracle:
             _integrator(FishParams(), 0.001, fields)
 
 
-# The per-step path builds ControlInput positionally (SwimController.command),
-# so its field order is pinned here.
+# SwimController.command returns ControlInput's fields as a plain tuple, so
+# their order is pinned here.
 
 _CONTROL_FIELDS = (
     "servo_angle",
@@ -496,23 +500,6 @@ class TestValueTypes:
         assert tuple(ControlInput(1.0, 2.0, 3.0, 4.0, 0.5, 6.0, 7.0)) == (
             1.0, 2.0, 3.0, 4.0, 0.5, 6.0, 7.0
         )
-
-    @given(
-        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=7, max_size=7),
-        st.dictionaries(
-            st.integers(0, 6), st.sampled_from([math.nan, math.inf, -math.inf]), max_size=7
-        ),
-    )
-    def test_is_finite_exactly_when_every_field_is(self, values, bad):
-        # `bad` puts a nan or an infinity at none, one or several fields
-        for i, value in bad.items():
-            values[i] = value
-        assert ControlInput(*values).is_finite() == (not bad)
-        # a single non-finite field is enough, whichever it is
-        for i, value in bad.items():
-            alone = [0.0] * 7
-            alone[i] = value
-            assert not ControlInput(*alone).is_finite()
 
 
 # The load laws recomputed in full on every call, kept as the oracle of the
@@ -691,8 +678,9 @@ class TestOpenLoopPath:
     @pytest.mark.parametrize(
         "frequency, amplitude, t0",
         [
-            (math.inf, 20.0, 0.0),  # inf * 0 is nan: a nan servo angle at the start
-            (math.inf, 20.0, 1.0),  # sin(inf) raises ValueError in the first command
+            (1e308, 20.0, 0.0),  # 2*pi*f is inf, and inf * 0 is nan: a nan servo angle
+            (1e308, 20.0, 1.0),  # sin(inf) raises ValueError in the first command
+            (1e307, 20.0, 5.0),  # a finite 2*pi*f*t that overflows: the same ValueError
             (1e307, 20.0, 0.0),  # amplitude * 2*pi*f overflows: an infinite servo rate
             (1e307, 1e-300, 2.8),  # a finite servo, an infinite thrust: the yaw diverges
             (1.0, 20.0, -0.5),  # a start before t = 0
@@ -705,3 +693,28 @@ class TestOpenLoopPath:
         direct = _outcome(SwimController(ENV, gait), *run)
         assert not isinstance(direct, bytes)
         assert direct == _outcome(_CommandOnly(SwimController(ENV, gait)), *run)
+        if t0 >= 0.0:  # a start before t = 0 is the controller's DomainError
+            assert direct[0] is SimulationFault and direct[2] >= t0
+
+    @given(
+        frequency=st.floats(0.0, 1e308) | st.sampled_from([math.inf, -math.inf, math.nan]),
+        amplitude=st.floats(0.0, 45.0),
+        t0=st.floats(-1.0, 1e300),
+        loop=st.sampled_from(["law", "command", "depth_loop"]),
+    )
+    @example(math.inf, 20.0, 1.0, "law")
+    @example(1e307, 20.0, 5.0, "command")
+    @example(1e307, 20.0, 5.0, "depth_loop")
+    @settings(max_examples=100, deadline=None)
+    def test_a_drawn_gait_raises_nothing_but_a_morphfin_error(self, frequency, amplitude, t0, loop):
+        # a huge or non-finite frequency, or a late start, can make the gait's phase
+        # infinite, where math.sin raises ValueError: simulate reports a SimulationFault
+        try:
+            schedule = step_schedule([(0.0, 0.2)]) if loop == "depth_loop" else None
+            controller = SwimController(ENV, GaitCommand(frequency, amplitude), schedule)
+            if loop == "command":
+                controller = _CommandOnly(controller)
+            simulate(FishParams(), controller, 0.05, 0.01,
+                     initial_state=FishState(depth=0.2, time=t0))
+        except MorphfinError:
+            pass
