@@ -25,7 +25,7 @@ from .control import (  # noqa: F401
     syringe_buoyancy,
 )
 from .errors import DomainError
-from .hydro import _DEG
+from .hydro import gait_law
 
 if TYPE_CHECKING:  # experiments imports this module
     from .experiments import RunEnvironment
@@ -40,8 +40,8 @@ class SwimController:
     only when its std is > 0.
     `command` returns ControlInput's seven fields as a plain tuple. With a depth
     loop, simulate calls it every step, so it keeps the syringe volume as a float
-    and builds a BuoyancyState only for the PID updates. With none, `open_loop`
-    hands simulate the gait's control law, and `command` runs at the start alone.
+    and builds a BuoyancyState only for the PID updates. With none, `open_loop` is
+    the gait: simulate commands step 0 alone and runs the gait's law inline.
     """
 
     def __init__(
@@ -64,24 +64,9 @@ class SwimController:
         self._last_update: float | None = None
         self._last_time: float | None = None
         self._update_after = env.control_period - 1e-12
-        omega = 2.0 * math.pi * gait.frequency
-        bias, amplitude, amp_omega = gait.bias, gait.amplitude, gait.amplitude * omega
-        frequency, amp_rad, erection = gait.frequency, amplitude * _DEG, gait.fin_erection_setpoint
-
-        def control(t: float, buoyancy: float = 0.0, volume: float = 0.0) -> tuple:
-            wt = omega * t
-            return (  # ControlInput's fields: a plain tuple builds, indexes and unpacks faster
-                (bias + amplitude * math.sin(wt)) * _DEG, amp_omega * math.cos(wt) * _DEG,
-                frequency, amp_rad, erection, buoyancy, volume,
-            )
-
-        self._control = control
+        self.open_loop = None if self.depth_hold else gait
+        self._control = gait_law(gait)  # the sine of hydro._GAIT
         self._gauss = random.Random(seed).gauss if self.depth_hold and env.noise > 0.0 else None
-
-    def open_loop(self):
-        """control(t) -> `command`'s tuple at t >= 0 with no depth loop, else None. It
-        reads no state; w = 2*pi*f and amplitude*w are computed once."""
-        return None if self.depth_hold else self._control
 
     def command(self, t: float, depth: float) -> tuple:
         if t < 0.0:

@@ -15,6 +15,7 @@ import linecache
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Protocol
 
 from .errors import ConfigError, DomainError, MorphfinError, SimulationFault
@@ -51,6 +52,15 @@ _STATE_FIELDS = tuple(field for field, _, _ in _RATES)
 YAW_FIELDS = ("yaw", "yaw_rate")
 # all but heave and depth, which a run with no buoyancy from rest holds at 0.0 bit for bit
 PLANAR_FIELDS = ("x", "y", "yaw", "surge_vel", "sway_vel", "yaw_rate")
+# The gait law and the tail moment, each written once for SwimController's law, _loads and
+# the blocks: lines run once per run (on the GaitCommand `gait` or FishParams `params`), then
+# at each time t. The moment is the tail's reaction plus thrust vectored by its deflection.
+_GAIT = (("omega = 2.0 * pi * gait.frequency",
+          "bias, amplitude, amp_omega = gait.bias, gait.amplitude, gait.amplitude * omega"),
+         ("wt = omega * t", "angle = (bias + amplitude * sin(wt)) * _DEG",
+          "rate = amp_omega * cos(wt) * _DEG"))
+_MOMENT = (("reaction, half_tail = params.tail_reaction_coeff, params.tail_length / 2.0",),
+           ("moment = reaction * rate * abs(rate) + thrust * sin(angle) * half_tail",))
 
 
 @dataclass(frozen=True)
@@ -166,45 +176,58 @@ def mean_thrust(params: FishParams, freq: float, amp: float) -> float:
         return math.inf
 
 
-def _loads(params: FishParams):
-    """load(control) -> (thrust, tail_moment, damping, buoyancy) for fixed params.
+def _source(lines, indent: str = "") -> str:
+    """Python source of `lines`; a nested list of lines is indented one level more."""
+    return "".join(f"{indent}{line}\n" if isinstance(line, str) else _source(line, indent + "    ")
+                   for line in lines)
 
-    thrust (N) is the cycle-mean gait thrust; tail_moment (N*m) is the
-    reaction moment of the oscillating tail plus thrust vectoring from the
-    instantaneous tail deflection (zero-mean over a symmetric cycle, it
-    carries the turning bias into a mean yaw drift); damping (N*m per
-    (rad/s)^2) is the quadratic yaw-damping coefficient, which grows with
-    dorsal-fin erection; buoyancy (N, positive up) is the syringe force.
-    params is read once, and the last gait's thrust is kept.
-    """
-    reaction = params.tail_reaction_coeff
-    half_tail = params.tail_length / 2.0
-    damping_body, damping_fin = params.yaw_damping_body, params.yaw_damping_fin
-    sin = math.sin
-    # nan equals nothing, so the first call computes the thrust
-    last_frequency = last_amplitude = thrust = math.nan
 
-    def load(control):
-        nonlocal last_frequency, last_amplitude, thrust
-        angle, rate, frequency, amplitude, erection, buoyancy, _ = control
-        if not (0.0 <= erection <= 1.0):
-            raise DomainError(f"erection must be in [0, 1], got {erection}")
-        if frequency != last_frequency or amplitude != last_amplitude:
-            thrust = mean_thrust(params, frequency, amplitude)
-            last_frequency, last_amplitude = frequency, amplitude
-        moment = reaction * rate * abs(rate) + thrust * sin(angle) * half_tail
-        return thrust, moment, damping_body + erection * damping_fin, buoyancy
+def _compiled(name: str, lines) -> dict:
+    """The names `lines` define; linecache keeps the source for tracebacks and inspect."""
+    source, filename = _source(lines), f"<hydro {name}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {**vars(math), **globals()}  # cos, sin, pi, isfinite, nan and hydro's names
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
 
-    return load
+
+# gait_law(gait) -> control(t, buoyancy=0.0, volume=0.0), ControlInput's fields as a plain
+# tuple. _loads(params) -> load(control) -> (thrust, tail_moment, damping, buoyancy) keeps
+# the last gait's thrust (N); nan equals nothing, so the first call computes it.
+gait_law, _loads = map(_compiled("gait law and loads", [
+    "def gait_law(gait):", [
+        *_GAIT[0],
+        "frequency, amp, erection = gait.frequency, amplitude * _DEG, gait.fin_erection_setpoint",
+        "def control(t, buoyancy=0.0, volume=0.0):", [
+            *_GAIT[1], "return angle, rate, frequency, amp, erection, buoyancy, volume"],
+        "return control"],
+    "def _loads(params):", [
+        *_MOMENT[0],
+        "damping_body, damping_fin = params.yaw_damping_body, params.yaw_damping_fin",
+        "last_frequency = last_amplitude = thrust = nan",
+        "def load(control):", [
+            "nonlocal last_frequency, last_amplitude, thrust",
+            "angle, rate, frequency, amplitude, erection, buoyancy, _ = control",
+            "if not (0.0 <= erection <= 1.0):", [
+                "raise DomainError(f'erection must be in [0, 1], got {erection}')"],
+            "if frequency != last_frequency or amplitude != last_amplitude:", [
+                "thrust = mean_thrust(params, frequency, amplitude)",
+                "last_frequency, last_amplitude = frequency, amplitude"],
+            *_MOMENT[1],
+            "return thrust, moment, damping_body + erection * damping_fin, buoyancy"],
+        "return load"],
+]).get, ("gait_law", "_loads"))
 
 
 @functools.cache
-def _step_factory(fields: tuple[str, ...]):
-    """make(coefficients) -> advance(sv, loads) -> sv, an RK4 step of `fields` alone.
-
-    Its source is generated from _RATES, compiled once per field set and kept
-    in linecache, so tracebacks and inspect.getsource show it. Fields outside
-    the set keep their values, so the set must hold every field its rates read.
+def _step_factory(fields: tuple[str, ...]) -> dict:
+    """make_command(params, dt, t0, command, load) and make_law(params, dt, t0, gait,
+    control) -> block(sv, loads, i0, i1) -> (sv, loads, control, t), generated from
+    _RATES, _GAIT and _MOMENT once per field set. A block runs steps i0+1 to i1 in locals:
+    step i > 0 advances `fields` (the rest hold their values) to t0 + i*dt under the loads
+    of step i-1, then gets its control and loads from `command` and `load`, or inline from
+    the gait law, the tail moment and the rest of step 0's `control` and loads. A ValueError
+    of cos or sin, or a non-finite control, is a SimulationFault at the step's t.
     """
     rows = [row for row in _RATES if row[0] in fields]
     read = set(re.findall(r"(\w+)\{k\}", " ".join(rate for _, _, rate in rows)))
@@ -212,7 +235,7 @@ def _step_factory(fields: tuple[str, ...]):
     staged = sorted(read - {"c", "s"} | ({"yaw"} if trig else set()))
     if len(rows) != len(set(fields)) or not set(staged) <= {local for _, local, _ in rows}:
         raise ValueError(f"{fields} is not a closed set of state fields")
-    body = ["thrust, moment, damping, buoyancy = loads"]
+    body = []
     ks = {}  # (local, stage) -> the rate's name, or its expression if no stage reads it
     for k, h in enumerate(("half", "half", "dt", None), 1):
         n = k if k > 1 else ""  # stage 1 reads the state itself
@@ -225,30 +248,40 @@ def _step_factory(fields: tuple[str, ...]):
                     body.append(f"d{local}{k} = {ks[local, k]}")
                 ks[local, k] = f"d{local}{k}" if local in staged else f"({ks[local, k]})"
         body += [f"{local}{k + 1} = {local} + {h} * {ks[local, k]}" for local in staged if h]
-    new = {local: "{0} + sixth * ({1} + 2.0 * {2} + 2.0 * {3} + {4})".format(
-        local, *(ks[local, k] for k in (1, 2, 3, 4))) for _, local, _ in rows}
+    # in place, in _RATES order: no rate reads x or y, and yaw only through c and s
+    body += ["{0} = {0} + sixth * ({1} + 2.0 * {2} + 2.0 * {3} + {4})".format(
+        local, *(ks[local, k] for k in (1, 2, 3, 4))) for _, local, _ in rows]
     if "depth" in fields:  # hard free-surface boundary: clamp depth, kill upward heave on contact
-        body += [f"depth = {new.pop('depth')}", f"w = {new.pop('w')}",
-                 "if depth < 0.0:", "    depth = 0.0", "    w = max(w, 0.0)"]
-    body += ["return (", *(f"    {new.get(local, local)}," for _, local, _ in _RATES), ")"]
-    source = (
-        "def make(rho_cda, mass, yaw_inertia, heave_drag_coeff, heave_mass, dt, half, sixth):\n"
-        f"    def advance(sv, loads):\n        {', '.join(local for _, local, _ in _RATES)} = sv\n"
-        + "".join(f"        {line}\n" for line in body) + "    return advance\n"
-    )
-    filename = f"<hydro RK4 step of {', '.join(fields)}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"cos": math.cos, "sin": math.sin}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["make"]
+        body += ["if depth < 0.0:", ["depth = 0.0", "w = max(w, 0.0)"]]
+    state, loads = ", ".join(local for _, local, _ in _RATES), "thrust, moment, damping, buoyancy"
 
+    coefficients = (  # once per run, from `params` and `dt`
+        "rho_cda, mass, yaw_inertia = _rho_cda(params), params.mass, params.yaw_inertia",
+        "heave_drag_coeff, heave_mass = params.heave_drag_coeff, mass + params.heave_added_mass",
+        "half, sixth = dt / 2.0, dt / 6.0")
 
-def _integrator(params: FishParams, dt: float, fields: tuple[str, ...] = _STATE_FIELDS):
-    """The RK4 step advance(sv, loads) -> sv of `fields` for fixed params and dt, which
-    reads its coefficients once; simulate builds one per run."""
-    return _step_factory(tuple(fields))(
-        _rho_cda(params), params.mass, params.yaw_inertia, params.heave_drag_coeff,
-        params.mass + params.heave_added_mass, dt, dt / 2.0, dt / 6.0)
+    def maker(signature, once, control, finite, load, record):
+        return [f"def {signature}:", [*coefficients, *once, "def block(sv, loads, i0, i1):", [
+            f"{state} = sv", f"{loads} = loads", "t = t0",
+            "for i in range(i0 + 1, i1 + 1):", [
+                "if i:", [
+                    "t = t0 + i * dt", "try:", body,
+                    "except ValueError as exc:  # cos/sin of an infinite yaw",
+                    ["raise SimulationFault(t, 'non-finite state yaw') from exc"]],
+                "try:", control,
+                "except MorphfinError:  # a DomainError is a ValueError too", ["raise"],
+                "except ValueError as exc:  # sin/cos of an infinite gait phase",
+                ["raise SimulationFault(t) from exc"],
+                f"if not ({finite}):", ["raise SimulationFault(t)"],
+                load],
+            f"return ({state}), ({loads}), {record}, t"], "return block"]]
+
+    return _compiled(f"RK4 step of {', '.join(fields)}", [
+        *maker("make_command(params, dt, t0, command, load)", (), ["control = command(t, depth)"],
+               "all(map(isfinite, control))", f"{loads} = load(control)", "control"),
+        *maker("make_law(params, dt, t0, gait, control)", _GAIT[0] + _MOMENT[0], _GAIT[1],
+               "isfinite(angle) and isfinite(rate)", *_MOMENT[1], "(angle, rate, *control[2:])"),
+    ])
 
 
 def check_run(duration: float, dt: float, field: str = "sim.duration") -> None:
@@ -266,8 +299,9 @@ def step(
 ) -> FishState:
     """Advance the state by exactly dt with one RK4 step (controls held)."""
     check_run(dt, dt)
-    sv = _integrator(params, dt)(state.vector(), _loads(params)(control))
-    new = FishState(*sv, time=state.time + dt)
+    block = _step_factory(_STATE_FIELDS)["make_command"](
+        params, dt, state.time, lambda t, depth: control, _loads(params))
+    new = FishState(*block(state.vector(), _loads(params)(control), 0, 1)[0], time=state.time + dt)
     new.validate()
     return new
 
@@ -289,64 +323,43 @@ def simulate(
 ) -> Telemetry:
     """Run a closed-loop simulation and return sampled telemetry.
 
-    Every `record_every`-th step is sampled (1 keeps all steps, so a run of
-    duration/dt steps yields ceil(duration/dt)+1 records, the first being the
-    initial state). The controller is handed the true time and depth; one whose
-    `open_loop()` gives a law is commanded at step 0 alone, then law(t) runs. A
-    non-finite control, or a ValueError from either that is no MorphfinError, is a
-    SimulationFault. Only `fields` are integrated; the others hold their start values.
+    Every `record_every`-th step is sampled (1 keeps all steps, so a run of duration/dt
+    steps yields ceil(duration/dt)+1 records, the first being the initial state); the
+    steps between two samples run in one _step_factory block. The controller is handed
+    the true time and depth every step, or at step 0 alone if its `open_loop` is a gait,
+    whose law then runs inline. A non-finite control, or a ValueError that is no
+    MorphfinError, is a SimulationFault. Only `fields` are integrated; the others hold
+    their start values.
     """
     check_run(duration, dt)
-    if record_every < 1:
-        raise ConfigError("record_every must be >= 1", "sim.record_every")
+    if not isinstance(record_every, int) or record_every < 1:
+        raise ConfigError("record_every must be an integer >= 1", "sim.record_every")
     params.validate()
     state = initial_state if initial_state is not None else FishState()
     state.validate()
 
     n_steps = math.ceil(duration / dt)
-    advance = _integrator(params, dt, fields)
-    load = _loads(params)
-    # bound once per run; a tracer that wraps the class method wraps this too
-    command = controller.command
-    law = controller.open_loop() if hasattr(controller, "open_loop") else None
-    sv = state.vector()
-    t0 = state.time
-    isfinite = math.isfinite
+    makers = _step_factory(tuple(fields))
+    # command is bound once per run; a tracer that wraps the class method wraps it too
+    block = makers["make_command"](params, dt, state.time, controller.command, _loads(params))
+    # step 0 is commanded on every path; it advances nothing, so no loads are read
+    sv, loads, control, t = block(state.vector(), (0.0,) * 4, -1, 0)
+    if (gait := getattr(controller, "open_loop", None)) is not None:
+        block = makers["make_law"](params, dt, state.time, gait, control)
     records = Telemetry()
-    extend = records.values.extend
-
-    # Step i > 0 advances to t0 + i*dt under the loads held since step i-1.
-    t = t0
-    for i in range(n_steps + 1):
-        if i:
-            t = t0 + i * dt
-            try:
-                sv = advance(sv, loads)
-            except ValueError as exc:  # math.cos/sin of an infinite yaw
-                raise SimulationFault(t, "non-finite state yaw") from exc
-        try:
-            if law and i:  # after step 0 only the servo angle and rate change
-                control = law(t)
-                finite = isfinite(control[0]) and isfinite(control[1])
-            else:
-                control = command(t, sv[2])
-                finite = all(map(isfinite, control))
-        except MorphfinError:  # a DomainError is a ValueError too
-            raise
-        except ValueError as exc:  # math.sin/cos of an infinite gait phase
-            raise SimulationFault(t) from exc
-        if not finite:
-            raise SimulationFault(t)
-        loads = load(control)
-        if i % record_every == 0 or i == n_steps:
-            if not all(map(isfinite, sv)):
-                name = next(n for n, v in zip(_STATE_FIELDS, sv) if not isfinite(v))
-                raise SimulationFault(t, f"non-finite state {name}")
-            x, y, z, yaw, u, v, r, _ = sv
-            angle, rate, _, _, erection, _, volume = control
-            torque = abs(loads[1])
-            extend((  # in CSV column order
-                t, x, y, z, yaw / _DEG, r / _DEG, u, v, angle / _DEG, torque,
-                servo_power(power_model, torque, abs(rate)), erection, volume * 1e6,
-            ))
+    i0 = 0
+    for i1 in chain(range(0, n_steps, record_every), (n_steps,)):
+        if i1:
+            sv, loads, control, t = block(sv, loads, i0, i1)
+            i0 = i1
+        if not all(map(math.isfinite, sv)):
+            name = next(n for n, v in zip(_STATE_FIELDS, sv) if not math.isfinite(v))
+            raise SimulationFault(t, f"non-finite state {name}")
+        x, y, z, yaw, u, v, r, _ = sv
+        angle, rate, _, _, erection, _, volume = control
+        torque = abs(loads[1])
+        records.values.extend((  # in CSV column order
+            t, x, y, z, yaw / _DEG, r / _DEG, u, v, angle / _DEG, torque,
+            servo_power(power_model, torque, abs(rate)), erection, volume * 1e6,
+        ))
     return records

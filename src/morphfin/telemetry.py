@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import reprlib
 import sys
 from array import array
 from contextlib import suppress
@@ -156,9 +157,9 @@ def read_telemetry(path) -> Telemetry:
             for lineno, lines in blocks:
                 if not header and lines:
                     if lines[0] != HEADER:
-                        raise TelemetryFormatError(
-                            f"header mismatch: expected {HEADER!r}, got {lines[0]!r}", line=1
-                        )
+                        raise TelemetryFormatError(  # the line, which may be long, echoed capped
+                            f"header mismatch: expected {HEADER!r}, got {reprlib.repr(lines[0])}",
+                            line=1)
                     header, lineno, lines = True, 2, lines[1:]
                 prev = _parse_block(lines, lineno, prev, records.values)
         except TelemetryFormatError:
@@ -216,9 +217,10 @@ def _parse_block(lines: list[str], lineno: int, prev: float, out: array) -> floa
         if len(parts) != _WIDTH:
             raise TelemetryFormatError(f"expected {_WIDTH} columns, got {len(parts)}", line=lineno)
         try:
-            values = list(map(float, parts))
-        except ValueError as exc:
-            raise TelemetryFormatError(str(exc), line=lineno) from exc
+            values = [float(cell := part) for part in parts]
+        except ValueError as exc:  # cell is the field float() rejects, echoed capped
+            raise TelemetryFormatError(
+                f"could not convert string to float: {reprlib.repr(cell)}", line=lineno) from exc
         if not all(map(math.isfinite, values)):
             raise TelemetryFormatError("non-finite value", line=lineno)
         if not values[0] > prev:

@@ -406,8 +406,12 @@ class TestReplay:
             (lambda: b"not,a,telemetry,file\n1,2,3,4\n", 1),
             # a time of "0.5x" at line 5000 of a 1 kHz run's CSV, many read blocks in
             (lambda: _with_bad_time(_telemetry(1000.0), 5000), 5000),
+            # a long first line or time cell was echoed whole: lines of 1,000,162 and
+            # 1,000,053 bytes
+            (lambda: b"x" * 1_000_000 + b"\n", 1),
+            (lambda: _with_bad_time(_telemetry(), 2, b"y" * 1_000_000), 2),
         ],
-        ids=["header", "1khz-row"],
+        ids=["header", "1khz-row", "long-header", "long-time-cell"],
     )
     def test_replay_rejects_malformed_file(self, tmp_path, capsys, data, line):
         bad = tmp_path / "bad.csv"
@@ -417,7 +421,7 @@ class TestReplay:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: line {line}: ")
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and len(err) < 300
         assert not out.exists()
 
 
@@ -733,9 +737,9 @@ def _telemetry(record_hz: float = RunConfig().sim.record_hz) -> bytes:
         return path.read_bytes()
 
 
-def _with_bad_time(data: bytes, line: int) -> bytes:
+def _with_bad_time(data: bytes, line: int, time: bytes = b"0.5x") -> bytes:
     lines = data.split(b"\n")
-    lines[line - 1] = b"0.5x," + lines[line - 1].partition(b",")[2]
+    lines[line - 1] = time + b"," + lines[line - 1].partition(b",")[2]
     return b"\n".join(lines)
 
 

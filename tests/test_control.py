@@ -21,7 +21,7 @@ from morphfin.cli import _environment
 from morphfin.config import RunConfig
 from morphfin.controllers import SwimController
 from morphfin.errors import ConfigError, DomainError
-from morphfin.hydro import ControlInput, FishParams, FishState, simulate
+from morphfin.hydro import ControlInput, FishParams, FishState, gait_law, simulate
 
 
 def default_buoyancy(volume=3e-5):
@@ -50,8 +50,8 @@ def servo_rate(gait, t):
 
 
 def _servo_deg(gait, t):
-    """The servo angle in degrees of the control law SwimController hands simulate."""
-    return SwimController(_environment(RunConfig()), gait).open_loop()(t)[0] * 180.0 / math.pi
+    """The servo angle in degrees of the control law of SwimController and simulate's block."""
+    return gait_law(gait)(t)[0] * 180.0 / math.pi
 
 
 class TestServoAngle:
@@ -71,9 +71,7 @@ class TestServoAngle:
     @given(st.floats(0.2, 3.0), st.floats(1.0, 45.0))
     @settings(max_examples=30)
     def test_symmetric_cycle_zero_mean(self, freq, amp):
-        servo = SwimController(
-            _environment(RunConfig()), GaitCommand(frequency=freq, amplitude=amp)
-        ).open_loop()
+        servo = gait_law(GaitCommand(frequency=freq, amplitude=amp))
         n = 1000
         period = 1.0 / freq
         mean = sum(servo(i * period / n)[0] for i in range(n)) / n
@@ -88,7 +86,7 @@ class TestServoAngle:
         deg = math.pi / 180.0
         expected = (servo_angle(gait, t) * deg, servo_rate(gait, t) * deg)
         controller = SwimController(_environment(RunConfig()), gait)
-        got = controller.open_loop()(t)
+        got = gait_law(gait)(t)
         assert struct.pack("<2d", *got[:2]) == struct.pack("<2d", *expected)
         assert _bits(got) == _bits(controller.command(t, 0.3))  # the whole command
 

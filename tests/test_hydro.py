@@ -15,7 +15,6 @@ from morphfin.controllers import SwimController
 from morphfin.errors import ConfigError, DomainError, MorphfinError, SimulationFault
 from morphfin.experiments import run_condition
 from morphfin.hydro import (
-    _integrator,
     _loads,
     MAX_DT,
     MAX_STEPS,
@@ -28,6 +27,7 @@ from morphfin.hydro import (
     simulate,
     step,
 )
+from morphfin.metrics import PowerModel, servo_power
 
 DEG = math.pi / 180.0
 ENV = _environment(RunConfig())
@@ -256,6 +256,14 @@ class TestStep:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("every", [2.5, 10.0, 0, -1])
+    def test_record_every_must_be_an_integer_of_at_least_one(self, every):
+        # 2.5 recorded every 5th step: i % 2.5 == 0 at multiples of 5
+        with pytest.raises(ConfigError, match=r"^sim.record_every: record_every must be an "
+                           r"integer >= 1$"):
+            simulate(FishParams(), ConstantController(ControlInput()), 0.1, 0.001,
+                     record_every=every)
+
     def test_record_count(self):
         gait = GaitCommand(frequency=1.0, amplitude=20.0)
         controller = SwimController(ENV, gait)
@@ -339,7 +347,14 @@ class TestSimulate:
 
 
 # The tuple-form integrator the scalar step replaced, kept as its oracle: the
-# step _integrator generates must reproduce it bit for bit.
+# step of a generated block must reproduce it bit for bit.
+
+
+def _integrator(params, dt, fields=hydro._STATE_FIELDS):
+    """advance(sv, loads) -> sv: step 1 of a generated commanded block, as simulate runs it."""
+    block = hydro._step_factory(tuple(fields))["make_command"](
+        params, dt, 0.0, lambda t, depth: ControlInput(), _loads(params))
+    return lambda sv, loads: block(sv, loads, 0, 1)[0]
 
 
 def _oracle_derivs(params, sv, loads):
@@ -373,6 +388,11 @@ def _oracle_rk4(params, sv, loads, dt):
     if out[2] < 0.0:
         out = out[:2] + (0.0,) + out[3:7] + (max(out[7], 0.0),)
     return out
+
+
+def _block(maker, fields, *run):
+    """A block of the default fish at dt 1 ms from t0 = 0 by one of _step_factory's makers."""
+    return hydro._step_factory(fields)[maker](FishParams(), 0.001, 0.0, *run)
 
 
 def _bits(values):
@@ -444,10 +464,10 @@ class TestScalarRk4Oracle:
         advance = _integrator(params, dt, hydro._STATE_FIELDS)
         sv, loads = (0.1, -0.2, 0.3, 0.7, 0.25, 0.01, -0.4, 0.02), (0.3, 0.01, 0.4, 0.1)
         assert _bits(advance(sv, loads)) == _bits(_oracle_rk4(params, sv, loads, dt))
-        source = inspect.getsource(advance)
-        assert source.startswith("    def advance(sv, loads):\n")
-        assert "        dr4 = (moment - damping * r4 * abs(r4)) / yaw_inertia\n" in source
-        yaw_only = inspect.getsource(_integrator(params, dt, hydro.YAW_FIELDS))
+        source = inspect.getsource(_block("make_command", hydro._STATE_FIELDS, None, None))
+        assert source.startswith("    def block(sv, loads, i0, i1):\n")
+        assert "    dr4 = (moment - damping * r4 * abs(r4)) / yaw_inertia\n" in source
+        yaw_only = inspect.getsource(_block("make_command", hydro.YAW_FIELDS, None, None))
         assert "cos(" not in yaw_only and "du1" not in yaw_only
 
     @given(
@@ -610,11 +630,11 @@ class _CommandOnly:
         self.command = controller.command
 
 
-def _outcome(controller, duration, dt, t0, every, fields):
+def _outcome(controller, duration, dt, t0, every, fields, params=FishParams()):
     """The packed bits of a run's 13 columns, or the type, message and time of its fault."""
     try:
         records = simulate(
-            FishParams(), controller, duration, dt,
+            params, controller, duration, dt,
             initial_state=FishState(time=t0), record_every=every, fields=fields,
         )
     except Exception as exc:  # each path must raise the same, however it fails
@@ -622,29 +642,61 @@ def _outcome(controller, duration, dt, t0, every, fields):
     return records.values.tobytes()
 
 
+def _oracle_simulate(controller, duration, dt, t0, every, fields):
+    """The packed records of simulate's former per-step loop: the controller's command, the
+    load formula and the tuple-form RK4 each step, every `every`-th step and the last kept."""
+    params, n, out = FishParams(), math.ceil(duration / dt), []
+    sv = FishState(time=t0).vector()
+    for i in range(n + 1):
+        t = t0 + i * dt if i else t0
+        if i:
+            new = _oracle_rk4(params, sv, loads, dt)
+            sv = tuple(new[k] if f in fields else sv[k] for k, f in enumerate(hydro._STATE_FIELDS))
+        control = ControlInput(*controller.command(t, sv[2]))
+        loads = _oracle_control_loads(params, control)
+        if i % every == 0 or i == n:
+            x, y, z, yaw, u, v, r, _ = sv
+            torque = abs(loads[1])
+            power = servo_power(PowerModel(), torque, abs(control.servo_rate))
+            out += [t, x, y, z, yaw / DEG, r / DEG, u, v, control.servo_angle / DEG, torque,
+                    power, control.erection, control.syringe_volume * 1e6]
+    return _bits(out)
+
+
 class TestOpenLoopPath:
-    """A SwimController with no depth loop hands simulate its control law: command runs once."""
+    """A SwimController with no depth loop hands simulate its gait: command runs once, and
+    the steps between two records run in one generated block of the gait's law."""
 
     @given(
         frequency=st.floats(0.0, 5.0),
         amplitude=st.floats(0.0, 45.0),
         bias=st.floats(-30.0, 30.0),
         erection=st.floats(0.0, 1.0),
+        duration=st.floats(0.0005, 0.5),
         dt=st.sampled_from([0.01, 0.005, 0.001, 0.0007]),
         every=st.integers(1, 12),
         t0=st.floats(0.0, 1e4),
         fields=st.sampled_from([hydro.YAW_FIELDS, hydro.PLANAR_FIELDS, hydro._STATE_FIELDS]),
     )
-    @example(1.5, 20.0, 0.0, 0.0, 0.001, 10, 0.0, hydro._STATE_FIELDS)
+    @example(1.5, 20.0, 0.0, 0.0, 0.5, 0.001, 10, 0.0, hydro._STATE_FIELDS)
+    @example(2.33, 20.0, 5.0, 1.0, 0.4955, 0.001, 10, 3.0, hydro.PLANAR_FIELDS)  # 496 steps
     @settings(max_examples=60, deadline=None)
     def test_equals_the_per_step_command_in_every_column(
-        self, frequency, amplitude, bias, erection, dt, every, t0, fields
+        self, frequency, amplitude, bias, erection, duration, dt, every, t0, fields
     ):
         gait = GaitCommand(frequency, amplitude, bias, erection)
-        run = (0.5, dt, t0, every, fields)
+        run = (duration, dt, t0, every, fields)
         direct = _outcome(SwimController(ENV, gait), *run)
         assert isinstance(direct, bytes)
         assert direct == _outcome(_CommandOnly(SwimController(ENV, gait)), *run)
+        assert direct == _oracle_simulate(SwimController(ENV, gait), *run)
+
+    def test_a_depth_loop_run_equals_the_former_per_step_loop(self):
+        gait, schedule = GaitCommand(2.33, 20.0, 0.0, 1.0), step_schedule([(0.0, 0.2), (0.3, 0.25)])
+        run = (0.6, 0.001, 0.0, 7, hydro._STATE_FIELDS)
+        direct = _outcome(SwimController(ENV, gait, schedule, 3), *run)
+        assert isinstance(direct, bytes)
+        assert direct == _oracle_simulate(SwimController(ENV, gait, schedule, 3), *run)
 
     def _count_commands(self, monkeypatch):
         calls = []
@@ -695,6 +747,26 @@ class TestOpenLoopPath:
         assert direct == _outcome(_CommandOnly(SwimController(ENV, gait)), *run)
         if t0 >= 0.0:  # a start before t = 0 is the controller's DomainError
             assert direct[0] is SimulationFault and direct[2] >= t0
+
+    @pytest.mark.parametrize("fields", [hydro.PLANAR_FIELDS, hydro._STATE_FIELDS])
+    def test_a_yaw_that_diverges_between_records_faults_at_its_own_step(self, fields):
+        # a tail reaction so strong that the yaw rate's quadratic damping overflows: at
+        # step 2 the stage yaw is infinite and cos raises ValueError, 8 steps before a record
+        params = FishParams(tail_reaction_coeff=1e155)
+        gait = GaitCommand(5.0, 45.0)
+        run = (0.1, 0.001, 0.05, 10, fields, params)
+        direct = _outcome(SwimController(ENV, gait), *run)
+        assert direct == _outcome(_CommandOnly(SwimController(ENV, gait)), *run)
+        assert direct[:2] == (SimulationFault, "non-finite state yaw at t=0.052000 s")
+        assert round((direct[2] - 0.05) / 0.001) == 2
+
+    def test_the_block_reads_as_source(self):
+        block = _block("make_law", hydro.PLANAR_FIELDS, GaitCommand(1.0, 20.0), ControlInput())
+        source = inspect.getsource(block)
+        assert source.startswith("    def block(sv, loads, i0, i1):\n")
+        for line in (*hydro._GAIT[1], *hydro._MOMENT[1], "c2, s2 = cos(yaw2), sin(yaw2)"):
+            assert f"    {line}\n" in source
+        assert "command(" not in source and "load(" not in source
 
     @given(
         frequency=st.floats(0.0, 1e308) | st.sampled_from([math.inf, -math.inf, math.nan]),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import reprlib
 import struct
 from array import array
 from itertools import chain
@@ -303,7 +304,7 @@ def _oracle_parse(text: str) -> list[TelemetryRecord]:
         raise TelemetryFormatError("empty file: header row required", line=1)
     if lines[0] != HEADER:
         raise TelemetryFormatError(
-            f"header mismatch: expected {HEADER!r}, got {lines[0]!r}", line=1
+            f"header mismatch: expected {HEADER!r}, got {reprlib.repr(lines[0])}", line=1
         )
     records: list[TelemetryRecord] = []
     prev_time = -math.inf
@@ -315,10 +316,13 @@ def _oracle_parse(text: str) -> list[TelemetryRecord]:
             raise TelemetryFormatError(
                 f"expected {len(_COLUMNS)} columns, got {len(parts)}", line=lineno
             )
-        try:
-            values = list(map(float, parts))
-        except ValueError as exc:
-            raise TelemetryFormatError(str(exc), line=lineno) from exc
+        values = []
+        for part in parts:
+            try:
+                values.append(float(part))
+            except ValueError as exc:
+                message = f"could not convert string to float: {reprlib.repr(part)}"
+                raise TelemetryFormatError(message, line=lineno) from exc
         if not all(map(math.isfinite, values)):
             raise TelemetryFormatError("non-finite value", line=lineno)
         if not values[0] > prev_time:
