@@ -52,8 +52,8 @@ _STATE_FIELDS = tuple(field for field, _, _ in _RATES)
 YAW_FIELDS = ("yaw", "yaw_rate")
 # all but heave and depth, which a run with no buoyancy from rest holds at 0.0 bit for bit
 PLANAR_FIELDS = ("x", "y", "yaw", "surge_vel", "sway_vel", "yaw_rate")
-# The gait law and the tail moment, each written once for SwimController's law, _loads and
-# the blocks: lines run once per run (on the GaitCommand `gait` or FishParams `params`), then
+# The gait law and the tail moment, each written once for SwimController's law and the
+# blocks: lines run once per run (on the GaitCommand `gait` or FishParams `params`), then
 # at each time t. The moment is the tail's reaction plus thrust vectored by its deflection.
 _GAIT = (("omega = 2.0 * pi * gait.frequency",
           "bias, amplitude, amp_omega = gait.bias, gait.amplitude, gait.amplitude * omega"),
@@ -191,49 +191,32 @@ def _compiled(name: str, lines) -> dict:
     return namespace
 
 
-# gait_law(gait) -> control(t, buoyancy=0.0, volume=0.0), ControlInput's fields as a plain
-# tuple. _loads(params) -> load(control) -> (thrust, tail_moment, damping, buoyancy) keeps
-# the last gait's thrust (N); nan equals nothing, so the first call computes it.
-gait_law, _loads = map(_compiled("gait law and loads", [
+# gait_law(gait) -> control(t, buoyancy=0.0, volume=0.0), ControlInput's fields as a plain tuple
+gait_law = _compiled("gait law", [
     "def gait_law(gait):", [
         *_GAIT[0],
         "frequency, amp, erection = gait.frequency, amplitude * _DEG, gait.fin_erection_setpoint",
         "def control(t, buoyancy=0.0, volume=0.0):", [
             *_GAIT[1], "return angle, rate, frequency, amp, erection, buoyancy, volume"],
         "return control"],
-    "def _loads(params):", [
-        *_MOMENT[0],
-        "damping_body, damping_fin = params.yaw_damping_body, params.yaw_damping_fin",
-        "last_frequency = last_amplitude = thrust = nan",
-        "def load(control):", [
-            "nonlocal last_frequency, last_amplitude, thrust",
-            "angle, rate, frequency, amplitude, erection, buoyancy, _ = control",
-            "if not (0.0 <= erection <= 1.0):", [
-                "raise DomainError(f'erection must be in [0, 1], got {erection}')"],
-            "if frequency != last_frequency or amplitude != last_amplitude:", [
-                "thrust = mean_thrust(params, frequency, amplitude)",
-                "last_frequency, last_amplitude = frequency, amplitude"],
-            *_MOMENT[1],
-            "return thrust, moment, damping_body + erection * damping_fin, buoyancy"],
-        "return load"],
-]).get, ("gait_law", "_loads"))
+])["gait_law"]
 
 
 @functools.cache
 def _step_factory(fields: tuple[str, ...]) -> dict:
-    """make_command(params, dt, t0, command, load) and make_law(params, dt, t0, gait,
-    control) -> block(sv, loads, i0, i1) -> (sv, loads, control, t), generated from
-    _RATES, _GAIT and _MOMENT once per field set. A block runs steps i0+1 to i1 in locals:
-    step i > 0 advances `fields` (the rest hold their values) to t0 + i*dt under the loads
-    of step i-1, then gets its control and loads from `command` and `load`, or inline from
-    the gait law, the tail moment and the rest of step 0's `control` and loads. A ValueError
+    """make_command(params, dt, t0, command) and make_law(params, dt, t0, gait, control)
+    -> block(sv, loads, i0, i1) -> (sv, loads, control, t), generated from _RATES, _GAIT
+    and _MOMENT once per field set. A block runs steps i0+1 to i1 in locals: step i > 0
+    advances `fields` (the rest hold their values) to t0 + i*dt under the loads of step
+    i-1, then gets its control from `command` and its loads inline, or both inline from the
+    gait law, the tail moment and the rest of step 0's `control` and loads. A ValueError
     of cos or sin, or a non-finite control, is a SimulationFault at the step's t.
     """
     rows = [row for row in _RATES if row[0] in fields]
     read = set(re.findall(r"(\w+)\{k\}", " ".join(rate for _, _, rate in rows)))
     trig = bool(read & {"c", "s"})
     staged = sorted(read - {"c", "s"} | ({"yaw"} if trig else set()))
-    if len(rows) != len(set(fields)) or not set(staged) <= {local for _, local, _ in rows}:
+    if not 0 < len(rows) == len(set(fields)) or not set(staged) <= {local for _, local, _ in rows}:
         raise ValueError(f"{fields} is not a closed set of state fields")
     body = []
     ks = {}  # (local, stage) -> the rate's name, or its expression if no stage reads it
@@ -260,9 +243,9 @@ def _step_factory(fields: tuple[str, ...]) -> dict:
         "heave_drag_coeff, heave_mass = params.heave_drag_coeff, mass + params.heave_added_mass",
         "half, sixth = dt / 2.0, dt / 6.0")
 
-    def maker(signature, once, control, finite, load, record):
+    def maker(signature, once, start, control, finite, load, record):
         return [f"def {signature}:", [*coefficients, *once, "def block(sv, loads, i0, i1):", [
-            f"{state} = sv", f"{loads} = loads", "t = t0",
+            f"{state} = sv", f"{loads} = loads", *start, "t = t0",
             "for i in range(i0 + 1, i1 + 1):", [
                 "if i:", [
                     "t = t0 + i * dt", "try:", body,
@@ -273,14 +256,25 @@ def _step_factory(fields: tuple[str, ...]) -> dict:
                 "except ValueError as exc:  # sin/cos of an infinite gait phase",
                 ["raise SimulationFault(t) from exc"],
                 f"if not ({finite}):", ["raise SimulationFault(t)"],
-                load],
+                *load],
             f"return ({state}), ({loads}), {record}, t"], "return block"]]
 
+    # a commanded step's loads; the thrust is recomputed only when the gait changes, and
+    # nan equals nothing, so each block's first step computes it
+    load = ("angle, rate, frequency, amplitude, erection, buoyancy, _ = control",
+            "if not (0.0 <= erection <= 1.0):",
+            ["raise DomainError(f'erection must be in [0, 1], got {erection}')"],
+            "if frequency != last_frequency or amplitude != last_amplitude:", [
+                "thrust = mean_thrust(params, frequency, amplitude)",
+                "last_frequency, last_amplitude = frequency, amplitude"],
+            *_MOMENT[1], "damping = damping_body + erection * damping_fin")
+    damping = "damping_body, damping_fin = params.yaw_damping_body, params.yaw_damping_fin"
     return _compiled(f"RK4 step of {', '.join(fields)}", [
-        *maker("make_command(params, dt, t0, command, load)", (), ["control = command(t, depth)"],
-               "all(map(isfinite, control))", f"{loads} = load(control)", "control"),
-        *maker("make_law(params, dt, t0, gait, control)", _GAIT[0] + _MOMENT[0], _GAIT[1],
-               "isfinite(angle) and isfinite(rate)", *_MOMENT[1], "(angle, rate, *control[2:])"),
+        *maker("make_command(params, dt, t0, command)", (*_MOMENT[0], damping),
+               ["last_frequency = last_amplitude = nan"], ["control = command(t, depth)"],
+               "all(map(isfinite, control))", load, "control"),
+        *maker("make_law(params, dt, t0, gait, control)", _GAIT[0] + _MOMENT[0], (), _GAIT[1],
+               "isfinite(angle) and isfinite(rate)", _MOMENT[1], "(angle, rate, *control[2:])"),
     ])
 
 
@@ -300,8 +294,9 @@ def step(
     """Advance the state by exactly dt with one RK4 step (controls held)."""
     check_run(dt, dt)
     block = _step_factory(_STATE_FIELDS)["make_command"](
-        params, dt, state.time, lambda t, depth: control, _loads(params))
-    new = FishState(*block(state.vector(), _loads(params)(control), 0, 1)[0], time=state.time + dt)
+        params, dt, state.time, lambda t, depth: control)
+    # step 0 takes the control and its loads at state.time, as simulate starts a run
+    new = FishState(*block(state.vector(), (0.0,) * 4, -1, 1)[0], time=state.time + dt)
     new.validate()
     return new
 
@@ -341,7 +336,7 @@ def simulate(
     n_steps = math.ceil(duration / dt)
     makers = _step_factory(tuple(fields))
     # command is bound once per run; a tracer that wraps the class method wraps it too
-    block = makers["make_command"](params, dt, state.time, controller.command, _loads(params))
+    block = makers["make_command"](params, dt, state.time, controller.command)
     # step 0 is commanded on every path; it advances nothing, so no loads are read
     sv, loads, control, t = block(state.vector(), (0.0,) * 4, -1, 0)
     if (gait := getattr(controller, "open_loop", None)) is not None:

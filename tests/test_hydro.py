@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 import math
 import struct
 
@@ -15,7 +16,6 @@ from morphfin.controllers import SwimController
 from morphfin.errors import ConfigError, DomainError, MorphfinError, SimulationFault
 from morphfin.experiments import run_condition
 from morphfin.hydro import (
-    _loads,
     MAX_DT,
     MAX_STEPS,
     ControlInput,
@@ -101,12 +101,20 @@ class TestMeanThrust:
             assert mean_thrust(p, hi, amp) > mean_thrust(p, lo, amp)
 
 
+def _step0_loads(params, control):
+    """(thrust, tail_moment, damping, buoyancy): the loads a commanded block computes at
+    step 0 of a run whose controller returns `control`."""
+    block = hydro._step_factory(hydro._STATE_FIELDS)["make_command"](
+        params, 0.001, 0.0, lambda t, depth: control)
+    return block(FishState().vector(), (0.0,) * 4, -1, 0)[1]
+
+
 class TestControlLoads:
-    """The loads a `_loads` closure gives; the integrator damps yaw by -damping * r * |r|."""
+    """The loads a commanded block computes; the integrator damps yaw by -damping * r * |r|."""
 
     def test_equilibrium_is_all_zero(self):
         p = FishParams()
-        thrust, tail_moment, _, buoyancy = _loads(p)(ControlInput())
+        thrust, tail_moment, _, buoyancy = _step0_loads(p, ControlInput())
         assert (thrust, tail_moment, buoyancy) == (0.0, 0.0, 0.0)
         assert drag_force(p, 0.0) == 0.0
         # no drag, heave drag or yaw damping at rest: a step from rest stays at rest
@@ -114,18 +122,18 @@ class TestControlLoads:
 
     def test_erect_fin_increases_yaw_damping(self):
         p = FishParams()
-        folded = _loads(p)(ControlInput(erection=0.0))[2]
-        erect = _loads(p)(ControlInput(erection=1.0))[2]
+        folded = _step0_loads(p, ControlInput(erection=0.0))[2]
+        erect = _step0_loads(p, ControlInput(erection=1.0))[2]
         assert erect > folded
 
     def test_damping_hand_value(self):
         p = FishParams(yaw_damping_body=0.02, yaw_damping_fin=0.01)
-        damping = _loads(p)(ControlInput(erection=1.0))[2]
+        damping = _step0_loads(p, ControlInput(erection=1.0))[2]
         assert damping == pytest.approx(0.03, rel=1e-12)
 
     def test_erection_out_of_range(self):
         with pytest.raises(DomainError):
-            _loads(FishParams())(ControlInput(erection=1.5))
+            _step0_loads(FishParams(), ControlInput(erection=1.5))
 
     @given(st.floats(-2.0, 2.0), st.floats(0.0, 1.0))
     @settings(max_examples=50)
@@ -133,7 +141,14 @@ class TestControlLoads:
         p = FishParams()
         assert drag_force(p, surge) * surge <= 0.0
         # a nonnegative coefficient makes the damping moment oppose the yaw rate
-        assert _loads(p)(ControlInput(erection=erection))[2] >= 0.0
+        assert _step0_loads(p, ControlInput(erection=erection))[2] >= 0.0
+
+    def test_erection_is_checked_before_the_gait(self):
+        both_bad = ControlInput(gait_frequency=-1.0, erection=1.5)
+        with pytest.raises(DomainError, match="erection"):
+            _step0_loads(FishParams(), both_bad)
+        with pytest.raises(DomainError, match="freq and amp"):
+            _step0_loads(FishParams(), both_bad._replace(erection=1.0))
 
 
 def _heave_params(coeff=0.95):
@@ -206,6 +221,12 @@ class TestStep:
             step(FishParams(), FishState(), ControlInput(), 0.02)
         with pytest.raises(ConfigError):
             step(FishParams(), FishState(), ControlInput(), 0.0)
+
+    def test_a_non_finite_control_faults_at_the_state_time(self):
+        # step 0 of the block checks the control at t0, as simulate checks a run's first
+        with pytest.raises(SimulationFault) as exc:
+            step(FishParams(), FishState(time=2.5), ControlInput(servo_rate=math.nan), 0.001)
+        assert exc.value.time == 2.5
 
     def test_heave_decay_matches_fine_euler(self):
         # dz'' = -(c/m_eff) z'|z'| ; reference by 1e-6-step explicit Euler
@@ -353,7 +374,7 @@ class TestSimulate:
 def _integrator(params, dt, fields=hydro._STATE_FIELDS):
     """advance(sv, loads) -> sv: step 1 of a generated commanded block, as simulate runs it."""
     block = hydro._step_factory(tuple(fields))["make_command"](
-        params, dt, 0.0, lambda t, depth: ControlInput(), _loads(params))
+        params, dt, 0.0, lambda t, depth: ControlInput())
     return lambda sv, loads: block(sv, loads, 0, 1)[0]
 
 
@@ -464,10 +485,13 @@ class TestScalarRk4Oracle:
         advance = _integrator(params, dt, hydro._STATE_FIELDS)
         sv, loads = (0.1, -0.2, 0.3, 0.7, 0.25, 0.01, -0.4, 0.02), (0.3, 0.01, 0.4, 0.1)
         assert _bits(advance(sv, loads)) == _bits(_oracle_rk4(params, sv, loads, dt))
-        source = inspect.getsource(_block("make_command", hydro._STATE_FIELDS, None, None))
+        source = inspect.getsource(_block("make_command", hydro._STATE_FIELDS, None))
         assert source.startswith("    def block(sv, loads, i0, i1):\n")
         assert "    dr4 = (moment - damping * r4 * abs(r4)) / yaw_inertia\n" in source
-        yaw_only = inspect.getsource(_block("make_command", hydro.YAW_FIELDS, None, None))
+        for line in (*hydro._MOMENT[1], "damping = damping_body + erection * damping_fin"):
+            assert f"    {line}\n" in source
+        assert "load(" not in source
+        yaw_only = inspect.getsource(_block("make_command", hydro.YAW_FIELDS, None))
         assert "cos(" not in yaw_only and "du1" not in yaw_only
 
     @given(
@@ -488,10 +512,23 @@ class TestScalarRk4Oracle:
         held = [want[i] if f in fields else sv[i] for i, f in enumerate(hydro._STATE_FIELDS)]
         assert _bits(got) == _bits(held)
 
-    @pytest.mark.parametrize("fields", [("x",), ("yaw",), ("depth",), ("yaw", "spin")])
+    @pytest.mark.parametrize("fields", [
+        *(subset for n in range(len(hydro._STATE_FIELDS) + 1)
+          for subset in itertools.combinations(hydro._STATE_FIELDS, n)),
+        ("yaw", "spin"),
+    ])
     def test_a_set_missing_a_field_its_rates_read_is_refused(self, fields):
-        with pytest.raises(ValueError, match="is not a closed set of state fields"):
-            _integrator(FishParams(), 0.001, fields)
+        # every subset, the empty one too, builds both makers or is refused
+        try:
+            _block("make_command", fields, ConstantController(ControlInput()).command)
+        except ValueError as exc:
+            assert str(exc) == f"{fields} is not a closed set of state fields"
+            return
+        _block("make_law", fields, GaitCommand(1.0, 20.0), ControlInput())
+        sv, loads = (0.1, -0.2, 0.3, 0.7, 0.25, 0.01, -0.4, 0.02), (0.3, 0.01, 0.4, 0.1)
+        want = _oracle_rk4(FishParams(), sv, loads, 0.001)
+        held = [want[i] if f in fields else sv[i] for i, f in enumerate(hydro._STATE_FIELDS)]
+        assert _bits(_integrator(FishParams(), 0.001, fields)(sv, loads)) == _bits(held)
 
 
 # SwimController.command returns ControlInput's fields as a plain tuple, so
@@ -522,8 +559,8 @@ class TestValueTypes:
         )
 
 
-# The load laws recomputed in full on every call, kept as the oracle of the
-# memoized _loads, which keeps the last gait's thrust.
+# The load laws recomputed in full on every call, kept as the oracle of a commanded
+# block's loads, which recompute the thrust only when the gait changes.
 
 
 def _oracle_control_loads(params, control):
@@ -553,52 +590,16 @@ _controls = st.builds(
 )
 
 
-class TestLoadsMemo:
-    @given(
-        st.builds(
-            FishParams,
-            tail_length=st.floats(0.0, 0.5),
-            tail_reaction_coeff=st.floats(0.0, 0.2),
-            thrust_freq_exponent=st.floats(0.5, 3.0),
-            yaw_damping_fin=st.floats(0.0, 1.0),
-        ),
-        st.lists(_controls, min_size=1, max_size=40),
-    )
-    @settings(max_examples=200)
-    def test_each_load_equals_the_formula(self, params, controls):
-        # one _loads applied in order, as simulate applies it
-        load = hydro._loads(params)
-        for control in controls:
-            try:
-                expected = _oracle_control_loads(params, control)
-            except DomainError as error:
-                with pytest.raises(DomainError) as got:
-                    load(control)
-                assert str(got.value) == str(error)
-            else:
-                assert _bits(load(control)) == _bits(expected)
-
-    def test_erection_is_checked_before_the_gait(self):
-        load = hydro._loads(FishParams())
-        both_bad = ControlInput(gait_frequency=-1.0, erection=1.5)
-        with pytest.raises(DomainError, match="erection"):
-            load(both_bad)
-        with pytest.raises(DomainError, match="freq and amp"):
-            load(both_bad._replace(erection=1.0))
-        # a failed call leaves the kept thrust as it was
-        steady = ControlInput(gait_frequency=1.0, gait_amplitude=0.35)
-        assert _bits(load(steady)) == _bits(_oracle_control_loads(FishParams(), steady))
-
-
 class _Clock:
-    """A neutral controller that notes the time of every call."""
+    """A controller that returns `controls` in order, then neutral ones, and notes the time
+    of every call."""
 
-    def __init__(self):
-        self.times = []
+    def __init__(self, controls=()):
+        self.times, self.controls = [], iter(controls)
 
     def command(self, t, depth):
         self.times.append(t)
-        return ControlInput()
+        return next(self.controls, ControlInput())
 
 
 class TestRecordSchedule:
@@ -642,10 +643,10 @@ def _outcome(controller, duration, dt, t0, every, fields, params=FishParams()):
     return records.values.tobytes()
 
 
-def _oracle_simulate(controller, duration, dt, t0, every, fields):
+def _oracle_simulate(controller, duration, dt, t0, every, fields, params=FishParams()):
     """The packed records of simulate's former per-step loop: the controller's command, the
     load formula and the tuple-form RK4 each step, every `every`-th step and the last kept."""
-    params, n, out = FishParams(), math.ceil(duration / dt), []
+    n, out = math.ceil(duration / dt), []
     sv = FishState(time=t0).vector()
     for i in range(n + 1):
         t = t0 + i * dt if i else t0
@@ -661,6 +662,46 @@ def _oracle_simulate(controller, duration, dt, t0, every, fields):
             out += [t, x, y, z, yaw / DEG, r / DEG, u, v, control.servo_angle / DEG, torque,
                     power, control.erection, control.syringe_volume * 1e6]
     return _bits(out)
+
+
+class TestCommandedLoads:
+    """A commanded block computes its loads each step and recomputes the thrust only when
+    the gait changes, with a cache that starts empty in each block."""
+
+    @given(
+        st.builds(
+            FishParams,
+            tail_length=st.floats(0.0, 0.5),
+            tail_reaction_coeff=st.floats(0.0, 0.2),
+            thrust_freq_exponent=st.floats(0.5, 3.0),
+            yaw_damping_fin=st.floats(0.0, 1.0),
+        ),
+        # a few distinct controls, drawn in any order, so the gait repeats and switches
+        st.lists(_controls, min_size=1, max_size=5).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=40)),
+        st.integers(1, 12),
+    )
+    # blocks of steps 1-4, 5-8, ...: the amplitude alone changes at step 6, the
+    # frequency alone at step 14, and the gait stops at step 19
+    @example(FishParams(), [ControlInput(0.1, 1.0, 1.0, 0.35, 1.0)] * 6
+             + [ControlInput(-0.1, 2.0, 1.0, 0.5, 0.5)] * 8
+             + [ControlInput(0.2, -1.0, 2.33, 0.5)] * 5 + [ControlInput()] * 3, 4)
+    @settings(max_examples=200, deadline=None)
+    def test_a_run_of_drawn_controls_equals_the_former_per_step_loop(
+        self, params, controls, every
+    ):
+        # one control a step, in order; an exact dt, so the run takes len(controls) - 1 steps
+        run = (
+            (len(controls) - 1) * _EXACT_DT, _EXACT_DT, 0.0, every, hydro._STATE_FIELDS, params
+        )
+        got, want = _Clock(controls), _Clock(controls)
+        try:
+            expected = _oracle_simulate(want, *run)
+        except DomainError as exc:  # an erection or a gait outside its domain
+            expected = type(exc), str(exc), None
+        assert _outcome(got, *run) == expected
+        # the run stopped at the same step, if a step failed
+        assert _bits(got.times) == _bits(want.times)
 
 
 class TestOpenLoopPath:
