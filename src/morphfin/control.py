@@ -125,20 +125,10 @@ def syringe_buoyancy(
     return -water_density * gravity * (volume - neutral_volume)
 
 
-def slew_volume(
-    volume: float, rate: float, dt: float, volume_min: float, volume_max: float, max_rate: float
-) -> float:
-    """Syringe volume after dt at a rate command, honoring rate and range limits."""
-    rate = -max_rate if rate < -max_rate else max_rate if rate > max_rate else rate
-    volume = volume + rate * dt
-    return volume_min if volume < volume_min else volume_max if volume > volume_max else volume
-
-
 def apply_volume_rate(buoy: BuoyancyState, rate: float, dt: float) -> BuoyancyState:
     """Advance the syringe volume by a rate command, honoring rate and range limits."""
-    volume = slew_volume(
-        buoy.syringe_volume, rate, dt, buoy.volume_min, buoy.volume_max, buoy.max_rate
-    )
+    rate = _clamp(rate, -buoy.max_rate, buoy.max_rate)
+    volume = _clamp(buoy.syringe_volume + rate * dt, buoy.volume_min, buoy.volume_max)
     return replace(buoy, syringe_volume=volume)
 
 
@@ -147,11 +137,13 @@ def depth_controller(
     measured_depth: float,
     gains: PidGains,
     buoy: BuoyancyState,
+    volume: float,
     dt: float,
     memory: PidMemory,
 ) -> tuple[float, PidMemory]:
     """Depth-hold step: returns (syringe volume rate command, new PID memory).
 
+    `buoy` gives the syringe's limits and neutral volume, `volume` its volume now.
     The PID output is a commanded syringe-volume offset below neutral, so the
     loop drives the actuator position rather than its rate; the returned rate
     is the clamped slew toward that commanded volume.  Positive error (too
@@ -162,7 +154,7 @@ def depth_controller(
     u, memory = pid_step(gains, error, dt, memory)
     commanded = _clamp(buoy.neutral_volume - u, buoy.volume_min, buoy.volume_max)
     rate = _clamp(
-        (commanded - buoy.syringe_volume) / dt, -buoy.max_rate, buoy.max_rate
+        (commanded - volume) / dt, -buoy.max_rate, buoy.max_rate
     )
     return rate, memory
 

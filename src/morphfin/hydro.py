@@ -61,6 +61,31 @@ _GAIT = (("omega = 2.0 * pi * gait.frequency",
           "rate = amp_omega * cos(wt) * _DEG"))
 _MOMENT = (("reaction, half_tail = params.tail_reaction_coeff, params.tail_length / 2.0",),
            ("moment = reaction * rate * abs(rate) + thrust * sin(angle) * half_tail",))
+# The depth loop of a SwimController `loop`, written once for its command and the depth block:
+# lines run once per run, then at each time t on the true depth, with the loop's state in the
+# locals of _LOOP. The sensor adds seeded noise (gauss makes its normals in pairs, and the
+# reading takes the second of each); the syringe slews between calls at the rate the PID set,
+# which depth_controller keeps within max_rate; the PID refreshes at the control rate on the
+# quantized reading, and a reading of no finite number of quanta is used unquantized.
+_LOOP = "volume, slew, last, updated, memory"
+_DEPTH = (("from . import controllers  # at run time: controllers imports this module",
+           "env, schedule, gauss = loop.env, loop.depth_schedule, loop._gauss",
+           "pid, buoy, noise, quantum = env.pid, env.buoyancy, env.noise, env.depth_resolution",
+           "vmin, vmax, neutral = buoy.volume_min, buoy.volume_max, buoy.neutral_volume",
+           "period, update_after = env.control_period, env.control_period - 1e-12",
+           "weight = -env.params.water_density * env.params.gravity"),
+          ("sensed = depth if gauss is None else max(",
+           "    0.0, depth + (gauss(0.0, 1.0), gauss(0.0, noise))[1])",
+           "if last is not None and t > last:", [
+               "volume = volume + slew * (t - last)",
+               "volume = vmin if volume < vmin else vmax if volume > vmax else volume"],
+           "if updated is None or t - updated >= update_after:", [
+               "steps = sensed / quantum if quantum > 0.0 else inf",
+               "slew, memory = controllers.depth_controller(",
+               "    schedule(t), round(steps) * quantum if isfinite(steps) else sensed, pid, buoy,",
+               "    volume, period if updated is None else t - updated, memory)",
+               "updated = t"],
+           "last = t", "buoyancy = weight * (volume - neutral)"))
 
 
 @dataclass(frozen=True)
@@ -200,17 +225,27 @@ gait_law = _compiled("gait law", [
             *_GAIT[1], "return angle, rate, frequency, amp, erection, buoyancy, volume"],
         "return control"],
 ])["gait_law"]
+# depth_law(loop) -> command(t, depth): one call of the depth loop on loop._state, then the
+# gait law; SwimController.command calls it, and the depth block runs the same lines inline
+depth_law = _compiled("depth law", [
+    "def depth_law(loop):", [*_DEPTH[0], "control = loop._control", "def command(t, depth):", [
+        f"{_LOOP} = loop._state", *_DEPTH[1], f"loop._state = {_LOOP}",
+        "return control(t, buoyancy, volume)"], "return command"],
+])["depth_law"]
 
 
 @functools.cache
 def _step_factory(fields: tuple[str, ...]) -> dict:
-    """make_command(params, dt, t0, command) and make_law(params, dt, t0, gait, control)
-    -> block(sv, loads, i0, i1) -> (sv, loads, control, t), generated from _RATES, _GAIT
-    and _MOMENT once per field set. A block runs steps i0+1 to i1 in locals: step i > 0
-    advances `fields` (the rest hold their values) to t0 + i*dt under the loads of step
-    i-1, then gets its control from `command` and its loads inline, or both inline from the
-    gait law, the tail moment and the rest of step 0's `control` and loads. A ValueError
-    of cos or sin, or a non-finite control, is a SimulationFault at the step's t.
+    """make_command(params, dt, t0, command), make_law(params, dt, t0, gait, control) and
+    make_depth(params, dt, t0, loop, control) -> block(sv, loads, i0, i1) -> (sv, loads,
+    control, t), generated from _RATES, _GAIT, _MOMENT and _DEPTH once per field set. A
+    block runs steps i0+1 to i1 in locals: step i > 0 advances `fields` (the rest hold their
+    values) to t0 + i*dt under the loads of step i-1, then gets its control and loads. A
+    commanded block calls `command` and computes the loads inline; a law block evaluates
+    the gait law and the tail moment inline; a depth block runs the SwimController `loop`'s
+    depth loop inline first, on the state it reads from the loop at its start and writes
+    back at its end. The last two take the rest from step 0's `control` and loads. A
+    ValueError of cos or sin, or a non-finite control, is a SimulationFault at the step's t.
     """
     rows = [row for row in _RATES if row[0] in fields]
     read = set(re.findall(r"(\w+)\{k\}", " ".join(rate for _, _, rate in rows)))
@@ -243,7 +278,7 @@ def _step_factory(fields: tuple[str, ...]) -> dict:
         "heave_drag_coeff, heave_mass = params.heave_drag_coeff, mass + params.heave_added_mass",
         "half, sixth = dt / 2.0, dt / 6.0")
 
-    def maker(signature, once, start, control, finite, load, record):
+    def maker(signature, once, start, control, finite, load, record, end=()):
         return [f"def {signature}:", [*coefficients, *once, "def block(sv, loads, i0, i1):", [
             f"{state} = sv", f"{loads} = loads", *start, "t = t0",
             "for i in range(i0 + 1, i1 + 1):", [
@@ -257,7 +292,7 @@ def _step_factory(fields: tuple[str, ...]) -> dict:
                 ["raise SimulationFault(t) from exc"],
                 f"if not ({finite}):", ["raise SimulationFault(t)"],
                 *load],
-            f"return ({state}), ({loads}), {record}, t"], "return block"]]
+            *end, f"return ({state}), ({loads}), {record}, t"], "return block"]]
 
     # a commanded step's loads; the thrust is recomputed only when the gait changes, and
     # nan equals nothing, so each block's first step computes it
@@ -275,6 +310,13 @@ def _step_factory(fields: tuple[str, ...]) -> dict:
                "all(map(isfinite, control))", load, "control"),
         *maker("make_law(params, dt, t0, gait, control)", _GAIT[0] + _MOMENT[0], (), _GAIT[1],
                "isfinite(angle) and isfinite(rate)", _MOMENT[1], "(angle, rate, *control[2:])"),
+        # a depth step's control: the loop's lines, then the gait's; a non-finite syringe
+        # volume makes the buoyancy non-finite, so three checks cover every field that changes
+        *maker("make_depth(params, dt, t0, loop, control)",
+               ("gait = loop.gait", *_GAIT[0], *_MOMENT[0], *_DEPTH[0]), [f"{_LOOP} = loop._state"],
+               _DEPTH[1] + _GAIT[1], "isfinite(angle) and isfinite(rate) and isfinite(buoyancy)",
+               _MOMENT[1], "(angle, rate, *control[2:5], buoyancy, volume)",
+               [f"loop._state = {_LOOP}"]),
     ])
 
 
@@ -322,7 +364,8 @@ def simulate(
     steps yields ceil(duration/dt)+1 records, the first being the initial state); the
     steps between two samples run in one _step_factory block. The controller is handed
     the true time and depth every step, or at step 0 alone if its `open_loop` is a gait,
-    whose law then runs inline. A non-finite control, or a ValueError that is no
+    whose law then runs inline, or if it has a depth loop (`depth_hold`), which then runs
+    inline with the gait's law. A non-finite control, or a ValueError that is no
     MorphfinError, is a SimulationFault. Only `fields` are integrated; the others hold
     their start values.
     """
@@ -341,6 +384,8 @@ def simulate(
     sv, loads, control, t = block(state.vector(), (0.0,) * 4, -1, 0)
     if (gait := getattr(controller, "open_loop", None)) is not None:
         block = makers["make_law"](params, dt, state.time, gait, control)
+    elif getattr(controller, "depth_hold", False):  # a SwimController's depth loop
+        block = makers["make_depth"](params, dt, state.time, controller, control)
     records = Telemetry()
     i0 = 0
     for i1 in chain(range(0, n_steps, record_every), (n_steps,)):

@@ -160,8 +160,9 @@ class TestDepthController:
     GAINS = PidGains(4e-4, 5e-7, 5e-4, 1.0, 3e-5)
 
     def test_zero_rate_at_target(self):
+        buoy = default_buoyancy()
         rate, _ = depth_controller(
-            0.3, 0.3, self.GAINS, default_buoyancy(), 0.02, PidMemory()
+            0.3, 0.3, self.GAINS, buoy, buoy.syringe_volume, 0.02, PidMemory()
         )
         assert rate == 0.0
 
@@ -169,7 +170,9 @@ class TestDepthController:
         # target jumps from 0.3 m to 0.1 m while still at 0.3 m depth:
         # too deep, so expel water at the full rate
         buoy = default_buoyancy()
-        rate, _ = depth_controller(0.1, 0.3, self.GAINS, buoy, 0.02, PidMemory())
+        rate, _ = depth_controller(
+            0.1, 0.3, self.GAINS, buoy, buoy.syringe_volume, 0.02, PidMemory()
+        )
         assert rate == -buoy.max_rate
 
 
@@ -225,7 +228,8 @@ class _ReferenceController:
             measured = round(depth / self.quantum) * self.quantum
             dt = self.period if self.last_update is None else t - self.last_update
             self.rate, self.memory = depth_controller(
-                self.schedule(t), measured, self.gains, self.buoyancy, dt, self.memory
+                self.schedule(t), measured, self.gains, self.buoyancy,
+                self.buoyancy.syringe_volume, dt, self.memory,
             )
             self.last_update = t
         self.last_time = t

@@ -6,7 +6,7 @@ import struct
 from array import array
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from morphfin import cli, controllers, experiments, hydro
@@ -422,6 +422,37 @@ class TestYawDecoupling:
         faults = [_outcome(env, gait, 12.0, f)[1] for f in fields]
         assert all(isinstance(fault, SimulationFault) for fault in faults)
         assert faults[0].time <= faults[1].time
+
+
+class TestPowerIgnoresErection:
+    """A record's power reads the tail moment and the servo rate. Both come from the gait
+    and the params alone, and no state field enters, so the dorsal fin's erection, which
+    only damps yaw, cannot move the power: it moves the COT through the speed alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gait=st.builds(GaitCommand, st.floats(0.1, 3.0), st.floats(0.0, 45.0),
+                       st.floats(-30.0, 30.0)),
+        params=st.fixed_dictionaries({
+            **{n: st.floats(*experiments.DEFAULT_BOUNDS[n]) for n in _PLANAR_PARAMS},
+            "tail_length": st.floats(0.0, 0.5),
+            "thrust_freq_exponent": st.floats(0.5, 3.0),
+            "thrust_amp_exponent": st.floats(0.5, 3.0),
+            "mass": st.floats(0.5, 5.0),
+            "yaw_inertia": st.floats(0.005, 0.1),
+        }),
+        dt=st.sampled_from([0.01, 0.005, 0.001]),
+    )
+    @example(GaitCommand(2.33, 20.0), {}, 0.001)  # the default robot at the COT anchor's gait
+    def test_power_column_is_bit_equal_folded_and_erect(self, gait, params, dt):
+        env = fast_env(dt=dt, params=dataclasses.replace(FishParams(), **params))
+        folded, erect = (
+            _outcome(env, dataclasses.replace(gait, fin_erection_setpoint=erection), 2.0,
+                     hydro._STATE_FIELDS, ("power_w",))
+            for erection in (0.0, 1.0)
+        )
+        assume(folded[1] is None and erect[1] is None)  # a run whose yaw diverges has no column
+        assert folded[0] == erect[0]
 
 
 def _counting(monkeypatch, module, name: str, result: bool = False) -> list:

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphfin import hydro
+from morphfin import controllers, hydro
 from morphfin.cli import _environment
 from morphfin.config import RunConfig
-from morphfin.control import GaitCommand, step_schedule
+from morphfin.control import GaitCommand, PidGains, step_schedule
 from morphfin.controllers import SwimController
 from morphfin.errors import ConfigError, DomainError, MorphfinError, SimulationFault
 from morphfin.experiments import run_condition
@@ -631,23 +631,37 @@ class _CommandOnly:
         self.command = controller.command
 
 
-def _outcome(controller, duration, dt, t0, every, fields, params=FishParams()):
+def _counted(monkeypatch, module, name):
+    """Route module.name through a wrapper; returns the list of each call's arguments."""
+    calls, function = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _outcome(controller, duration, dt, t0, every, fields, params=FishParams(), depth=0.0):
     """The packed bits of a run's 13 columns, or the type, message and time of its fault."""
     try:
         records = simulate(
             params, controller, duration, dt,
-            initial_state=FishState(time=t0), record_every=every, fields=fields,
+            initial_state=FishState(depth=depth, time=t0), record_every=every, fields=fields,
         )
     except Exception as exc:  # each path must raise the same, however it fails
         return type(exc), str(exc), getattr(exc, "time", None)
     return records.values.tobytes()
 
 
-def _oracle_simulate(controller, duration, dt, t0, every, fields, params=FishParams()):
+def _oracle_simulate(
+    controller, duration, dt, t0, every, fields, params=FishParams(), depth=0.0
+):
     """The packed records of simulate's former per-step loop: the controller's command, the
     load formula and the tuple-form RK4 each step, every `every`-th step and the last kept."""
     n, out = math.ceil(duration / dt), []
-    sv = FishState(time=t0).vector()
+    sv = FishState(depth=depth, time=t0).vector()
     for i in range(n + 1):
         t = t0 + i * dt if i else t0
         if i:
@@ -706,7 +720,8 @@ class TestCommandedLoads:
 
 class TestOpenLoopPath:
     """A SwimController with no depth loop hands simulate its gait: command runs once, and
-    the steps between two records run in one generated block of the gait's law."""
+    the steps between two records run in one generated block of the gait's law. With a
+    depth loop, command runs once too (TestDepthBlock)."""
 
     @given(
         frequency=st.floats(0.0, 5.0),
@@ -756,17 +771,23 @@ class TestOpenLoopPath:
         assert calls == [0.0]
 
     @pytest.mark.parametrize("loop", ["schedule", "depth_hold"])
-    def test_command_runs_every_step_with_a_depth_loop(self, monkeypatch, loop):
+    def test_command_runs_once_with_a_depth_loop(self, monkeypatch, loop):
+        # a depth block runs the loop inline and still refreshes the PID through
+        # controllers.depth_controller: at t0, then every 20 steps of 1 ms (50 Hz)
         calls = self._count_commands(monkeypatch)
+        refreshes = _counted(monkeypatch, controllers, "depth_controller")
         gait = GaitCommand(1.0, 20.0)
         if loop == "schedule":
+            targets = []
             schedule = step_schedule([(0.0, 0.2)])
-            simulate(FishParams(), SwimController(ENV, gait, schedule), 1.0, 0.001,
-                     initial_state=FishState(depth=0.2))
+            simulate(FishParams(), SwimController(ENV, gait, lambda t: targets.append(t)
+                     or schedule(t)), 1.0, 0.001, initial_state=FishState(depth=0.2))
+            assert _bits(targets) == _bits([i * 0.001 for i in range(0, 1001, 20)])
         else:
-            assert ENV.depth_hold and ENV.dt == 0.001
+            assert ENV.depth_hold and ENV.dt == 0.001 and ENV.control_period == 0.02
             run_condition(ENV, gait, 1.0, 0)
-        assert len(calls) == math.ceil(1.0 / 0.001) + 1
+        assert calls == [0.0]
+        assert len(refreshes) == 51
 
     @pytest.mark.parametrize(
         "frequency, amplitude, t0",
@@ -831,3 +852,86 @@ class TestOpenLoopPath:
                      initial_state=FishState(depth=0.2, time=t0))
         except MorphfinError:
             pass
+
+
+class TestDepthBlock:
+    """A SwimController with a depth loop hands simulate the loop: a depth block runs
+    hydro._DEPTH inline, bit for bit as the per-step command that runs it through
+    hydro.depth_law, and leaves the controller's loop state where the command would."""
+
+    def _check(self, env, gait, targets, seed, run, depth):
+        """The run on the depth block, on the per-step command and, if it ends, on the oracle
+        loop; returns the depth block's outcome."""
+        controller = SwimController(env, gait, step_schedule(targets), seed)
+        commanded = SwimController(env, gait, step_schedule(targets), seed)
+        direct = _outcome(controller, *run, depth=depth)
+        assert direct == _outcome(_CommandOnly(commanded), *run, depth=depth)
+        if isinstance(direct, bytes):
+            oracle = SwimController(env, gait, step_schedule(targets), seed)
+            assert direct == _oracle_simulate(oracle, *run, depth=depth)
+            assert repr(controller._state) == repr(commanded._state) == repr(oracle._state)
+        return direct
+
+    @given(
+        gait=st.builds(GaitCommand, st.floats(0.0, 5.0), st.floats(0.0, 45.0),
+                       st.floats(-30.0, 30.0), st.floats(0.0, 1.0)),
+        noise=st.sampled_from([0.0, 0.001]) | st.floats(1e-6, 0.05),
+        quantum=st.sampled_from([0.0, 1e-320, 0.001]) | st.floats(1e-5, 0.05),
+        period_steps=st.integers(1, 25),  # the control period, in steps
+        targets=st.lists(st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 0.5)),
+                         min_size=1, max_size=2, unique_by=lambda target: target[0]),
+        seed=st.integers(0, 2**32 - 1),
+        duration=st.floats(0.0005, 0.5),
+        dt=st.sampled_from([0.001, 0.002, 0.0007]),
+        every=st.integers(1, 12),
+        t0=st.floats(0.0, 100.0),
+        depth=st.floats(0.0, 0.5),
+        fields=st.sampled_from([hydro._STATE_FIELDS, hydro.PLANAR_FIELDS]),
+    )
+    @example(GaitCommand(2.33, 20.0, 0.0, 1.0), 0.001, 0.001, 20, [(0.0, 0.2), (0.3, 0.25)], 3,
+             0.6, 0.001, 7, 0.0, 0.2, hydro._STATE_FIELDS)
+    @example(GaitCommand(1.0, 20.0), 0.0, 1e-320, 1, [(0.0, 0.3)], 0, 0.05, 0.001, 1, 0.0, 0.0,
+             hydro._STATE_FIELDS)  # no quantization, and a PID refresh every step
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_per_step_command_in_every_column(
+        self, gait, noise, quantum, period_steps, targets, seed, duration, dt, every, t0, depth,
+        fields,
+    ):
+        env = dataclasses.replace(
+            ENV, noise=noise, depth_resolution=quantum, control_period=period_steps * dt
+        )
+        direct = self._check(env, gait, targets, seed, (duration, dt, t0, every, fields), depth)
+        assert isinstance(direct, bytes)
+
+    @pytest.mark.parametrize(
+        "env, gait, targets, run, depth, fault",
+        [
+            # kp * 5 m and kd * (-5 m / 20 ms) overflow to +inf and -inf when the target
+            # steps at 0.5 s: the PID's output is nan, and so is the syringe one step on
+            (dataclasses.replace(ENV, pid=PidGains(kp=1e308, kd=1e308)), GaitCommand(1.0, 20.0),
+             [(0.0, 0.0), (0.5, 5.0)], (1.0, 0.001, 0.0, 10), 10.0,
+             (SimulationFault, "non-finite actuation at t=0.501000 s", 0.501)),
+            # 2*pi*f*t overflows after t = 2.86 s: math.sin raises ValueError
+            (ENV, GaitCommand(1e307, 1e-300), [(0.0, 0.2)], (0.3, 0.001, 2.8, 10), 0.2,
+             (SimulationFault, "non-finite state yaw at t=2.801000 s", 2.801)),
+            # a control period under the 1e-12 s slack, and a t0 at which t + dt == t: the
+            # PID refreshes again at the same time, and pid_step refuses its zero step
+            (dataclasses.replace(ENV, control_period=1e-13), GaitCommand(1.0, 20.0),
+             [(0.0, 0.2)], (0.1, 0.001, 1e20, 10), 0.2,
+             (DomainError, "dt must be > 0, got 0.0", None)),
+        ],
+    )
+    def test_a_fault_is_the_same_on_both_paths(self, env, gait, targets, run, depth, fault):
+        direct = self._check(env, gait, targets, 0, (*run, hydro._STATE_FIELDS), depth)
+        assert direct[:2] == fault[:2]
+        if fault[2] is not None:  # a DomainError carries no time
+            assert direct[2] == pytest.approx(fault[2], abs=1e-12)
+
+    def test_the_block_reads_as_source(self):
+        controller = SwimController(ENV, GaitCommand(1.0, 20.0), step_schedule([(0.0, 0.2)]))
+        block = _block("make_depth", hydro._STATE_FIELDS, controller, controller.command(0.0, 0.2))
+        source = inspect.getsource(block)
+        lines = hydro._source((*hydro._DEPTH[1], *hydro._GAIT[1], *hydro._MOMENT[1]))
+        for line in lines.splitlines(True):  # the nested lines keep their indentation
+            assert line in source
+        assert "command(" not in source and "controllers.depth_controller(" in source
