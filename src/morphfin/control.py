@@ -118,13 +118,6 @@ def pid_step(
     return u, PidMemory(integral=integral, prev_error=error)
 
 
-def syringe_buoyancy(
-    water_density: float, gravity: float, volume: float, neutral_volume: float
-) -> float:
-    """Net buoyancy in N, positive up, of a syringe volume; zero at neutral."""
-    return -water_density * gravity * (volume - neutral_volume)
-
-
 def apply_volume_rate(buoy: BuoyancyState, rate: float, dt: float) -> BuoyancyState:
     """Advance the syringe volume by a rate command, honoring rate and range limits."""
     rate = _clamp(rate, -buoy.max_rate, buoy.max_rate)

@@ -51,6 +51,7 @@ _STATE_FIELDS = tuple(field for field, _, _ in _RATES)
 # all that yaw reads: a step of these fields alone calls no cos or sin
 YAW_FIELDS = ("yaw", "yaw_rate")
 # all but heave and depth, which a run with no buoyancy from rest holds at 0.0 bit for bit
+# (simulate holds a sway that starts at +0.0 too)
 PLANAR_FIELDS = ("x", "y", "yaw", "surge_vel", "sway_vel", "yaw_rate")
 # The gait law and the tail moment, each written once for SwimController's law and the
 # blocks: lines run once per run (on the GaitCommand `gait` or FishParams `params`), then
@@ -240,27 +241,30 @@ def _step_factory(fields: tuple[str, ...]) -> dict:
     make_depth(params, dt, t0, loop, control) -> block(sv, loads, i0, i1) -> (sv, loads,
     control, t), generated from _RATES, _GAIT, _MOMENT and _DEPTH once per field set. A
     block runs steps i0+1 to i1 in locals: step i > 0 advances `fields` (the rest hold their
-    values) to t0 + i*dt under the loads of step i-1, then gets its control and loads. A
-    commanded block calls `command` and computes the loads inline; a law block evaluates
-    the gait law and the tail moment inline; a depth block runs the SwimController `loop`'s
-    depth loop inline first, on the state it reads from the loop at its start and writes
-    back at its end. The last two take the rest from step 0's `control` and loads. A
+    values at every stage) to t0 + i*dt under the loads of step i-1, then gets its control
+    and loads. A commanded block calls `command` and computes the loads inline; a law block
+    evaluates the gait law and the tail moment inline; a depth block runs the SwimController
+    `loop`'s depth loop inline first, on the state it reads from the loop at its start and
+    writes back at its end. The last two take the rest from step 0's `control` and loads. A
     ValueError of cos or sin, or a non-finite control, is a SimulationFault at the step's t.
     """
     rows = [row for row in _RATES if row[0] in fields]
+    if not 0 < len(rows) == len(set(fields)):
+        raise ValueError(f"{fields} is not a nonempty set of state fields")
     read = set(re.findall(r"(\w+)\{k\}", " ".join(rate for _, _, rate in rows)))
     trig = bool(read & {"c", "s"})
-    staged = sorted(read - {"c", "s"} | ({"yaw"} if trig else set()))
-    if not 0 < len(rows) == len(set(fields)) or not set(staged) <= {local for _, local, _ in rows}:
-        raise ValueError(f"{fields} is not a closed set of state fields")
+    # a rate reads a held local, and c and s if yaw is held, as itself at every stage
+    moving = {local for _, local, _ in rows} | ({"c", "s"} if "yaw" in fields else set())
+    staged = sorted((read - {"c", "s"} | ({"yaw"} if trig else set())) & moving)
     body = []
     ks = {}  # (local, stage) -> the rate's name, or its expression if no stage reads it
     for k, h in enumerate(("half", "half", "dt", None), 1):
         n = k if k > 1 else ""  # stage 1 reads the state itself
-        if trig:
+        if trig and (k == 1 or "yaw" in fields):
             body.append(f"c{n}, s{n} = cos(yaw{n}), sin(yaw{n})")
+        stage = {name: f"{name}{n}" if name in moving else name for name in read}
         for _, local, rate in rows:
-            ks[local, k] = rate.format(k=n)
+            ks[local, k] = re.sub(r"(\w+)\{k\}", lambda m: stage[m[1]], rate)
             if not ks[local, k].isidentifier():
                 if local in staged:
                     body.append(f"d{local}{k} = {ks[local, k]}")
@@ -270,7 +274,7 @@ def _step_factory(fields: tuple[str, ...]) -> dict:
     body += ["{0} = {0} + sixth * ({1} + 2.0 * {2} + 2.0 * {3} + {4})".format(
         local, *(ks[local, k] for k in (1, 2, 3, 4))) for _, local, _ in rows]
     if "depth" in fields:  # hard free-surface boundary: clamp depth, kill upward heave on contact
-        body += ["if depth < 0.0:", ["depth = 0.0", "w = max(w, 0.0)"]]
+        body += ["if depth < 0.0:", ["depth = 0.0", *["w = max(w, 0.0)"] * ("w" in moving)]]
     state, loads = ", ".join(local for _, local, _ in _RATES), "thrust, moment, damping, buoyancy"
 
     coefficients = (  # once per run, from `params` and `dt`
@@ -367,7 +371,8 @@ def simulate(
     whose law then runs inline, or if it has a depth loop (`depth_hold`), which then runs
     inline with the gait's law. A non-finite control, or a ValueError that is no
     MorphfinError, is a SimulationFault. Only `fields` are integrated; the others hold
-    their start values.
+    their start values, as does a sway that starts at +0.0: it is unforced, so its rate is
+    -0.0 at every stage and it stays +0.0 bit for bit (one step turns a -0.0 into +0.0).
     """
     check_run(duration, dt)
     if not isinstance(record_every, int) or record_every < 1:
@@ -377,6 +382,8 @@ def simulate(
     state.validate()
 
     n_steps = math.ceil(duration / dt)
+    if state.sway_vel == 0.0 and math.copysign(1.0, state.sway_vel) > 0.0:
+        fields = tuple(field for field in fields if field != "sway_vel") or fields
     makers = _step_factory(tuple(fields))
     # command is bound once per run; a tracer that wraps the class method wraps it too
     block = makers["make_command"](params, dt, state.time, controller.command)

@@ -15,7 +15,6 @@ from morphfin.control import (
     depth_controller,
     pid_step,
     step_schedule,
-    syringe_buoyancy,
 )
 from morphfin.cli import _environment
 from morphfin.config import RunConfig
@@ -32,6 +31,19 @@ def default_buoyancy(volume=3e-5):
         max_rate=1.2e-5,
         neutral_volume=3e-5,
     )
+
+
+def syringe_buoyancy(water_density, gravity, volume, neutral_volume):
+    """Net buoyancy in N, positive up, of a syringe volume; zero at neutral. The depth
+    loop's buoyancy, hydro._DEPTH, must match this textbook form."""
+    return -water_density * gravity * (volume - neutral_volume)
+
+
+def command_buoyancy(buoy):
+    """The buoyancy a depth-loop SwimController commands at t = 0 with the syringe `buoy`."""
+    env = replace(_environment(RunConfig()), buoyancy=buoy)
+    controller = SwimController(env, GaitCommand(), step_schedule([(0.0, 0.0)]))
+    return controller.command(0.0, 0.0)[5]
 
 
 def servo_angle(gait, t):
@@ -125,18 +137,21 @@ class TestPidStep:
 
 class TestBuoyancy:
     def test_neutral_is_zero(self):
-        assert syringe_buoyancy(1000.0, 9.81, 3e-5, 3e-5) == 0.0
+        assert command_buoyancy(default_buoyancy(3e-5)) == 0.0
 
     def test_ten_ml_above_neutral(self):
         # 10 mL above neutral
-        assert syringe_buoyancy(1000.0, 9.81, 4e-5, 3e-5) == pytest.approx(-0.0981, rel=1e-9)
+        force = command_buoyancy(default_buoyancy(4e-5))
+        assert force == pytest.approx(-0.0981, rel=1e-9)
+        assert force == syringe_buoyancy(1000.0, 9.81, 4e-5, 3e-5)
 
     def test_volume_clamps_and_force_saturates(self):
         buoy = default_buoyancy(volume=5.9e-5)
         moved = apply_volume_rate(buoy, rate=1.0, dt=10.0)  # way past the cap
         assert moved.syringe_volume == buoy.volume_max
-        force = syringe_buoyancy(1000.0, 9.81, moved.syringe_volume, moved.neutral_volume)
+        force = command_buoyancy(moved)
         assert force == pytest.approx(-1000.0 * 9.81 * 3e-5)
+        assert force == syringe_buoyancy(1000.0, 9.81, moved.syringe_volume, moved.neutral_volume)
 
     @given(
         st.lists(st.floats(-1e-4, 1e-4), min_size=1, max_size=100),

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import math
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -392,22 +393,28 @@ def _oracle_derivs(params, sv, loads):
     return (u * cos_y - v * sin_y, u * sin_y + v * cos_y, w, r, du, dv, dr, dw)
 
 
-def _oracle_rk4(params, sv, loads, dt):
+def _oracle_rk4(params, sv, loads, dt, fields=hydro._STATE_FIELDS):
+    """One tuple-form RK4 step; a field left out of `fields` holds its start value at every
+    stage and at the end, and the free surface clamps depth and heave only if they move."""
+
+    def hold(values):
+        return tuple(a if f in fields else b for f, a, b in zip(hydro._STATE_FIELDS, values, sv))
+
     k1 = _oracle_derivs(params, sv, loads)
     half = dt / 2.0
-    s2 = tuple(s + half * k for s, k in zip(sv, k1))
+    s2 = hold(tuple(s + half * k for s, k in zip(sv, k1)))
     k2 = _oracle_derivs(params, s2, loads)
-    s3 = tuple(s + half * k for s, k in zip(sv, k2))
+    s3 = hold(tuple(s + half * k for s, k in zip(sv, k2)))
     k3 = _oracle_derivs(params, s3, loads)
-    s4 = tuple(s + dt * k for s, k in zip(sv, k3))
+    s4 = hold(tuple(s + dt * k for s, k in zip(sv, k3)))
     k4 = _oracle_derivs(params, s4, loads)
     sixth = dt / 6.0
-    out = tuple(
+    out = hold(tuple(
         s + sixth * (a + 2.0 * b + 2.0 * c + d)
         for s, a, b, c, d in zip(sv, k1, k2, k3, k4)
-    )
-    if out[2] < 0.0:
-        out = out[:2] + (0.0,) + out[3:7] + (max(out[7], 0.0),)
+    ))
+    if "depth" in fields and out[2] < 0.0:
+        out = hold(out[:2] + (0.0,) + out[3:7] + (max(out[7], 0.0),))
     return out
 
 
@@ -513,22 +520,27 @@ class TestScalarRk4Oracle:
         assert _bits(got) == _bits(held)
 
     @pytest.mark.parametrize("fields", [
-        *(subset for n in range(len(hydro._STATE_FIELDS) + 1)
-          for subset in itertools.combinations(hydro._STATE_FIELDS, n)),
-        ("yaw", "spin"),
+        subset for n in range(1, len(hydro._STATE_FIELDS) + 1)
+        for subset in itertools.combinations(hydro._STATE_FIELDS, n)
     ])
-    def test_a_set_missing_a_field_its_rates_read_is_refused(self, fields):
-        # every subset, the empty one too, builds both makers or is refused
-        try:
-            _block("make_command", fields, ConstantController(ControlInput()).command)
-        except ValueError as exc:
-            assert str(exc) == f"{fields} is not a closed set of state fields"
-            return
+    def test_a_set_leaving_out_a_field_advances_as_the_oracle_holding_it(self, fields):
+        # every nonempty subset builds both makers, and a field it leaves out holds its value
+        # at every stage, as the rates of the fields it keeps read it; at the surface, a
+        # held heave is not clamped
+        _block("make_command", fields, ConstantController(ControlInput()).command)
         _block("make_law", fields, GaitCommand(1.0, 20.0), ControlInput())
-        sv, loads = (0.1, -0.2, 0.3, 0.7, 0.25, 0.01, -0.4, 0.02), (0.3, 0.01, 0.4, 0.1)
-        want = _oracle_rk4(FishParams(), sv, loads, 0.001)
-        held = [want[i] if f in fields else sv[i] for i, f in enumerate(hydro._STATE_FIELDS)]
-        assert _bits(_integrator(FishParams(), 0.001, fields)(sv, loads)) == _bits(held)
+        for sv, loads in [
+            ((0.1, -0.2, 0.3, 0.7, 0.25, 0.01, -0.4, 0.02), (0.3, 0.01, 0.4, 0.1)),
+            ((-0.0, 0.0, 0.0, 4.0, 0.0, -0.03, 2.0, -1.5), (0.0, -0.02, 0.3, 2.0)),
+        ]:
+            want = _oracle_rk4(FishParams(), sv, loads, 0.001, fields)
+            assert _bits(_integrator(FishParams(), 0.001, fields)(sv, loads)) == _bits(want)
+
+    @pytest.mark.parametrize("fields", [(), ("yaw", "spin")])
+    def test_an_empty_set_or_an_unknown_field_is_refused(self, fields):
+        with pytest.raises(ValueError) as exc:
+            _block("make_command", fields, ConstantController(ControlInput()).command)
+        assert str(exc.value) == f"{fields} is not a nonempty set of state fields"
 
 
 # SwimController.command returns ControlInput's fields as a plain tuple, so
@@ -643,12 +655,15 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
-def _outcome(controller, duration, dt, t0, every, fields, params=FishParams(), depth=0.0):
-    """The packed bits of a run's 13 columns, or the type, message and time of its fault."""
+def _outcome(
+    controller, duration, dt, t0, every, fields, params=FishParams(), depth=0.0, **start
+):
+    """The packed bits of a run's 13 columns, or the type, message and time of its fault.
+    `start` sets other fields of the start state."""
     try:
         records = simulate(
-            params, controller, duration, dt,
-            initial_state=FishState(depth=depth, time=t0), record_every=every, fields=fields,
+            params, controller, duration, dt, initial_state=FishState(
+                depth=depth, time=t0, **start), record_every=every, fields=fields,
         )
     except Exception as exc:  # each path must raise the same, however it fails
         return type(exc), str(exc), getattr(exc, "time", None)
@@ -656,12 +671,12 @@ def _outcome(controller, duration, dt, t0, every, fields, params=FishParams(), d
 
 
 def _oracle_simulate(
-    controller, duration, dt, t0, every, fields, params=FishParams(), depth=0.0
+    controller, duration, dt, t0, every, fields, params=FishParams(), depth=0.0, **start
 ):
     """The packed records of simulate's former per-step loop: the controller's command, the
     load formula and the tuple-form RK4 each step, every `every`-th step and the last kept."""
     n, out = math.ceil(duration / dt), []
-    sv = FishState(depth=depth, time=t0).vector()
+    sv = FishState(depth=depth, time=t0, **start).vector()
     for i in range(n + 1):
         t = t0 + i * dt if i else t0
         if i:
@@ -935,3 +950,57 @@ class TestDepthBlock:
         for line in lines.splitlines(True):  # the nested lines keep their indentation
             assert line in source
         assert "command(" not in source and "controllers.depth_controller(" in source
+
+
+class TestSwayFromRest:
+    """Nothing forces sway: from a start sway of +0.0 its rate is -0.0 at every stage, so
+    simulate holds it at +0.0 instead of integrating it. Every column of a run, and any
+    fault, is that of the block that integrates every field the caller asked for."""
+
+    @given(
+        sway=st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 0.05]),
+        yaw=st.sampled_from([0.5, 2.0, 4.0, -2.0]) | st.floats(-7.0, 7.0),
+        x=st.sampled_from([0.0, -0.0]),
+        y=st.sampled_from([0.0, -0.0]),
+        gait=st.just(GaitCommand(0.0, 0.0)) | st.builds(
+            GaitCommand, st.floats(0.0, 3.0), st.floats(0.0, 45.0), st.floats(-30.0, 30.0),
+            st.floats(0.0, 1.0)),
+        loop=st.sampled_from(["law", "command", "depth_loop"]),
+        noise=st.sampled_from([0.0, 0.001]),
+        # the default fish, drawn ones, and one whose hull drag 0.5*rho*Cd*A is inf
+        params=st.sampled_from([FishParams(), FishParams(water_density=1e300, frontal_area=1e10)])
+        | _params,
+        dt=st.sampled_from([0.001, 0.01]),
+        every=st.integers(1, 12),
+        fields=st.sampled_from([hydro._STATE_FIELDS, hydro.PLANAR_FIELDS, hydro.YAW_FIELDS]),
+    )
+    # a still fish from x = -0.0 at a yaw whose cos and sin are both negative: the step
+    # writes x = +0.0 only as long as the x rate keeps its sway term
+    @example(0.0, 4.0, -0.0, 0.0, GaitCommand(0.0, 0.0), "law", 0.0, FishParams(), 0.001, 1,
+             hydro._STATE_FIELDS)
+    # a step turns a start sway of -0.0 into +0.0: it must be integrated
+    @example(-0.0, 4.0, -0.0, -0.0, GaitCommand(0.0, 0.0), "depth_loop", 0.001, FishParams(),
+             0.001, 1, hydro.PLANAR_FIELDS)
+    @settings(max_examples=150, deadline=None)
+    def test_every_column_and_fault_is_the_full_blocks(
+        self, sway, yaw, x, y, gait, loop, noise, params, dt, every, fields
+    ):
+        env = dataclasses.replace(ENV, noise=noise)
+
+        def controller():
+            schedule = step_schedule([(0.0, 0.2)]) if loop == "depth_loop" else None
+            swim = SwimController(env, gait, schedule, 7)
+            return _CommandOnly(swim) if loop == "command" else swim
+
+        start = {"sway_vel": sway, "yaw": yaw, "x": x, "y": y}
+        run = (0.05, dt, 0.0, every, fields, params, 0.1)
+        factory, asked = hydro._step_factory, []
+        with mock.patch.object(hydro, "_step_factory", lambda f: asked.append(f) or factory(f)):
+            held = _outcome(controller(), *run, **start)
+        with mock.patch.object(hydro, "_step_factory", lambda f: factory(fields)):
+            full = _outcome(controller(), *run, **start)
+        assert held == full
+        at_rest = sway == 0.0 and math.copysign(1.0, sway) > 0.0
+        assert asked == [tuple(f for f in fields if not (at_rest and f == "sway_vel"))]
+        if isinstance(held, bytes):
+            assert held == _oracle_simulate(controller(), *run, **start)
