@@ -674,17 +674,28 @@ def _oracle_simulate(
     controller, duration, dt, t0, every, fields, params=FishParams(), depth=0.0, **start
 ):
     """The packed records of simulate's former per-step loop: the controller's command, the
-    load formula and the tuple-form RK4 each step, every `every`-th step and the last kept."""
+    load formula and the tuple-form RK4 each step, every `every`-th step and the last kept.
+    It raises the former loop's SimulationFault for a cos/sin of an infinite yaw, a
+    non-finite command, or a non-finite state at a kept step."""
     n, out = math.ceil(duration / dt), []
     sv = FishState(depth=depth, time=t0, **start).vector()
     for i in range(n + 1):
         t = t0 + i * dt if i else t0
         if i:
-            new = _oracle_rk4(params, sv, loads, dt)
+            try:
+                new = _oracle_rk4(params, sv, loads, dt)
+            except ValueError as exc:
+                raise SimulationFault(t, "non-finite state yaw") from exc
             sv = tuple(new[k] if f in fields else sv[k] for k, f in enumerate(hydro._STATE_FIELDS))
-        control = ControlInput(*controller.command(t, sv[2]))
+        command = controller.command(t, sv[2])
+        if not all(map(math.isfinite, command)):
+            raise SimulationFault(t)
+        control = ControlInput(*command)
         loads = _oracle_control_loads(params, control)
         if i % every == 0 or i == n:
+            if not all(map(math.isfinite, sv)):
+                name = next(f for f, s in zip(hydro._STATE_FIELDS, sv) if not math.isfinite(s))
+                raise SimulationFault(t, f"non-finite state {name}")
             x, y, z, yaw, u, v, r, _ = sv
             torque = abs(loads[1])
             power = servo_power(PowerModel(), torque, abs(control.servo_rate))
@@ -751,6 +762,8 @@ class TestOpenLoopPath:
     )
     @example(1.5, 20.0, 0.0, 0.0, 0.5, 0.001, 10, 0.0, hydro._STATE_FIELDS)
     @example(2.33, 20.0, 5.0, 1.0, 0.4955, 0.001, 10, 3.0, hydro.PLANAR_FIELDS)  # 496 steps
+    # at dt = 0.01 a fast, wide gait drives the yaw rate past the largest float in 4 steps
+    @example(5.0, 39.0, 0.0, 1.0, 0.5, 0.01, 1, 0.0, hydro.YAW_FIELDS)
     @settings(max_examples=60, deadline=None)
     def test_equals_the_per_step_command_in_every_column(
         self, frequency, amplitude, bias, erection, duration, dt, every, t0, fields
@@ -758,9 +771,14 @@ class TestOpenLoopPath:
         gait = GaitCommand(frequency, amplitude, bias, erection)
         run = (duration, dt, t0, every, fields)
         direct = _outcome(SwimController(ENV, gait), *run)
-        assert isinstance(direct, bytes)
+        # a run completes, or faults at the step and with the message of the former loop
+        assert isinstance(direct, bytes) or direct[0] is SimulationFault
         assert direct == _outcome(_CommandOnly(SwimController(ENV, gait)), *run)
-        assert direct == _oracle_simulate(SwimController(ENV, gait), *run)
+        try:
+            want = _oracle_simulate(SwimController(ENV, gait), *run)
+        except SimulationFault as exc:
+            want = type(exc), str(exc), exc.time
+        assert direct == want
 
     def test_a_depth_loop_run_equals_the_former_per_step_loop(self):
         gait, schedule = GaitCommand(2.33, 20.0, 0.0, 1.0), step_schedule([(0.0, 0.2), (0.3, 0.25)])
