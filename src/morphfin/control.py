@@ -35,16 +35,13 @@ class GaitCommand:
         if self.frequency == math.inf:  # sin of an infinite phase is undefined
             raise ConfigError("frequency must be finite", "gait.frequency")
         if not (0.0 <= self.amplitude <= MAX_AMPLITUDE_DEG):
-            raise ConfigError(
-                f"amplitude must be in [0, {MAX_AMPLITUDE_DEG:g}] deg", "gait.amplitude"
-            )
+            message = f"amplitude must be in [0, {MAX_AMPLITUDE_DEG:g}] deg"
+            raise ConfigError(message, "gait.amplitude")
         if not (abs(self.bias) <= 30.0):
             raise ConfigError("|bias| must be <= 30 deg", "gait.bias")
         if not (0.0 <= self.fin_erection_setpoint <= 1.0):
-            raise ConfigError(
-                "fin erection setpoint must be in [0, 1]",
-                "gait.fin_erection_setpoint",
-            )
+            message = "fin erection setpoint must be in [0, 1]"
+            raise ConfigError(message, "gait.fin_erection_setpoint")
 
 
 @dataclass(frozen=True)
@@ -99,9 +96,8 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
-def pid_step(
-    gains: PidGains, error: float, dt: float, memory: PidMemory
-) -> tuple[float, PidMemory]:
+def pid_step(gains: PidGains, error: float, dt: float,
+             memory: PidMemory) -> tuple[float, PidMemory]:
     """One PID update; returns (actuation, new memory).
 
     The integral is clamped to +/- integral_limit (anti-windup) and the
@@ -109,9 +105,7 @@ def pid_step(
     """
     if dt <= 0.0:
         raise DomainError(f"dt must be > 0, got {dt}")
-    integral = _clamp(
-        memory.integral + error * dt, -gains.integral_limit, gains.integral_limit
-    )
+    integral = _clamp(memory.integral + error * dt, -gains.integral_limit, gains.integral_limit)
     derivative = (error - memory.prev_error) / dt
     u = gains.kp * error + gains.ki * integral + gains.kd * derivative
     u = _clamp(u, -gains.output_limit, gains.output_limit)
@@ -125,15 +119,9 @@ def apply_volume_rate(buoy: BuoyancyState, rate: float, dt: float) -> BuoyancySt
     return replace(buoy, syringe_volume=volume)
 
 
-def depth_controller(
-    target_depth: float,
-    measured_depth: float,
-    gains: PidGains,
-    buoy: BuoyancyState,
-    volume: float,
-    dt: float,
-    memory: PidMemory,
-) -> tuple[float, PidMemory]:
+def depth_controller(target_depth: float, measured_depth: float, gains: PidGains,
+                     buoy: BuoyancyState, volume: float, dt: float,
+                     memory: PidMemory) -> tuple[float, PidMemory]:
     """Depth-hold step: returns (syringe volume rate command, new PID memory).
 
     `buoy` gives the syringe's limits and neutral volume, `volume` its volume now.
@@ -146,9 +134,7 @@ def depth_controller(
     error = measured_depth - target_depth
     u, memory = pid_step(gains, error, dt, memory)
     commanded = _clamp(buoy.neutral_volume - u, buoy.volume_min, buoy.volume_max)
-    rate = _clamp(
-        (commanded - volume) / dt, -buoy.max_rate, buoy.max_rate
-    )
+    rate = _clamp((commanded - volume) / dt, -buoy.max_rate, buoy.max_rate)
     return rate, memory
 
 

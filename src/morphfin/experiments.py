@@ -143,23 +143,28 @@ def run_condition(
 
     The depth loop tracks `depth_schedule` when one is given; otherwise, with
     `env.depth_hold` and `depth` in `fields`, it holds `env.target_depth` from a start at
-    that depth. A metric that reads no depth passes the fields it reads: from rest with
-    no depth loop, heave and depth stay 0.0, so PLANAR_FIELDS give the full run's bits.
+    that depth. Given no start, that hold is at rest when no noise is drawn, the syringe is
+    at neutral, the target reads as itself through the quantizer and the PID gains are
+    finite: the PID error is 0.0 at every update, so the syringe never slews. The loop then
+    runs at step 0 alone and the gait's law does the rest, holding heave and depth (simulate).
+    A metric that reads no depth passes the fields it reads: from rest with no depth loop,
+    heave and depth stay 0.0, so PLANAR_FIELDS give the full run's bits.
     """
+    at_rest = False
     if depth_schedule is None and env.depth_hold and "depth" in fields:
         depth_schedule = step_schedule([(0.0, env.target_depth)])
         if initial_state is None:
-            initial_state = FishState(depth=env.target_depth)
-    return simulate(
-        env.params,
-        SwimController(env, gait, depth_schedule, seed),
-        duration,
-        env.dt,
-        initial_state=initial_state,
-        power_model=env.power,
-        record_every=env.record_every,
-        fields=fields,
-    )
+            initial_state, pid, buoy = FishState(depth=env.target_depth), env.pid, env.buoyancy
+            target, quantum = env.target_depth, env.depth_resolution
+            steps = target / quantum if quantum > 0.0 else math.inf  # hydro._DEPTH's quantizer
+            at_rest = (env.noise == 0.0 and buoy.syringe_volume == buoy.neutral_volume
+                       and (round(steps) * quantum if math.isfinite(steps) else target) == target
+                       and all(map(math.isfinite, (pid.kp, pid.ki, pid.kd))))  # inf * 0 is nan
+    controller = SwimController(env, gait, depth_schedule, seed)
+    if at_rest:  # the controller is this run's alone, so its loop state need not be written back
+        controller.open_loop = gait
+    return simulate(env.params, controller, duration, env.dt, initial_state=initial_state,
+                    power_model=env.power, record_every=env.record_every, fields=fields)
 
 
 @dataclass(frozen=True)
@@ -347,13 +352,8 @@ def run_depth_step(
 ) -> tuple[Telemetry, list[DepthStepReport]]:
     """Closed-loop depth tracking of a target schedule by a still fish, with per-step analysis."""
     records = run_condition(
-        env,
-        _STILL_GAIT,
-        duration,
-        seed,
-        initial_state=FishState(depth=initial_depth),
-        depth_schedule=step_schedule(list(schedule)),
-    )
+        env, _STILL_GAIT, duration, seed, initial_state=FishState(depth=initial_depth),
+        depth_schedule=step_schedule(list(schedule)))
     ordered = sorted(schedule)
     times, depths = records.column("time_s"), records.column("depth_m")
     reports = []

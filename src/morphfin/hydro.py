@@ -368,11 +368,13 @@ def simulate(
     steps yields ceil(duration/dt)+1 records, the first being the initial state); the
     steps between two samples run in one _step_factory block. The controller is handed
     the true time and depth every step, or at step 0 alone if its `open_loop` is a gait,
-    whose law then runs inline, or if it has a depth loop (`depth_hold`), which then runs
-    inline with the gait's law. A non-finite control, or a ValueError that is no
-    MorphfinError, is a SimulationFault. Only `fields` are integrated; the others hold
-    their start values, as does a sway that starts at +0.0: it is unforced, so its rate is
-    -0.0 at every stage and it stays +0.0 bit for bit (one step turns a -0.0 into +0.0).
+    whose law then runs inline on step 0's buoyancy and syringe volume, or if it has a
+    depth loop (`depth_hold`), which then runs inline with the gait's law. A non-finite
+    control, or a ValueError that is no MorphfinError, is a SimulationFault. Only `fields`
+    are integrated; the others hold their start values, as does a sway that starts at +0.0:
+    it is unforced, so its rate is -0.0 at every stage and it stays +0.0 bit for bit (one
+    step turns a -0.0 into +0.0). So do, under a law of zero buoyancy, a heave from +0.0
+    and a depth that is not -0.0.
     """
     check_run(duration, dt)
     if not isinstance(record_every, int) or record_every < 1:
@@ -390,6 +392,12 @@ def simulate(
     # step 0 is commanded on every path; it advances nothing, so no loads are read
     sv, loads, control, t = block(state.vector(), (0.0,) * 4, -1, 0)
     if (gait := getattr(controller, "open_loop", None)) is not None:
+        # a law block holds step 0's buoyancy: with none, a heave from +0.0 has a +-0.0 rate
+        # at every stage, so it stays +0.0, and a depth with its sign bit clear keeps its bits
+        if control[5] == 0.0 == state.heave_vel and min(
+                math.copysign(1.0, state.heave_vel), math.copysign(1.0, state.depth)) > 0.0:
+            makers = _step_factory(tuple(f for f in fields if f not in ("heave_vel", "depth"))
+                                   or tuple(fields))
         block = makers["make_law"](params, dt, state.time, gait, control)
     elif getattr(controller, "depth_hold", False):  # a SwimController's depth loop
         block = makers["make_depth"](params, dt, state.time, controller, control)

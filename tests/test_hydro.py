@@ -6,7 +6,7 @@ import struct
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from morphfin import controllers, hydro
@@ -655,19 +655,24 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
-def _outcome(
-    controller, duration, dt, t0, every, fields, params=FishParams(), depth=0.0, **start
-):
-    """The packed bits of a run's 13 columns, or the type, message and time of its fault.
-    `start` sets other fields of the start state."""
+def _result(run):
+    """The packed bits of the 13 columns of `run()`'s records, or the type, message and time
+    of its fault."""
     try:
-        records = simulate(
-            params, controller, duration, dt, initial_state=FishState(
-                depth=depth, time=t0, **start), record_every=every, fields=fields,
-        )
+        records = run()
     except Exception as exc:  # each path must raise the same, however it fails
         return type(exc), str(exc), getattr(exc, "time", None)
     return records.values.tobytes()
+
+
+def _outcome(
+    controller, duration, dt, t0, every, fields, params=FishParams(), depth=0.0, **start
+):
+    """The _result of a simulate run; `start` sets other fields of the start state."""
+    return _result(lambda: simulate(
+        params, controller, duration, dt, initial_state=FishState(depth=depth, time=t0, **start),
+        record_every=every, fields=fields,
+    ))
 
 
 def _oracle_simulate(
@@ -803,10 +808,11 @@ class TestOpenLoopPath:
         simulate(FishParams(), SwimController(ENV, GaitCommand(1.0, 20.0)), 1.0, 0.001)
         assert calls == [0.0]
 
-    @pytest.mark.parametrize("loop", ["schedule", "depth_hold"])
+    @pytest.mark.parametrize("loop", ["schedule", "depth_hold", "at_rest"])
     def test_command_runs_once_with_a_depth_loop(self, monkeypatch, loop):
         # a depth block runs the loop inline and still refreshes the PID through
-        # controllers.depth_controller: at t0, then every 20 steps of 1 ms (50 Hz)
+        # controllers.depth_controller: at t0, then every 20 steps of 1 ms (50 Hz). A hold
+        # from rest at its target refreshes at t0 alone, then runs the gait's law block
         calls = self._count_commands(monkeypatch)
         refreshes = _counted(monkeypatch, controllers, "depth_controller")
         gait = GaitCommand(1.0, 20.0)
@@ -818,9 +824,11 @@ class TestOpenLoopPath:
             assert _bits(targets) == _bits([i * 0.001 for i in range(0, 1001, 20)])
         else:
             assert ENV.depth_hold and ENV.dt == 0.001 and ENV.control_period == 0.02
-            run_condition(ENV, gait, 1.0, 0)
+            # a start off the target moves the loop
+            start = {} if loop == "at_rest" else {"initial_state": FishState(depth=0.25)}
+            run_condition(ENV, gait, 1.0, 0, **start)
         assert calls == [0.0]
-        assert len(refreshes) == 51
+        assert len(refreshes) == (1 if loop == "at_rest" else 51)
 
     @pytest.mark.parametrize(
         "frequency, amplitude, t0",
@@ -1019,6 +1027,106 @@ class TestSwayFromRest:
             full = _outcome(controller(), *run, **start)
         assert held == full
         at_rest = sway == 0.0 and math.copysign(1.0, sway) > 0.0
-        assert asked == [tuple(f for f in fields if not (at_rest and f == "sway_vel"))]
+        kept = tuple(f for f in fields if not (at_rest and f == "sway_vel"))
+        # a law block holds heave and depth too: it runs no buoyancy, from a heave of +0.0
+        planar = tuple(f for f in kept if f not in ("heave_vel", "depth")) or kept
+        assert asked == [kept] + [planar] * (loop == "law")
         if isinstance(held, bytes):
             assert held == _oracle_simulate(controller(), *run, **start)
+
+
+class _Law:
+    """A controller of the gait law at a fixed `buoyancy`: simulate commands step 0 through
+    `command`, then runs the law block, which holds that buoyancy."""
+
+    def __init__(self, gait, buoyancy):
+        self.open_loop, self.law, self.buoyancy = gait, hydro.gait_law(gait), buoyancy
+
+    def command(self, t, depth):
+        return self.law(t, self.buoyancy, 0.0)
+
+
+class TestHeldDepthHold:
+    """A hold that run_condition starts at its target, with no noise, the syringe at neutral,
+    a target that reads as itself through the quantizer and finite PID gains, sees a PID error
+    of 0.0 at every update and never moves: its loop runs at step 0 alone, then the gait's
+    law block, which holds heave and depth. Every column of a run, and any fault, is that of
+    the same run on the depth block."""
+
+    NEUTRAL = ENV.buoyancy.neutral_volume
+    GAIT = GaitCommand(1.0, 20.0)
+
+    @given(
+        gait=st.just(GaitCommand(0.0, 0.0)) | st.builds(
+            GaitCommand, st.floats(0.0, 3.0), st.floats(0.0, 45.0), st.floats(-30.0, 30.0),
+            st.floats(0.0, 1.0)),
+        noise=st.sampled_from([0.0, 1e-3]),
+        volume=st.sampled_from([NEUTRAL, math.nextafter(NEUTRAL, 1.0), ENV.buoyancy.volume_min]),
+        quantum=st.sampled_from([0.0, 1e-320, 0.001, 0.003]),
+        target=st.sampled_from([0.0, 0.1, 0.2]) | st.floats(0.0, 0.5),
+        gains=st.tuples(*[st.sampled_from([None, 1e308, math.inf])] * 3),  # None: the default
+        params=st.sampled_from([FishParams()]) | _params,
+        duration=st.floats(0.0005, 0.2),
+        dt=st.sampled_from([0.001, 0.002, 0.0007]),
+        every=st.integers(1, 12),
+    )
+    @example(GAIT, 0.0, NEUTRAL, 0.003, 0.1, (None,) * 3, FishParams(), 0.2, 0.001, 10)  # 0.099
+    @example(GAIT, 0.0, NEUTRAL, 0.001, 0.2, (math.inf, None, None), FishParams(), 0.1, 0.001, 10)
+    @example(GAIT, 0.0, math.nextafter(NEUTRAL, 1.0), 0.001, 0.2, (None,) * 3, FishParams(), 0.2,
+             0.001, 10)
+    @example(GAIT, 0.0, NEUTRAL, 0.001, 0.0, (None,) * 3, FishParams(), 0.2, 0.001, 10)
+    @settings(max_examples=200, deadline=None)
+    def test_every_column_and_fault_is_the_depth_blocks(
+        self, gait, noise, volume, quantum, target, gains, params, duration, dt, every
+    ):
+        pid = dataclasses.replace(ENV.pid, **{name: gain for name, gain in zip(
+            ("kp", "ki", "kd"), gains) if gain is not None})
+        env = dataclasses.replace(
+            ENV, params=params, pid=pid, buoyancy=dataclasses.replace(
+                ENV.buoyancy, syringe_volume=volume), dt=dt, record_every=every,
+            depth_resolution=quantum, target_depth=target, noise=noise)
+        assert env.depth_hold and env.power == PowerModel()
+
+        def loop():
+            return SwimController(env, gait, step_schedule([(0.0, target)]), 5)
+
+        def counting_refreshes(run):  # run's _result and its number of PID refreshes
+            calls, refresh = [], controllers.depth_controller
+            with mock.patch.object(controllers, "depth_controller",
+                                   lambda *args: calls.append(args) or refresh(*args)):
+                return _result(run), len(calls)
+
+        held, held_refreshes = counting_refreshes(lambda: run_condition(env, gait, duration, 5))
+        depth_block, loop_refreshes = counting_refreshes(lambda: simulate(
+            params, loop(), duration, dt, initial_state=FishState(depth=target),
+            power_model=env.power, record_every=every))
+        assert held == depth_block
+        steps = target / quantum if quantum > 0.0 else math.inf  # the quantizer's
+        at_rest = (noise == 0.0 and volume == self.NEUTRAL
+                   and all(map(math.isfinite, (pid.kp, pid.ki, pid.kd)))
+                   and (round(steps) * quantum if math.isfinite(steps) else target) == target)
+        event(f"at rest: {at_rest}")  # about 1 example in 9
+        assert held_refreshes == (1 if at_rest else loop_refreshes)
+        if isinstance(held, bytes):
+            assert held == _oracle_simulate(
+                loop(), duration, dt, 0.0, every, hydro._STATE_FIELDS, params, depth=target)
+
+    @pytest.mark.parametrize("buoyancy", [0.0, -0.0, 0.5])
+    @pytest.mark.parametrize("heave", [0.0, -0.0, 1e-3])
+    @pytest.mark.parametrize("depth", [0.0, -0.0, 0.2])
+    def test_a_law_block_holds_heave_and_depth_as_the_full_fields_do(
+        self, buoyancy, heave, depth
+    ):
+        # no buoyancy and a heave from +0.0: every heave stage is +-0.0, so heave stays +0.0
+        # and a depth keeps its bits, unless it is -0.0, which one step turns into +0.0
+        run = (0.05, 0.001, 0.0, 7, hydro._STATE_FIELDS, FishParams(), depth)
+        factory, asked = hydro._step_factory, []
+        with mock.patch.object(hydro, "_step_factory", lambda f: asked.append(f) or factory(f)):
+            held = _outcome(_Law(self.GAIT, buoyancy), *run, heave_vel=heave)
+        with mock.patch.object(hydro, "_step_factory", lambda f: factory(hydro._STATE_FIELDS)):
+            full = _outcome(_Law(self.GAIT, buoyancy), *run, heave_vel=heave)
+        assert held == full == _oracle_simulate(_Law(self.GAIT, buoyancy), *run, heave_vel=heave)
+        kept = tuple(f for f in hydro._STATE_FIELDS if f != "sway_vel")
+        rest = buoyancy == 0.0 and _bits([heave, math.copysign(1.0, depth)]) == _bits([0.0, 1.0])
+        planar = tuple(f for f in kept if f not in ("heave_vel", "depth"))
+        assert asked == [kept] + [planar] * rest

@@ -7,7 +7,7 @@ import morphfin
 # Lines in src/morphfin/*.py when the ceiling was last set. Lower it whenever
 # a change removes lines; never raise it: a change that must add lines
 # removes as many elsewhere.
-LINE_CEILING = 2390
+LINE_CEILING = 2386
 
 
 def test_source_stays_under_the_line_ceiling():
