@@ -37,11 +37,10 @@ class SwimController:
     of `env`; the noise is drawn from `seed`, by the depth loop alone, and
     only when its std is > 0.
     `command` returns ControlInput's seven fields as a plain tuple. simulate commands
-    step 0 alone and runs the rest inline. `open_loop` is the gait whose law gives every
-    command after step 0, on step 0's buoyancy and syringe volume, and a law block
-    evaluates it: the gait when no depth loop runs, or one that run_condition knows to be
-    at rest. Else `depth_hold` is set and a depth block runs hydro._DEPTH on the loop's
-    state, `_state`, and writes it back after each block.
+    step 0 alone and runs the rest inline: `open_loop`'s gait in a law block, on step 0's
+    buoyancy and syringe volume, or with `depth_hold`, hydro._DEPTH on the loop's state,
+    `_state`, in a depth block that writes it back. run_condition sets `open_loop` beside
+    a fresh loop of a constant target; simulate runs its law if step 0 leaves it at rest.
     """
 
     def __init__(

@@ -4,6 +4,9 @@
 class MorphfinError(Exception):
     """Base class for all simulator errors."""
 
+    def __reduce__(self):  # unpickle from the message and attributes, not through __init__
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 class DomainError(MorphfinError, ValueError):
     """An argument is outside the domain an operation is defined on."""

@@ -142,26 +142,17 @@ def run_condition(
     """One seeded simulation of a single gait condition, integrating the state `fields`.
 
     The depth loop tracks `depth_schedule` when one is given; otherwise, with
-    `env.depth_hold` and `depth` in `fields`, it holds `env.target_depth` from a start at
-    that depth. Given no start, that hold is at rest when no noise is drawn, the syringe is
-    at neutral, the target reads as itself through the quantizer and the PID gains are
-    finite: the PID error is 0.0 at every update, so the syringe never slews. The loop then
-    runs at step 0 alone and the gait's law does the rest, holding heave and depth (simulate).
+    `env.depth_hold` and `depth` in `fields`, it holds `env.target_depth`, by default from a
+    start at that depth. That target is constant, so the controller's `open_loop` is its gait
+    too, and simulate runs the gait's law alone after step 0 if step 0 leaves the loop at rest.
     A metric that reads no depth passes the fields it reads: from rest with no depth loop,
     heave and depth stay 0.0, so PLANAR_FIELDS give the full run's bits.
     """
-    at_rest = False
-    if depth_schedule is None and env.depth_hold and "depth" in fields:
+    if constant := depth_schedule is None and env.depth_hold and "depth" in fields:
         depth_schedule = step_schedule([(0.0, env.target_depth)])
-        if initial_state is None:
-            initial_state, pid, buoy = FishState(depth=env.target_depth), env.pid, env.buoyancy
-            target, quantum = env.target_depth, env.depth_resolution
-            steps = target / quantum if quantum > 0.0 else math.inf  # hydro._DEPTH's quantizer
-            at_rest = (env.noise == 0.0 and buoy.syringe_volume == buoy.neutral_volume
-                       and (round(steps) * quantum if math.isfinite(steps) else target) == target
-                       and all(map(math.isfinite, (pid.kp, pid.ki, pid.kd))))  # inf * 0 is nan
+        initial_state = initial_state or FishState(depth=env.target_depth)
     controller = SwimController(env, gait, depth_schedule, seed)
-    if at_rest:  # the controller is this run's alone, so its loop state need not be written back
+    if constant:  # a fresh loop of a constant target: simulate may run the law after step 0
         controller.open_loop = gait
     return simulate(env.params, controller, duration, env.dt, initial_state=initial_state,
                     power_model=env.power, record_every=env.record_every, fields=fields)

@@ -212,7 +212,7 @@ def _compiled(name: str, lines) -> dict:
     """The names `lines` define; linecache keeps the source for tracebacks and inspect."""
     source, filename = _source(lines), f"<hydro {name}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {**vars(math), **globals()}  # cos, sin, pi, isfinite, nan and hydro's names
+    namespace = {**vars(math), **globals()}  # cos, sin, pi, isfinite, inf and hydro's names
     exec(compile(source, filename, "exec"), namespace)
     return namespace
 
@@ -282,7 +282,7 @@ def _step_factory(fields: tuple[str, ...]) -> dict:
         "heave_drag_coeff, heave_mass = params.heave_drag_coeff, mass + params.heave_added_mass",
         "half, sixth = dt / 2.0, dt / 6.0")
 
-    def maker(signature, once, start, control, finite, load, record, end=()):
+    def maker(signature, once, control, finite, load, record, start=(), end=()):
         return [f"def {signature}:", [*coefficients, *once, "def block(sv, loads, i0, i1):", [
             f"{state} = sv", f"{loads} = loads", *start, "t = t0",
             "for i in range(i0 + 1, i1 + 1):", [
@@ -298,28 +298,24 @@ def _step_factory(fields: tuple[str, ...]) -> dict:
                 *load],
             *end, f"return ({state}), ({loads}), {record}, t"], "return block"]]
 
-    # a commanded step's loads; the thrust is recomputed only when the gait changes, and
-    # nan equals nothing, so each block's first step computes it
+    # a commanded step's loads
     load = ("angle, rate, frequency, amplitude, erection, buoyancy, _ = control",
             "if not (0.0 <= erection <= 1.0):",
             ["raise DomainError(f'erection must be in [0, 1], got {erection}')"],
-            "if frequency != last_frequency or amplitude != last_amplitude:", [
-                "thrust = mean_thrust(params, frequency, amplitude)",
-                "last_frequency, last_amplitude = frequency, amplitude"],
+            "thrust = mean_thrust(params, frequency, amplitude)",
             *_MOMENT[1], "damping = damping_body + erection * damping_fin")
     damping = "damping_body, damping_fin = params.yaw_damping_body, params.yaw_damping_fin"
     return _compiled(f"RK4 step of {', '.join(fields)}", [
         *maker("make_command(params, dt, t0, command)", (*_MOMENT[0], damping),
-               ["last_frequency = last_amplitude = nan"], ["control = command(t, depth)"],
-               "all(map(isfinite, control))", load, "control"),
-        *maker("make_law(params, dt, t0, gait, control)", _GAIT[0] + _MOMENT[0], (), _GAIT[1],
+               ["control = command(t, depth)"], "all(map(isfinite, control))", load, "control"),
+        *maker("make_law(params, dt, t0, gait, control)", _GAIT[0] + _MOMENT[0], _GAIT[1],
                "isfinite(angle) and isfinite(rate)", _MOMENT[1], "(angle, rate, *control[2:])"),
         # a depth step's control: the loop's lines, then the gait's; a non-finite syringe
         # volume makes the buoyancy non-finite, so three checks cover every field that changes
         *maker("make_depth(params, dt, t0, loop, control)",
-               ("gait = loop.gait", *_GAIT[0], *_MOMENT[0], *_DEPTH[0]), [f"{_LOOP} = loop._state"],
-               _DEPTH[1] + _GAIT[1], "isfinite(angle) and isfinite(rate) and isfinite(buoyancy)",
-               _MOMENT[1], "(angle, rate, *control[2:5], buoyancy, volume)",
+               ("gait = loop.gait", *_GAIT[0], *_MOMENT[0], *_DEPTH[0]), _DEPTH[1] + _GAIT[1],
+               "isfinite(angle) and isfinite(rate) and isfinite(buoyancy)", _MOMENT[1],
+               "(angle, rate, *control[2:5], buoyancy, volume)", [f"{_LOOP} = loop._state"],
                [f"loop._state = {_LOOP}"]),
     ])
 
@@ -364,17 +360,17 @@ def simulate(
 ) -> Telemetry:
     """Run a closed-loop simulation and return sampled telemetry.
 
-    Every `record_every`-th step is sampled (1 keeps all steps, so a run of duration/dt
-    steps yields ceil(duration/dt)+1 records, the first being the initial state); the
-    steps between two samples run in one _step_factory block. The controller is handed
-    the true time and depth every step, or at step 0 alone if its `open_loop` is a gait,
-    whose law then runs inline on step 0's buoyancy and syringe volume, or if it has a
-    depth loop (`depth_hold`), which then runs inline with the gait's law. A non-finite
-    control, or a ValueError that is no MorphfinError, is a SimulationFault. Only `fields`
-    are integrated; the others hold their start values, as does a sway that starts at +0.0:
-    it is unforced, so its rate is -0.0 at every stage and it stays +0.0 bit for bit (one
-    step turns a -0.0 into +0.0). So do, under a law of zero buoyancy, a heave from +0.0
-    and a depth that is not -0.0.
+    Every `record_every`-th step is sampled (1 keeps all steps, so a run of duration/dt steps
+    yields ceil(duration/dt)+1 records, the first being the initial state); the steps between
+    two samples run in one _step_factory block. The controller is handed the true time and
+    depth every step, or at step 0 alone if its `open_loop` is a gait, whose law then runs
+    inline on step 0's buoyancy and syringe volume, or if it has a depth loop (`depth_hold`),
+    which then runs inline with the gait's law, or gives way to a gait beside it (of a constant
+    target) if step 0 leaves it at rest. A non-finite control, or a ValueError that is no
+    MorphfinError, is a SimulationFault. Only `fields` are integrated; the others hold their
+    start values, as does a sway that starts at +0.0: it is unforced, so its rate is -0.0 at
+    every stage and it stays +0.0 bit for bit (one step turns a -0.0 into +0.0). So do, under a
+    law of zero buoyancy, a heave from +0.0 and a depth that is not -0.0.
     """
     check_run(duration, dt)
     if not isinstance(record_every, int) or record_every < 1:
@@ -391,15 +387,25 @@ def simulate(
     block = makers["make_command"](params, dt, state.time, controller.command)
     # step 0 is commanded on every path; it advances nothing, so no loads are read
     sv, loads, control, t = block(state.vector(), (0.0,) * 4, -1, 0)
-    if (gait := getattr(controller, "open_loop", None)) is not None:
-        # a law block holds step 0's buoyancy: with none, a heave from +0.0 has a +-0.0 rate
-        # at every stage, so it stays +0.0, and a depth with its sign bit clear keeps its bits
-        if control[5] == 0.0 == state.heave_vel and min(
-                math.copysign(1.0, state.heave_vel), math.copysign(1.0, state.depth)) > 0.0:
+    gait = getattr(controller, "open_loop", None)
+    # a law block holds step 0's buoyancy: with none, a heave from +0.0 has a +-0.0 rate
+    # at every stage, so it stays +0.0, and a depth with its sign bit clear keeps its bits
+    held = control[5] == 0.0 == state.heave_vel and min(
+        math.copysign(1.0, state.heave_vel), math.copysign(1.0, state.depth)) > 0.0
+    if hold := getattr(controller, "depth_hold", False):  # a SwimController's depth loop
+        volume, slew, _, _, memory = controller._state
+        # held, with no noise, each later update sees step 0's error of 0.0 and slews by 0.0,
+        # keeping a volume's bits unless -0.0; a refresh's dt is > 0 from t0 = 0 or past the slack
+        if not (held and controller._gauss is None and memory.prev_error == 0.0 == slew
+                and math.copysign(1.0, volume) > 0.0
+                and (state.time == 0.0 or controller.env.control_period > 1e-12)):
+            gait = None
+    if gait is not None:
+        if held:
             makers = _step_factory(tuple(f for f in fields if f not in ("heave_vel", "depth"))
                                    or tuple(fields))
         block = makers["make_law"](params, dt, state.time, gait, control)
-    elif getattr(controller, "depth_hold", False):  # a SwimController's depth loop
+    elif hold:
         block = makers["make_depth"](params, dt, state.time, controller, control)
     records = Telemetry()
     i0 = 0

@@ -311,6 +311,18 @@ class TestRun:
         assert metrics["mean_speed_mps"] > 0.0
         assert math.isfinite(metrics["cot"])
 
+    def test_a_syringe_from_minus_zero_writes_minus_zero_on_its_first_row_alone(
+        self, tmp_path, capsys
+    ):
+        # the depth loop's first slew turns a syringe volume of -0.0 into +0.0
+        config = tmp_path / "config.json"
+        config.write_text('{"buoyancy": {"syringe_volume": -0.0, "neutral_volume": 0.0}}')
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "run"]) == 0
+        rows = (out / "run.csv").read_text().splitlines()[1:]
+        volumes = [row.split(",")[_COLUMNS.index("syringe_ml")] for row in rows]
+        assert volumes[0] == "-0" and set(volumes[1:]) == {"0"} and len(volumes) == 2001
+
     def test_stream_prints_rows(self, fast_config, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(

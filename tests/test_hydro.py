@@ -571,8 +571,7 @@ class TestValueTypes:
         )
 
 
-# The load laws recomputed in full on every call, kept as the oracle of a commanded
-# block's loads, which recompute the thrust only when the gait changes.
+# The load laws of a control, kept as the oracle of a commanded block's loads.
 
 
 def _oracle_control_loads(params, control):
@@ -710,8 +709,7 @@ def _oracle_simulate(
 
 
 class TestCommandedLoads:
-    """A commanded block computes its loads each step and recomputes the thrust only when
-    the gait changes, with a cache that starts empty in each block."""
+    """A commanded block computes its loads, the thrust among them, at each step."""
 
     @given(
         st.builds(
@@ -1046,46 +1044,75 @@ class _Law:
         return self.law(t, self.buoyancy, 0.0)
 
 
+def _mostly(value, *others):
+    """A strategy of `value` about 3 draws in 4, and of one of `others` in the rest."""
+    return st.sampled_from([value] * 3 * len(others) + list(others))
+
+
 class TestHeldDepthHold:
-    """A hold that run_condition starts at its target, with no noise, the syringe at neutral,
-    a target that reads as itself through the quantizer and finite PID gains, sees a PID error
-    of 0.0 at every update and never moves: its loop runs at step 0 alone, then the gait's
-    law block, which holds heave and depth. Every column of a run, and any fault, is that of
-    the same run on the depth block."""
+    """run_condition's own hold has a constant target, so it hands simulate the gait beside
+    the loop. simulate runs the loop at step 0, then the gait's law block alone if step 0
+    leaves the loop at rest: no noise drawn, a PID error and a slew of 0.0, a syringe volume
+    whose sign bit is clear, heave and depth held, and no later PID refresh that could see a
+    dt <= 0. Every column of a run, and any fault, is that of the same run on the depth
+    block."""
 
     NEUTRAL = ENV.buoyancy.neutral_volume
     GAIT = GaitCommand(1.0, 20.0)
+    # the default config's run, shortened: at rest
+    REST = dict(gait=GAIT, noise=0.0, syringe=(NEUTRAL, NEUTRAL), quantum=0.001, target=0.2,
+                start="on", heave=0.0, t0=0.0, period=ENV.control_period, gains=(None,) * 3,
+                params=FishParams(), duration=0.2, dt=0.001, every=10)
 
     @given(
         gait=st.just(GaitCommand(0.0, 0.0)) | st.builds(
             GaitCommand, st.floats(0.0, 3.0), st.floats(0.0, 45.0), st.floats(-30.0, 30.0),
             st.floats(0.0, 1.0)),
-        noise=st.sampled_from([0.0, 1e-3]),
-        volume=st.sampled_from([NEUTRAL, math.nextafter(NEUTRAL, 1.0), ENV.buoyancy.volume_min]),
+        noise=_mostly(0.0, 1e-3),
+        syringe=_mostly((NEUTRAL, NEUTRAL), (math.nextafter(NEUTRAL, 1.0), NEUTRAL),
+                        (ENV.buoyancy.volume_min, NEUTRAL), (-0.0, 0.0), (-0.0, -0.0),
+                        (0.0, -0.0)),  # (syringe volume, neutral volume)
         quantum=st.sampled_from([0.0, 1e-320, 0.001, 0.003]),
         target=st.sampled_from([0.0, 0.1, 0.2]) | st.floats(0.0, 0.5),
-        gains=st.tuples(*[st.sampled_from([None, 1e308, math.inf])] * 3),  # None: the default
+        # the start depth: the target, 0.4 quantum deeper (read as the target if it is on
+        # the quantizer's grid), or 3 cm deeper
+        start=st.sampled_from(["on", "near", "off"]),
+        heave=_mostly(0.0, -0.0, 1e-3),
+        t0=st.sampled_from([0.0, 5.0, 1e20]),  # from 1e20, t0 + i*dt == t0 at every step
+        period=_mostly(ENV.control_period, 1e-13),  # 1e-13 s: under the slack
+        gains=st.just((None,) * 3)  # None: the default
+        | st.tuples(*[st.sampled_from([None, 1e308, math.inf])] * 3),
         params=st.sampled_from([FishParams()]) | _params,
         duration=st.floats(0.0005, 0.2),
         dt=st.sampled_from([0.001, 0.002, 0.0007]),
         every=st.integers(1, 12),
     )
-    @example(GAIT, 0.0, NEUTRAL, 0.003, 0.1, (None,) * 3, FishParams(), 0.2, 0.001, 10)  # 0.099
-    @example(GAIT, 0.0, NEUTRAL, 0.001, 0.2, (math.inf, None, None), FishParams(), 0.1, 0.001, 10)
-    @example(GAIT, 0.0, math.nextafter(NEUTRAL, 1.0), 0.001, 0.2, (None,) * 3, FishParams(), 0.2,
-             0.001, 10)
-    @example(GAIT, 0.0, NEUTRAL, 0.001, 0.0, (None,) * 3, FishParams(), 0.2, 0.001, 10)
-    @settings(max_examples=200, deadline=None)
+    @example(**{**REST, "quantum": 0.003, "target": 0.1})  # 0.1 reads as 0.099
+    @example(**{**REST, "gains": (math.inf, None, None)})  # inf * 0 is nan at step 0
+    @example(**{**REST, "syringe": (math.nextafter(NEUTRAL, 1.0), NEUTRAL)})
+    @example(**{**REST, "target": 0.0})  # at the surface
+    # the first slew turns a syringe volume of -0.0 into +0.0
+    @example(**{**REST, "syringe": (-0.0, 0.0)})
+    # t never moves, so a refresh past no slack refreshes again at a dt of 0, and faults
+    @example(**{**REST, "t0": 1e20, "period": 1e-13})
+    @settings(max_examples=300, deadline=None)
     def test_every_column_and_fault_is_the_depth_blocks(
-        self, gait, noise, volume, quantum, target, gains, params, duration, dt, every
+        self, gait, noise, syringe, quantum, target, start, heave, t0, period, gains, params,
+        duration, dt, every,
     ):
         pid = dataclasses.replace(ENV.pid, **{name: gain for name, gain in zip(
             ("kp", "ki", "kd"), gains) if gain is not None})
+        volume, neutral = syringe
         env = dataclasses.replace(
             ENV, params=params, pid=pid, buoyancy=dataclasses.replace(
-                ENV.buoyancy, syringe_volume=volume), dt=dt, record_every=every,
-            depth_resolution=quantum, target_depth=target, noise=noise)
+                ENV.buoyancy, syringe_volume=volume, neutral_volume=neutral), dt=dt,
+            record_every=every, depth_resolution=quantum, target_depth=target, noise=noise,
+            control_period=period)
         assert env.depth_hold and env.power == PowerModel()
+        depth = target + {"on": 0.0, "near": 0.4 * quantum, "off": 0.03}[start]
+        state = FishState(depth=depth, heave_vel=heave, time=t0)
+        # the default start is run_condition's own
+        given = {} if repr(state) == repr(FishState(depth=target)) else {"initial_state": state}
 
         def loop():
             return SwimController(env, gait, step_schedule([(0.0, target)]), 5)
@@ -1096,20 +1123,22 @@ class TestHeldDepthHold:
                                    lambda *args: calls.append(args) or refresh(*args)):
                 return _result(run), len(calls)
 
-        held, held_refreshes = counting_refreshes(lambda: run_condition(env, gait, duration, 5))
+        held, held_refreshes = counting_refreshes(
+            lambda: run_condition(env, gait, duration, 5, **given))
         depth_block, loop_refreshes = counting_refreshes(lambda: simulate(
-            params, loop(), duration, dt, initial_state=FishState(depth=target),
-            power_model=env.power, record_every=every))
+            params, loop(), duration, dt, initial_state=state, power_model=env.power,
+            record_every=every))
         assert held == depth_block
-        steps = target / quantum if quantum > 0.0 else math.inf  # the quantizer's
-        at_rest = (noise == 0.0 and volume == self.NEUTRAL
+        steps = depth / quantum if quantum > 0.0 else math.inf  # the quantizer's
+        at_rest = (noise == 0.0 and volume == neutral and math.copysign(1.0, volume) > 0.0
                    and all(map(math.isfinite, (pid.kp, pid.ki, pid.kd)))
-                   and (round(steps) * quantum if math.isfinite(steps) else target) == target)
-        event(f"at rest: {at_rest}")  # about 1 example in 9
+                   and (round(steps) * quantum if math.isfinite(steps) else depth) == target
+                   and _bits([heave]) == _bits([0.0]) and (t0 == 0.0 or period > 1e-12))
+        event(f"at rest: {at_rest}")  # about 1 example in 10
         assert held_refreshes == (1 if at_rest else loop_refreshes)
         if isinstance(held, bytes):
-            assert held == _oracle_simulate(
-                loop(), duration, dt, 0.0, every, hydro._STATE_FIELDS, params, depth=target)
+            assert held == _oracle_simulate(loop(), duration, dt, t0, every, hydro._STATE_FIELDS,
+                                            params, depth=depth, heave_vel=heave)
 
     @pytest.mark.parametrize("buoyancy", [0.0, -0.0, 0.5])
     @pytest.mark.parametrize("heave", [0.0, -0.0, 1e-3])
