@@ -14,6 +14,8 @@ import reprlib
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import astuple, dataclass, field, replace
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .control import (
@@ -187,7 +189,8 @@ def condition_metrics(
     if elapsed <= 0.0:
         raise InsufficientDataError("window elapsed time is zero")
     speed = math.hypot(last.x_m - first.x_m, last.y_m - first.y_m) / elapsed
-    power = sum(records.column("power_w")[a:b]) / (b - a)
+    # left to right, as sum() added floats up to Python 3.11 (it compensates from 3.12 on)
+    power = reduce(add, records.column("power_w")[a:b], 0.0) / (b - a)
     if frequency > 0.0 and (t1 - t0) < 3.0 / frequency:
         raise InsufficientDataError(
             f"window of {t1 - t0:.3f} s holds fewer than 3 cycles at {frequency} Hz"
@@ -525,7 +528,7 @@ def calibrate(
         except MorphfinError:
             return math.inf, {}
         residuals = {t.name: (simulated[t.name] - t.value) / t.value for t in targets}
-        loss = sum(t.weight * residuals[t.name] ** 2 for t in targets)
+        loss = reduce(add, (t.weight * residuals[t.name] ** 2 for t in targets), 0.0)
         return loss, residuals
 
     best_loss, best_res = loss_of(current)

@@ -14,12 +14,13 @@ import functools
 import linecache
 import math
 import re
+import struct
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Protocol
 
 from .errors import ConfigError, DomainError, MorphfinError, SimulationFault
-from .metrics import PowerModel, servo_power
+from .metrics import PowerModel
 from .telemetry import Telemetry
 
 # s, the largest step accepted. It bounds the step, not stability: some fish within
@@ -29,6 +30,7 @@ MAX_DT = 0.01
 MAX_STEPS = 10**7
 
 _DEG = math.pi / 180.0
+_pack = struct.Struct("13d").pack  # a record's bytes in array("d"): frombytes beats extend 4x
 
 # The RK4 step is generated from this table: one row per integrated FishState
 # field, with its local name in the step and its rate at stage {k}. A rate reads
@@ -237,16 +239,18 @@ depth_law = _compiled("depth law", [
 
 @functools.cache
 def _step_factory(fields: tuple[str, ...]) -> dict:
-    """make_command(params, dt, t0, command), make_law(params, dt, t0, gait, control) and
-    make_depth(params, dt, t0, loop, control) -> block(sv, loads, i0, i1) -> (sv, loads,
-    control, t), generated from _RATES, _GAIT, _MOMENT and _DEPTH once per field set. A
-    block runs steps i0+1 to i1 in locals: step i > 0 advances `fields` (the rest hold their
-    values at every stage) to t0 + i*dt under the loads of step i-1, then gets its control
-    and loads. A commanded block calls `command` and computes the loads inline; a law block
-    evaluates the gait law and the tail moment inline; a depth block runs the SwimController
-    `loop`'s depth loop inline first, on the state it reads from the loop at its start and
-    writes back at its end. The last two take the rest from step 0's `control` and loads. A
-    ValueError of cos or sin, or a non-finite control, is a SimulationFault at the step's t.
+    """make_command(params, power, dt, t0, command), make_law(params, power, dt, t0, gait,
+    control) and make_depth(params, power, dt, t0, loop, control) -> block(sv, loads, i, ends,
+    values) -> (sv, loads, control), generated from _RATES, _GAIT, _MOMENT and _DEPTH once per
+    field set. A block runs steps i+1 to the last of `ends` in locals: step i > 0 advances
+    `fields` (the rest hold their values at every stage) to t0 + i*dt under the loads of step
+    i-1, then gets its control and loads; at each of `ends` it appends the record, with the
+    PowerModel `power`'s servo power, to `values` (None records nothing). A commanded block
+    calls `command` and computes the loads inline; a law block evaluates the gait law and the
+    tail moment inline; a depth block runs the SwimController `loop`'s depth loop inline first,
+    on the state it reads from the loop at its start and writes back at its end. The last two
+    take the rest from step 0's `control` and loads. A ValueError of cos or sin, a non-finite
+    control, or a non-finite state at a record (naming its field) is a SimulationFault at t.
     """
     rows = [row for row in _RATES if row[0] in fields]
     if not 0 < len(rows) == len(set(fields)):
@@ -276,47 +280,60 @@ def _step_factory(fields: tuple[str, ...]) -> dict:
     if "depth" in fields:  # hard free-surface boundary: clamp depth, kill upward heave on contact
         body += ["if depth < 0.0:", ["depth = 0.0", *["w = max(w, 0.0)"] * ("w" in moving)]]
     state, loads = ", ".join(local for _, local, _ in _RATES), "thrust, moment, damping, buoyancy"
+    # a held field keeps its start value, which simulate has checked to be finite
+    record = (
+        f"if not ({' and '.join(f'isfinite({local})' for _, local, _ in rows)}):",
+        ["raise SimulationFault(t, 'non-finite state ' + next(name for name, value in",
+         f"    zip(_STATE_FIELDS, ({state})) if not isfinite(value)))"],
+        "torque = abs(moment)",  # the row in CSV column order, with PowerModel's power
+        "values.frombytes(_pack(t, x, y, depth, yaw / _DEG, r / _DEG, u, v, angle / _DEG, torque,",
+        "    max(torque * abs(rate), 0.0) / efficiency + idle_power, erection, volume * 1e6))")
 
-    coefficients = (  # once per run, from `params` and `dt`
+    coefficients = (  # once per run, from `params`, `power` and `dt`
         "rho_cda, mass, yaw_inertia = _rho_cda(params), params.mass, params.yaw_inertia",
         "heave_drag_coeff, heave_mass = params.heave_drag_coeff, mass + params.heave_added_mass",
+        "efficiency, idle_power = power.efficiency, power.idle_power",
         "half, sixth = dt / 2.0, dt / 6.0")
 
-    def maker(signature, once, control, finite, load, record, start=(), end=()):
-        return [f"def {signature}:", [*coefficients, *once, "def block(sv, loads, i0, i1):", [
+    def maker(signature, once, control, finite, load, final, start=(), end=()):
+        block = "def block(sv, loads, i, ends, values):"
+        return [f"def {signature}:", [*coefficients, *once, block, [
             f"{state} = sv", f"{loads} = loads", *start, "t = t0",
-            "for i in range(i0 + 1, i1 + 1):", [
-                "if i:", [
-                    "t = t0 + i * dt", "try:", body,
-                    "except ValueError as exc:  # cos/sin of an infinite yaw",
-                    ["raise SimulationFault(t, 'non-finite state yaw') from exc"]],
-                "try:", control,
-                "except MorphfinError:  # a DomainError is a ValueError too", ["raise"],
-                "except ValueError as exc:  # sin/cos of an infinite gait phase",
-                ["raise SimulationFault(t) from exc"],
-                f"if not ({finite}):", ["raise SimulationFault(t)"],
-                *load],
-            *end, f"return ({state}), ({loads}), {record}, t"], "return block"]]
+            "for end in ends:", [
+                "for i in range(i + 1, end + 1):", [
+                    "if i:", [
+                        "t = t0 + i * dt", "try:", body,
+                        "except ValueError as exc:  # cos/sin of an infinite yaw",
+                        ["raise SimulationFault(t, 'non-finite state yaw') from exc"]],
+                    "try:", control,
+                    "except MorphfinError:  # a DomainError is a ValueError too", ["raise"],
+                    "except ValueError as exc:  # sin/cos of an infinite gait phase",
+                    ["raise SimulationFault(t) from exc"],
+                    f"if not ({finite}):", ["raise SimulationFault(t)"],
+                    *load],
+                "if values is not None:", record],
+            *end, f"return ({state}), ({loads}), {final}"], "return block"]]
 
     # a commanded step's loads
-    load = ("angle, rate, frequency, amplitude, erection, buoyancy, _ = control",
+    load = ("angle, rate, frequency, amplitude, erection, buoyancy, volume = control",
             "if not (0.0 <= erection <= 1.0):",
             ["raise DomainError(f'erection must be in [0, 1], got {erection}')"],
             "thrust = mean_thrust(params, frequency, amplitude)",
             *_MOMENT[1], "damping = damping_body + erection * damping_fin")
     damping = "damping_body, damping_fin = params.yaw_damping_body, params.yaw_damping_fin"
     return _compiled(f"RK4 step of {', '.join(fields)}", [
-        *maker("make_command(params, dt, t0, command)", (*_MOMENT[0], damping),
+        *maker("make_command(params, power, dt, t0, command)", (*_MOMENT[0], damping),
                ["control = command(t, depth)"], "all(map(isfinite, control))", load, "control"),
-        *maker("make_law(params, dt, t0, gait, control)", _GAIT[0] + _MOMENT[0], _GAIT[1],
+        *maker("make_law(params, power, dt, t0, gait, control)",
+               (*_GAIT[0], *_MOMENT[0], "erection, volume = control[4], control[6]"), _GAIT[1],
                "isfinite(angle) and isfinite(rate)", _MOMENT[1], "(angle, rate, *control[2:])"),
         # a depth step's control: the loop's lines, then the gait's; a non-finite syringe
         # volume makes the buoyancy non-finite, so three checks cover every field that changes
-        *maker("make_depth(params, dt, t0, loop, control)",
-               ("gait = loop.gait", *_GAIT[0], *_MOMENT[0], *_DEPTH[0]), _DEPTH[1] + _GAIT[1],
-               "isfinite(angle) and isfinite(rate) and isfinite(buoyancy)", _MOMENT[1],
-               "(angle, rate, *control[2:5], buoyancy, volume)", [f"{_LOOP} = loop._state"],
-               [f"loop._state = {_LOOP}"]),
+        *maker("make_depth(params, power, dt, t0, loop, control)",
+               ("gait = loop.gait", *_GAIT[0], *_MOMENT[0], *_DEPTH[0], "erection = control[4]"),
+               _DEPTH[1] + _GAIT[1], "isfinite(angle) and isfinite(rate) and isfinite(buoyancy)",
+               _MOMENT[1], "(angle, rate, *control[2:5], buoyancy, volume)",
+               [f"{_LOOP} = loop._state"], [f"loop._state = {_LOOP}"]),
     ])
 
 
@@ -336,9 +353,9 @@ def step(
     """Advance the state by exactly dt with one RK4 step (controls held)."""
     check_run(dt, dt)
     block = _step_factory(_STATE_FIELDS)["make_command"](
-        params, dt, state.time, lambda t, depth: control)
+        params, PowerModel(), dt, state.time, lambda t, depth: control)
     # step 0 takes the control and its loads at state.time, as simulate starts a run
-    new = FishState(*block(state.vector(), (0.0,) * 4, -1, 1)[0], time=state.time + dt)
+    new = FishState(*block(state.vector(), (0.0,) * 4, -1, (1,), None)[0], time=state.time + dt)
     new.validate()
     return new
 
@@ -361,16 +378,17 @@ def simulate(
     """Run a closed-loop simulation and return sampled telemetry.
 
     Every `record_every`-th step is sampled (1 keeps all steps, so a run of duration/dt steps
-    yields ceil(duration/dt)+1 records, the first being the initial state); the steps between
-    two samples run in one _step_factory block. The controller is handed the true time and
-    depth every step, or at step 0 alone if its `open_loop` is a gait, whose law then runs
-    inline on step 0's buoyancy and syringe volume, or if it has a depth loop (`depth_hold`),
-    which then runs inline with the gait's law, or gives way to a gait beside it (of a constant
-    target) if step 0 leaves it at rest. A non-finite control, or a ValueError that is no
-    MorphfinError, is a SimulationFault. Only `fields` are integrated; the others hold their
-    start values, as does a sway that starts at +0.0: it is unforced, so its rate is -0.0 at
-    every stage and it stays +0.0 bit for bit (one step turns a -0.0 into +0.0). So do, under a
-    law of zero buoyancy, a heave from +0.0 and a depth that is not -0.0.
+    yields ceil(duration/dt)+1 records, the first being the initial state); step 0 runs in a
+    commanded _step_factory block, the rest in one block that records as it goes. The
+    controller is handed the true time and depth every step, or at step 0 alone if its
+    `open_loop` is a gait, whose law then runs inline on step 0's buoyancy and syringe volume,
+    or if it has a depth loop (`depth_hold`), which then runs inline with the gait's law, or
+    gives way to a gait beside it (of a constant target) if step 0 leaves it at rest. A
+    non-finite control or state, or a ValueError that is no MorphfinError, is a SimulationFault.
+    Only `fields` are integrated; the others hold their start values, as does a sway that starts
+    at +0.0: it is unforced, so its rate is -0.0 at every stage and it stays +0.0 bit for bit
+    (one step turns a -0.0 into +0.0). So do, under a law of zero buoyancy, a heave from +0.0
+    and a depth that is not -0.0.
     """
     check_run(duration, dt)
     if not isinstance(record_every, int) or record_every < 1:
@@ -383,10 +401,11 @@ def simulate(
     if state.sway_vel == 0.0 and math.copysign(1.0, state.sway_vel) > 0.0:
         fields = tuple(field for field in fields if field != "sway_vel") or fields
     makers = _step_factory(tuple(fields))
+    records = Telemetry()
     # command is bound once per run; a tracer that wraps the class method wraps it too
-    block = makers["make_command"](params, dt, state.time, controller.command)
-    # step 0 is commanded on every path; it advances nothing, so no loads are read
-    sv, loads, control, t = block(state.vector(), (0.0,) * 4, -1, 0)
+    block = makers["make_command"](params, power_model, dt, state.time, controller.command)
+    # step 0 is commanded and recorded on every path; it advances nothing, so reads no loads
+    sv, loads, control = block(state.vector(), (0.0,) * 4, -1, (0,), records.values)
     gait = getattr(controller, "open_loop", None)
     # a law block holds step 0's buoyancy: with none, a heave from +0.0 has a +-0.0 rate
     # at every stage, so it stays +0.0, and a depth with its sign bit clear keeps its bits
@@ -404,23 +423,9 @@ def simulate(
         if held:
             makers = _step_factory(tuple(f for f in fields if f not in ("heave_vel", "depth"))
                                    or tuple(fields))
-        block = makers["make_law"](params, dt, state.time, gait, control)
+        block = makers["make_law"](params, power_model, dt, state.time, gait, control)
     elif hold:
-        block = makers["make_depth"](params, dt, state.time, controller, control)
-    records = Telemetry()
-    i0 = 0
-    for i1 in chain(range(0, n_steps, record_every), (n_steps,)):
-        if i1:
-            sv, loads, control, t = block(sv, loads, i0, i1)
-            i0 = i1
-        if not all(map(math.isfinite, sv)):
-            name = next(n for n, v in zip(_STATE_FIELDS, sv) if not math.isfinite(v))
-            raise SimulationFault(t, f"non-finite state {name}")
-        x, y, z, yaw, u, v, r, _ = sv
-        angle, rate, _, _, erection, _, volume = control
-        torque = abs(loads[1])
-        records.values.extend((  # in CSV column order
-            t, x, y, z, yaw / _DEG, r / _DEG, u, v, angle / _DEG, torque,
-            servo_power(power_model, torque, abs(rate)), erection, volume * 1e6,
-        ))
+        block = makers["make_depth"](params, power_model, dt, state.time, controller, control)
+    block(sv, loads, 0, chain(range(record_every, n_steps, record_every), (n_steps,)),
+          records.values)
     return records

@@ -1,7 +1,7 @@
 """Derived swimming-performance quantities.
 
-Covers servo electrical power, cost of transport COT = P / (m g U), the
-steady analysis window, yaw-stability improvement percentages, and the
+Covers the servo's electrical power model, cost of transport COT = P / (m g U),
+the steady analysis window, yaw-stability improvement percentages, and the
 quadratic speed-frequency fit.
 """
 
@@ -21,7 +21,8 @@ TRANSIENT_CYCLES = 5.0
 
 @dataclass(frozen=True)
 class PowerModel:
-    """Electrical surrogate for the measured servo power draw (calibrated defaults)."""
+    """Electrical surrogate for the measured servo power draw (calibrated defaults): the servo
+    draws max(torque * |rate|, 0) / efficiency + idle_power W, regenerating nothing."""
 
     efficiency: float = 0.740078125
     idle_power: float = 0.5
@@ -31,16 +32,6 @@ class PowerModel:
             raise ConfigError("efficiency must be in (0, 1]", "power.efficiency")
         if not (self.idle_power >= 0.0):
             raise ConfigError("idle_power must be >= 0", "power.idle_power")
-
-
-def servo_power(model: PowerModel, torque: float, angular_vel: float) -> float:
-    """Instantaneous electrical power (W) drawn by the tail servo.
-
-    Mechanical output below zero (back-driving) is not regenerated; the servo
-    then draws only its idle power.
-    """
-    mechanical = torque * angular_vel
-    return max(mechanical, 0.0) / model.efficiency + model.idle_power
 
 
 def cot(mean_power: float, mass: float, gravity: float, mean_speed: float) -> float:

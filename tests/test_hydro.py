@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import itertools
@@ -28,7 +29,7 @@ from morphfin.hydro import (
     simulate,
     step,
 )
-from morphfin.metrics import PowerModel, servo_power
+from morphfin.metrics import PowerModel
 
 DEG = math.pi / 180.0
 ENV = _environment(RunConfig())
@@ -106,8 +107,8 @@ def _step0_loads(params, control):
     """(thrust, tail_moment, damping, buoyancy): the loads a commanded block computes at
     step 0 of a run whose controller returns `control`."""
     block = hydro._step_factory(hydro._STATE_FIELDS)["make_command"](
-        params, 0.001, 0.0, lambda t, depth: control)
-    return block(FishState().vector(), (0.0,) * 4, -1, 0)[1]
+        params, PowerModel(), 0.001, 0.0, lambda t, depth: control)
+    return block(FishState().vector(), (0.0,) * 4, -1, (0,), None)[1]
 
 
 class TestControlLoads:
@@ -355,6 +356,17 @@ class TestSimulate:
             simulate(FishParams(), controller, 1.0, 0.001)
         assert "non-finite state depth" in str(exc.value)
 
+    @pytest.mark.parametrize("every", [1, 10, 30])
+    def test_a_state_that_diverges_between_records_faults_at_the_next(self, every):
+        # the depth is nan from step 1 on; the record after it names it, at its own time
+        run = (1.0, 0.001, 0.0, every, hydro._STATE_FIELDS)
+        controller = ConstantController(ControlInput(buoyancy=1e308))
+        fault = _outcome(controller, *run)
+        assert fault[:2] == (SimulationFault, f"non-finite state depth at t={every / 1e3:.6f} s")
+        with pytest.raises(SimulationFault) as exc:
+            _oracle_simulate(controller, *run)
+        assert fault == (SimulationFault, str(exc.value), exc.value.time)
+
     @pytest.mark.parametrize("duration", [math.inf, math.nan, 1e307])
     def test_duration_without_finite_step_count_is_config_error(self, duration):
         # 1e307 is finite, but 1e307 / 1e-3 is not: math.ceil would overflow
@@ -375,8 +387,8 @@ class TestSimulate:
 def _integrator(params, dt, fields=hydro._STATE_FIELDS):
     """advance(sv, loads) -> sv: step 1 of a generated commanded block, as simulate runs it."""
     block = hydro._step_factory(tuple(fields))["make_command"](
-        params, dt, 0.0, lambda t, depth: ControlInput())
-    return lambda sv, loads: block(sv, loads, 0, 1)[0]
+        params, PowerModel(), dt, 0.0, lambda t, depth: ControlInput())
+    return lambda sv, loads: block(sv, loads, 0, (1,), None)[0]
 
 
 def _oracle_derivs(params, sv, loads):
@@ -418,9 +430,15 @@ def _oracle_rk4(params, sv, loads, dt, fields=hydro._STATE_FIELDS):
     return out
 
 
+# the row every block appends, its servo power in servo_power's association
+_ROW = (
+    "values.frombytes(_pack(t, x, y, depth, yaw / _DEG, r / _DEG, u, v, angle / _DEG, torque,\n",
+    "    max(torque * abs(rate), 0.0) / efficiency + idle_power, erection, volume * 1e6))\n")
+
+
 def _block(maker, fields, *run):
     """A block of the default fish at dt 1 ms from t0 = 0 by one of _step_factory's makers."""
-    return hydro._step_factory(fields)[maker](FishParams(), 0.001, 0.0, *run)
+    return hydro._step_factory(fields)[maker](FishParams(), PowerModel(), 0.001, 0.0, *run)
 
 
 def _bits(values):
@@ -493,11 +511,11 @@ class TestScalarRk4Oracle:
         sv, loads = (0.1, -0.2, 0.3, 0.7, 0.25, 0.01, -0.4, 0.02), (0.3, 0.01, 0.4, 0.1)
         assert _bits(advance(sv, loads)) == _bits(_oracle_rk4(params, sv, loads, dt))
         source = inspect.getsource(_block("make_command", hydro._STATE_FIELDS, None))
-        assert source.startswith("    def block(sv, loads, i0, i1):\n")
+        assert source.startswith("    def block(sv, loads, i, ends, values):\n")
         assert "    dr4 = (moment - damping * r4 * abs(r4)) / yaw_inertia\n" in source
         for line in (*hydro._MOMENT[1], "damping = damping_body + erection * damping_fin"):
             assert f"    {line}\n" in source
-        assert "load(" not in source
+        assert "load(" not in source and all(line in source for line in _ROW)
         yaw_only = inspect.getsource(_block("make_command", hydro.YAW_FIELDS, None))
         assert "cos(" not in yaw_only and "du1" not in yaw_only
 
@@ -665,22 +683,43 @@ def _result(run):
 
 
 def _outcome(
-    controller, duration, dt, t0, every, fields, params=FishParams(), depth=0.0, **start
+    controller, duration, dt, t0, every, fields, params=FishParams(), depth=0.0,
+    power=PowerModel(), **start
 ):
     """The _result of a simulate run; `start` sets other fields of the start state."""
     return _result(lambda: simulate(
         params, controller, duration, dt, initial_state=FishState(depth=depth, time=t0, **start),
-        record_every=every, fields=fields,
+        power_model=power, record_every=every, fields=fields,
     ))
 
 
+# The servo power law that every block writes inline in its record row, kept as the oracle
+# of the power_w column; tests/test_metrics.py runs its hand cases against it.
+
+
+def servo_power(model, torque, angular_vel):
+    """Instantaneous electrical power (W) drawn by the tail servo.
+
+    Mechanical output below zero (back-driving) is not regenerated; the servo
+    then draws only its idle power.
+    """
+    mechanical = torque * angular_vel
+    return max(mechanical, 0.0) / model.efficiency + model.idle_power
+
+
+# power models of any efficiency in (0, 1] and idle power >= 0, the default among them
+_powers = st.just(PowerModel()) | st.builds(
+    PowerModel, st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 5.0))
+
+
 def _oracle_simulate(
-    controller, duration, dt, t0, every, fields, params=FishParams(), depth=0.0, **start
+    controller, duration, dt, t0, every, fields, params=FishParams(), depth=0.0,
+    power=PowerModel(), **start
 ):
     """The packed records of simulate's former per-step loop: the controller's command, the
-    load formula and the tuple-form RK4 each step, every `every`-th step and the last kept.
-    It raises the former loop's SimulationFault for a cos/sin of an infinite yaw, a
-    non-finite command, or a non-finite state at a kept step."""
+    load formula and the tuple-form RK4 each step, every `every`-th step and the last kept,
+    with servo_power of `power`. It raises the former loop's SimulationFault for a cos/sin
+    of an infinite yaw, a non-finite command, or a non-finite state at a kept step."""
     n, out = math.ceil(duration / dt), []
     sv = FishState(depth=depth, time=t0, **start).vector()
     for i in range(n + 1):
@@ -702,9 +741,9 @@ def _oracle_simulate(
                 raise SimulationFault(t, f"non-finite state {name}")
             x, y, z, yaw, u, v, r, _ = sv
             torque = abs(loads[1])
-            power = servo_power(PowerModel(), torque, abs(control.servo_rate))
+            watts = servo_power(power, torque, abs(control.servo_rate))
             out += [t, x, y, z, yaw / DEG, r / DEG, u, v, control.servo_angle / DEG, torque,
-                    power, control.erection, control.syringe_volume * 1e6]
+                    watts, control.erection, control.syringe_volume * 1e6]
     return _bits(out)
 
 
@@ -723,15 +762,17 @@ class TestCommandedLoads:
         st.lists(_controls, min_size=1, max_size=5).flatmap(
             lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=40)),
         st.integers(1, 12),
+        _powers,
     )
-    # blocks of steps 1-4, 5-8, ...: the amplitude alone changes at step 6, the
+    # records at steps 4, 8, ...: the amplitude alone changes at step 6, the
     # frequency alone at step 14, and the gait stops at step 19
     @example(FishParams(), [ControlInput(0.1, 1.0, 1.0, 0.35, 1.0)] * 6
              + [ControlInput(-0.1, 2.0, 1.0, 0.5, 0.5)] * 8
-             + [ControlInput(0.2, -1.0, 2.33, 0.5)] * 5 + [ControlInput()] * 3, 4)
+             + [ControlInput(0.2, -1.0, 2.33, 0.5)] * 5 + [ControlInput()] * 3, 4,
+             PowerModel(0.3, 1.25))
     @settings(max_examples=200, deadline=None)
     def test_a_run_of_drawn_controls_equals_the_former_per_step_loop(
-        self, params, controls, every
+        self, params, controls, every, power
     ):
         # one control a step, in order; an exact dt, so the run takes len(controls) - 1 steps
         run = (
@@ -739,10 +780,10 @@ class TestCommandedLoads:
         )
         got, want = _Clock(controls), _Clock(controls)
         try:
-            expected = _oracle_simulate(want, *run)
+            expected = _oracle_simulate(want, *run, power=power)
         except DomainError as exc:  # an erection or a gait outside its domain
             expected = type(exc), str(exc), None
-        assert _outcome(got, *run) == expected
+        assert _outcome(got, *run, power=power) == expected
         # the run stopped at the same step, if a step failed
         assert _bits(got.times) == _bits(want.times)
 
@@ -762,17 +803,19 @@ class TestOpenLoopPath:
         every=st.integers(1, 12),
         t0=st.floats(0.0, 1e4),
         fields=st.sampled_from([hydro.YAW_FIELDS, hydro.PLANAR_FIELDS, hydro._STATE_FIELDS]),
+        power=_powers,
     )
-    @example(1.5, 20.0, 0.0, 0.0, 0.5, 0.001, 10, 0.0, hydro._STATE_FIELDS)
-    @example(2.33, 20.0, 5.0, 1.0, 0.4955, 0.001, 10, 3.0, hydro.PLANAR_FIELDS)  # 496 steps
+    @example(1.5, 20.0, 0.0, 0.0, 0.5, 0.001, 10, 0.0, hydro._STATE_FIELDS, PowerModel())
+    @example(2.33, 20.0, 5.0, 1.0, 0.4955, 0.001, 10, 3.0, hydro.PLANAR_FIELDS,  # 496 steps
+             PowerModel(1.0, 0.0))
     # at dt = 0.01 a fast, wide gait drives the yaw rate past the largest float in 4 steps
-    @example(5.0, 39.0, 0.0, 1.0, 0.5, 0.01, 1, 0.0, hydro.YAW_FIELDS)
+    @example(5.0, 39.0, 0.0, 1.0, 0.5, 0.01, 1, 0.0, hydro.YAW_FIELDS, PowerModel())
     @settings(max_examples=60, deadline=None)
     def test_equals_the_per_step_command_in_every_column(
-        self, frequency, amplitude, bias, erection, duration, dt, every, t0, fields
+        self, frequency, amplitude, bias, erection, duration, dt, every, t0, fields, power
     ):
         gait = GaitCommand(frequency, amplitude, bias, erection)
-        run = (duration, dt, t0, every, fields)
+        run = (duration, dt, t0, every, fields, FishParams(), 0.0, power)
         direct = _outcome(SwimController(ENV, gait), *run)
         # a run completes, or faults at the step and with the message of the former loop
         assert isinstance(direct, bytes) or direct[0] is SimulationFault
@@ -864,10 +907,11 @@ class TestOpenLoopPath:
     def test_the_block_reads_as_source(self):
         block = _block("make_law", hydro.PLANAR_FIELDS, GaitCommand(1.0, 20.0), ControlInput())
         source = inspect.getsource(block)
-        assert source.startswith("    def block(sv, loads, i0, i1):\n")
+        assert source.startswith("    def block(sv, loads, i, ends, values):\n")
         for line in (*hydro._GAIT[1], *hydro._MOMENT[1], "c2, s2 = cos(yaw2), sin(yaw2)"):
             assert f"    {line}\n" in source
         assert "command(" not in source and "load(" not in source
+        assert all(line in source for line in _ROW)
 
     @given(
         frequency=st.floats(0.0, 1e308) | st.sampled_from([math.inf, -math.inf, math.nan]),
@@ -898,16 +942,16 @@ class TestDepthBlock:
     hydro._DEPTH inline, bit for bit as the per-step command that runs it through
     hydro.depth_law, and leaves the controller's loop state where the command would."""
 
-    def _check(self, env, gait, targets, seed, run, depth):
+    def _check(self, env, gait, targets, seed, run, depth, power=PowerModel()):
         """The run on the depth block, on the per-step command and, if it ends, on the oracle
         loop; returns the depth block's outcome."""
         controller = SwimController(env, gait, step_schedule(targets), seed)
         commanded = SwimController(env, gait, step_schedule(targets), seed)
-        direct = _outcome(controller, *run, depth=depth)
-        assert direct == _outcome(_CommandOnly(commanded), *run, depth=depth)
+        direct = _outcome(controller, *run, depth=depth, power=power)
+        assert direct == _outcome(_CommandOnly(commanded), *run, depth=depth, power=power)
         if isinstance(direct, bytes):
             oracle = SwimController(env, gait, step_schedule(targets), seed)
-            assert direct == _oracle_simulate(oracle, *run, depth=depth)
+            assert direct == _oracle_simulate(oracle, *run, depth=depth, power=power)
             assert repr(controller._state) == repr(commanded._state) == repr(oracle._state)
         return direct
 
@@ -926,20 +970,22 @@ class TestDepthBlock:
         t0=st.floats(0.0, 100.0),
         depth=st.floats(0.0, 0.5),
         fields=st.sampled_from([hydro._STATE_FIELDS, hydro.PLANAR_FIELDS]),
+        power=_powers,
     )
     @example(GaitCommand(2.33, 20.0, 0.0, 1.0), 0.001, 0.001, 20, [(0.0, 0.2), (0.3, 0.25)], 3,
-             0.6, 0.001, 7, 0.0, 0.2, hydro._STATE_FIELDS)
+             0.6, 0.001, 7, 0.0, 0.2, hydro._STATE_FIELDS, PowerModel(0.3, 1.25))
     @example(GaitCommand(1.0, 20.0), 0.0, 1e-320, 1, [(0.0, 0.3)], 0, 0.05, 0.001, 1, 0.0, 0.0,
-             hydro._STATE_FIELDS)  # no quantization, and a PID refresh every step
+             hydro._STATE_FIELDS, PowerModel())  # no quantization, and a PID refresh every step
     @settings(max_examples=80, deadline=None)
     def test_equals_the_per_step_command_in_every_column(
         self, gait, noise, quantum, period_steps, targets, seed, duration, dt, every, t0, depth,
-        fields,
+        fields, power,
     ):
         env = dataclasses.replace(
             ENV, noise=noise, depth_resolution=quantum, control_period=period_steps * dt
         )
-        direct = self._check(env, gait, targets, seed, (duration, dt, t0, every, fields), depth)
+        direct = self._check(
+            env, gait, targets, seed, (duration, dt, t0, every, fields), depth, power)
         assert isinstance(direct, bytes)
 
     @pytest.mark.parametrize(
@@ -974,6 +1020,47 @@ class TestDepthBlock:
         for line in lines.splitlines(True):  # the nested lines keep their indentation
             assert line in source
         assert "command(" not in source and "controllers.depth_controller(" in source
+        assert all(line in source for line in _ROW)
+
+
+class TestBlockCalls:
+    """simulate makes two block calls a run, whatever its length: step 0 through the
+    commanded block, then the rest through the block it picks, which records as it goes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The maker of each block call that simulate makes."""
+        calls, factory = [], hydro._step_factory
+
+        def counted(name, make):
+            def maker(*run):
+                block = make(*run)
+                return lambda *args: calls.append(name) or block(*args)
+            return maker
+
+        monkeypatch.setattr(hydro, "_step_factory", lambda fields: {
+            name: counted(name, make) for name, make in factory(fields).items()
+            if name.startswith("make_")})
+        return calls
+
+    @pytest.mark.parametrize("loop, makers", [
+        ("at_rest", ["make_command", "make_law"]),  # the default config's hold
+        ("off_target", ["make_command", "make_depth"]),
+        ("command", ["make_command", "make_command"]),
+    ])
+    def test_a_default_25_s_run_makes_two_block_calls(self, calls, loop, makers):
+        gait = GaitCommand(1.0, 20.0)
+        if loop == "command":
+            records = simulate(ENV.params, _CommandOnly(SwimController(ENV, gait)), 25.0, ENV.dt,
+                               record_every=ENV.record_every)
+        else:
+            start = {} if loop == "at_rest" else {"initial_state": FishState(depth=0.25)}
+            records = run_condition(ENV, gait, 25.0, 0, **start)
+        assert len(records) == 2501 and calls == makers
+
+    def test_simulate_has_no_loop(self):
+        tree = ast.parse(inspect.getsource(simulate))
+        assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(tree))
 
 
 class TestSwayFromRest:

@@ -17,10 +17,10 @@ from morphfin.metrics import (
     cot,
     fit_quadratic,
     improvement,
-    servo_power,
     steady_window,
 )
 from morphfin.telemetry import Telemetry, TelemetryRecord
+from test_hydro import servo_power  # the oracle of the power_w column that the blocks write
 
 # Peak-to-peak yaw pairs and their printed improvements (measured data the
 # calibration anchors to): (amplitude deg, frequency Hz, erect, folded, printed %)
@@ -296,6 +296,14 @@ def test_condition_metrics_gives_the_cot_only_with_mass_and_gravity():
         condition_metrics(still, 1.0, mass=2.3, gravity=9.81)
 
 
+def test_the_mean_power_sums_left_to_right():
+    # 1 + 1e100 + 1 - 1e100 is 0.0 added left to right from 0.0, and 2.0 with the
+    # compensated summation that builtin sum uses on floats from Python 3.12 on
+    powers = [0.0] * 5 + [1.0, 1e100, 1.0, -1e100]  # at 2 Hz the window is [5, 8] s
+    records = _telemetry([_record(float(t), x=0.1 * t, power=p) for t, p in enumerate(powers)])
+    assert condition_metrics(records, 2.0).mean_power == 0.0
+
+
 # The steady-window metrics as three functions computed them, each filtering
 # the window from the times again: the reference condition_metrics must match.
 
@@ -330,7 +338,10 @@ def _oracle_mean_over_window(times, values, window):
     sel = [v for t, v in zip(times, values) if t0 <= t <= t1]
     if not sel:
         raise InsufficientDataError("window contains no samples")
-    return sum(sel) / len(sel)
+    total = 0.0
+    for value in sel:  # left to right, as builtin sum adds floats up to Python 3.11
+        total += value
+    return total / len(sel)
 
 
 def _oracle_condition_metrics(records, frequency):
