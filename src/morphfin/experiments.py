@@ -344,10 +344,12 @@ def run_depth_step(
     *,
     initial_depth: float,
 ) -> tuple[Telemetry, list[DepthStepReport]]:
-    """Closed-loop depth tracking of a target schedule by a still fish, with per-step analysis."""
+    """Closed-loop depth tracking of a target schedule by a still fish, with per-step analysis.
+
+    From planar rest the still gait has no thrust or moment: the other fields stay +0.0."""
     records = run_condition(
         env, _STILL_GAIT, duration, seed, initial_state=FishState(depth=initial_depth),
-        depth_schedule=step_schedule(list(schedule)))
+        depth_schedule=step_schedule(list(schedule)), fields=("depth", "heave_vel"))
     ordered = sorted(schedule)
     times, depths = records.column("time_s"), records.column("depth_m")
     reports = []

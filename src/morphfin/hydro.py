@@ -64,31 +64,6 @@ _GAIT = (("omega = 2.0 * pi * gait.frequency",
           "rate = amp_omega * cos(wt) * _DEG"))
 _MOMENT = (("reaction, half_tail = params.tail_reaction_coeff, params.tail_length / 2.0",),
            ("moment = reaction * rate * abs(rate) + thrust * sin(angle) * half_tail",))
-# The depth loop of a SwimController `loop`, written once for its command and the depth block:
-# lines run once per run, then at each time t on the true depth, with the loop's state in the
-# locals of _LOOP. The sensor adds seeded noise (gauss makes its normals in pairs, and the
-# reading takes the second of each); the syringe slews between calls at the rate the PID set,
-# which depth_controller keeps within max_rate; the PID refreshes at the control rate on the
-# quantized reading, and a reading of no finite number of quanta is used unquantized.
-_LOOP = "volume, slew, last, updated, memory"
-_DEPTH = (("from . import controllers  # at run time: controllers imports this module",
-           "env, schedule, gauss = loop.env, loop.depth_schedule, loop._gauss",
-           "pid, buoy, noise, quantum = env.pid, env.buoyancy, env.noise, env.depth_resolution",
-           "vmin, vmax, neutral = buoy.volume_min, buoy.volume_max, buoy.neutral_volume",
-           "period, update_after = env.control_period, env.control_period - 1e-12",
-           "weight = -env.params.water_density * env.params.gravity"),
-          ("sensed = depth if gauss is None else max(",
-           "    0.0, depth + (gauss(0.0, 1.0), gauss(0.0, noise))[1])",
-           "if last is not None and t > last:", [
-               "volume = volume + slew * (t - last)",
-               "volume = vmin if volume < vmin else vmax if volume > vmax else volume"],
-           "if updated is None or t - updated >= update_after:", [
-               "steps = sensed / quantum if quantum > 0.0 else inf",
-               "slew, memory = controllers.depth_controller(",
-               "    schedule(t), round(steps) * quantum if isfinite(steps) else sensed, pid, buoy,",
-               "    volume, period if updated is None else t - updated, memory)",
-               "updated = t"],
-           "last = t", "buoyancy = weight * (volume - neutral)"))
 
 
 @dataclass(frozen=True)
@@ -214,7 +189,7 @@ def _compiled(name: str, lines) -> dict:
     """The names `lines` define; linecache keeps the source for tracebacks and inspect."""
     source, filename = _source(lines), f"<hydro {name}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {**vars(math), **globals()}  # cos, sin, pi, isfinite, inf and hydro's names
+    namespace = {**vars(math), **globals()}  # cos, sin, pi, isfinite and hydro's names
     exec(compile(source, filename, "exec"), namespace)
     return namespace
 
@@ -228,29 +203,20 @@ gait_law = _compiled("gait law", [
             *_GAIT[1], "return angle, rate, frequency, amp, erection, buoyancy, volume"],
         "return control"],
 ])["gait_law"]
-# depth_law(loop) -> command(t, depth): one call of the depth loop on loop._state, then the
-# gait law; SwimController.command calls it, and the depth block runs the same lines inline
-depth_law = _compiled("depth law", [
-    "def depth_law(loop):", [*_DEPTH[0], "control = loop._control", "def command(t, depth):", [
-        f"{_LOOP} = loop._state", *_DEPTH[1], f"loop._state = {_LOOP}",
-        "return control(t, buoyancy, volume)"], "return command"],
-])["depth_law"]
 
 
 @functools.cache
 def _step_factory(fields: tuple[str, ...]) -> dict:
-    """make_command(params, power, dt, t0, command), make_law(params, power, dt, t0, gait,
-    control) and make_depth(params, power, dt, t0, loop, control) -> block(sv, loads, i, ends,
-    values) -> (sv, loads, control), generated from _RATES, _GAIT, _MOMENT and _DEPTH once per
-    field set. A block runs steps i+1 to the last of `ends` in locals: step i > 0 advances
-    `fields` (the rest hold their values at every stage) to t0 + i*dt under the loads of step
-    i-1, then gets its control and loads; at each of `ends` it appends the record, with the
-    PowerModel `power`'s servo power, to `values` (None records nothing). A commanded block
-    calls `command` and computes the loads inline; a law block evaluates the gait law and the
-    tail moment inline; a depth block runs the SwimController `loop`'s depth loop inline first,
-    on the state it reads from the loop at its start and writes back at its end. The last two
-    take the rest from step 0's `control` and loads. A ValueError of cos or sin, a non-finite
-    control, or a non-finite state at a record (naming its field) is a SimulationFault at t.
+    """make_command(params, power, dt, t0, command) and make_law(params, power, dt, t0, gait,
+    control) -> block(sv, loads, i, ends, values) -> (sv, loads, control), generated from
+    _RATES, _GAIT and _MOMENT once per field set. A block runs steps i+1 to the last of `ends`
+    in locals: step i > 0 advances `fields` (the rest hold their values at every stage) to
+    t0 + i*dt under the loads of step i-1, then gets its control and loads; at each of `ends`
+    it appends the record, with the PowerModel `power`'s servo power, to `values` (None records
+    nothing). A commanded block calls `command` and computes the loads inline; a law block
+    evaluates the gait law and the tail moment inline, and takes the rest from step 0's
+    `control` and loads. A ValueError of cos or sin, a non-finite control, or a non-finite
+    state at a record (naming its field) is a SimulationFault at t.
     """
     rows = [row for row in _RATES if row[0] in fields]
     if not 0 < len(rows) == len(set(fields)):
@@ -295,10 +261,10 @@ def _step_factory(fields: tuple[str, ...]) -> dict:
         "efficiency, idle_power = power.efficiency, power.idle_power",
         "half, sixth = dt / 2.0, dt / 6.0")
 
-    def maker(signature, once, control, finite, load, final, start=(), end=()):
+    def maker(signature, once, control, finite, load, final):
         block = "def block(sv, loads, i, ends, values):"
         return [f"def {signature}:", [*coefficients, *once, block, [
-            f"{state} = sv", f"{loads} = loads", *start, "t = t0",
+            f"{state} = sv", f"{loads} = loads", "t = t0",
             "for end in ends:", [
                 "for i in range(i + 1, end + 1):", [
                     "if i:", [
@@ -312,7 +278,7 @@ def _step_factory(fields: tuple[str, ...]) -> dict:
                     f"if not ({finite}):", ["raise SimulationFault(t)"],
                     *load],
                 "if values is not None:", record],
-            *end, f"return ({state}), ({loads}), {final}"], "return block"]]
+            f"return ({state}), ({loads}), {final}"], "return block"]]
 
     # a commanded step's loads
     load = ("angle, rate, frequency, amplitude, erection, buoyancy, volume = control",
@@ -327,13 +293,6 @@ def _step_factory(fields: tuple[str, ...]) -> dict:
         *maker("make_law(params, power, dt, t0, gait, control)",
                (*_GAIT[0], *_MOMENT[0], "erection, volume = control[4], control[6]"), _GAIT[1],
                "isfinite(angle) and isfinite(rate)", _MOMENT[1], "(angle, rate, *control[2:])"),
-        # a depth step's control: the loop's lines, then the gait's; a non-finite syringe
-        # volume makes the buoyancy non-finite, so three checks cover every field that changes
-        *maker("make_depth(params, power, dt, t0, loop, control)",
-               ("gait = loop.gait", *_GAIT[0], *_MOMENT[0], *_DEPTH[0], "erection = control[4]"),
-               _DEPTH[1] + _GAIT[1], "isfinite(angle) and isfinite(rate) and isfinite(buoyancy)",
-               _MOMENT[1], "(angle, rate, *control[2:5], buoyancy, volume)",
-               [f"{_LOOP} = loop._state"], [f"loop._state = {_LOOP}"]),
     ])
 
 
@@ -381,14 +340,13 @@ def simulate(
     yields ceil(duration/dt)+1 records, the first being the initial state); step 0 runs in a
     commanded _step_factory block, the rest in one block that records as it goes. The
     controller is handed the true time and depth every step, or at step 0 alone if its
-    `open_loop` is a gait, whose law then runs inline on step 0's buoyancy and syringe volume,
-    or if it has a depth loop (`depth_hold`), which then runs inline with the gait's law, or
-    gives way to a gait beside it (of a constant target) if step 0 leaves it at rest. A
-    non-finite control or state, or a ValueError that is no MorphfinError, is a SimulationFault.
-    Only `fields` are integrated; the others hold their start values, as does a sway that starts
-    at +0.0: it is unforced, so its rate is -0.0 at every stage and it stays +0.0 bit for bit
-    (one step turns a -0.0 into +0.0). So do, under a law of zero buoyancy, a heave from +0.0
-    and a depth that is not -0.0.
+    `open_loop` is a gait, whose law then runs inline on step 0's buoyancy and syringe volume.
+    A depth loop (`depth_hold`) gives way to a gait beside it (of a constant target) only if
+    step 0 leaves it `at_rest`, with heave and depth held. A non-finite control or state, or a
+    ValueError that is no MorphfinError, is a SimulationFault. Only `fields` are integrated;
+    the others hold their start values, as does a sway that starts at +0.0: it is unforced, so
+    its rate is -0.0 at every stage and it stays +0.0 bit for bit (one step turns a -0.0 into
+    +0.0). So do, under a law of zero buoyancy, a heave from +0.0 and a depth that is not -0.0.
     """
     check_run(duration, dt)
     if not isinstance(record_every, int) or record_every < 1:
@@ -411,21 +369,14 @@ def simulate(
     # at every stage, so it stays +0.0, and a depth with its sign bit clear keeps its bits
     held = control[5] == 0.0 == state.heave_vel and min(
         math.copysign(1.0, state.heave_vel), math.copysign(1.0, state.depth)) > 0.0
-    if hold := getattr(controller, "depth_hold", False):  # a SwimController's depth loop
-        volume, slew, _, _, memory = controller._state
-        # held, with no noise, each later update sees step 0's error of 0.0 and slews by 0.0,
-        # keeping a volume's bits unless -0.0; a refresh's dt is > 0 from t0 = 0 or past the slack
-        if not (held and controller._gauss is None and memory.prev_error == 0.0 == slew
-                and math.copysign(1.0, volume) > 0.0
-                and (state.time == 0.0 or controller.env.control_period > 1e-12)):
-            gait = None
+    # a depth loop that step 0 leaves moving stays in the commanded block
+    if getattr(controller, "depth_hold", False) and not (held and controller.at_rest()):
+        gait = None
     if gait is not None:
         if held:
             makers = _step_factory(tuple(f for f in fields if f not in ("heave_vel", "depth"))
                                    or tuple(fields))
         block = makers["make_law"](params, power_model, dt, state.time, gait, control)
-    elif hold:
-        block = makers["make_depth"](params, power_model, dt, state.time, controller, control)
     block(sv, loads, 0, chain(range(record_every, n_steps, record_every), (n_steps,)),
           records.values)
     return records

@@ -35,7 +35,7 @@ def default_buoyancy(volume=3e-5):
 
 def syringe_buoyancy(water_density, gravity, volume, neutral_volume):
     """Net buoyancy in N, positive up, of a syringe volume; zero at neutral. The depth
-    loop's buoyancy, hydro._DEPTH, must match this textbook form."""
+    loop's buoyancy, in SwimController.command, must match this textbook form."""
     return -water_density * gravity * (volume - neutral_volume)
 
 

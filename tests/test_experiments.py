@@ -581,6 +581,46 @@ class TestDepthStep:
         records, _ = run_depth_step(env, [(0.0, 0.0)], 20.0, initial_depth=0.05)
         assert all(r.depth_m >= 0.0 for r in records)
 
+    @given(
+        schedule=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.6)), min_size=1,
+                          max_size=3, unique_by=lambda step: step[0]),
+        initial_depth=st.floats(0.0, 0.6),
+        noise=st.sampled_from([0.0, NOISE_STD]) | st.floats(1e-6, 0.05),
+        quantum=st.sampled_from([0.0, 1e-320, 0.001]) | st.floats(1e-5, 0.05),
+        period_steps=st.integers(1, 25),  # the control period, in steps
+        dt=st.sampled_from([0.001, 0.002, 0.01]),
+        seed=st.integers(0, 2**32 - 1),
+        gain=st.just(None),  # kp = kd, or None for the default gains
+    )
+    # kp * 5 m and kd * (-5 m / 20 ms) overflow to +inf and -inf when the target steps at
+    # 0.5 s: the PID's output is nan, and the buoyancy a step later
+    @example([(0.0, 0.0), (0.5, 5.0)], 10.0, 0.0, 0.001, 20, 0.001, 0, 1e308)
+    @settings(max_examples=60, deadline=None)
+    def test_the_heave_only_run_is_the_all_fields_run(
+        self, schedule, initial_depth, noise, quantum, period_steps, dt, seed, gain
+    ):
+        pid = fast_env().pid if gain is None else dataclasses.replace(
+            fast_env().pid, kp=gain, kd=gain)
+        env = fast_env(dt=dt, noise=noise, depth_resolution=quantum, pid=pid,
+                       control_period=period_steps * dt)
+        factory, asked = hydro._step_factory, []
+
+        def outcome(fields):  # every column and report, or the fault, with `fields` integrated
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hydro, "_step_factory", lambda f: asked.append(f) or factory(fields(f)))
+                try:
+                    records, reports = run_depth_step(
+                        env, schedule, 1.5, seed, initial_depth=initial_depth)
+                except MorphfinError as exc:
+                    return type(exc), str(exc), getattr(exc, "time", None)
+            return records.values.tobytes(), _report_bits(reports)
+
+        heave_only = outcome(lambda f: f)
+        assert asked == [("depth", "heave_vel")]
+        assert heave_only == outcome(lambda f: hydro._STATE_FIELDS)
+        if gain is not None:
+            assert heave_only[:2] == (SimulationFault, "non-finite actuation at t=0.501000 s")
+
 
 def _oracle_depth_reports(records, schedule):
     """The per-record window filter that run_depth_step's bisect windows replaced."""

@@ -790,8 +790,8 @@ class TestCommandedLoads:
 
 class TestOpenLoopPath:
     """A SwimController with no depth loop hands simulate its gait: command runs once, and
-    the steps between two records run in one generated block of the gait's law. With a
-    depth loop, command runs once too (TestDepthBlock)."""
+    the steps between two records run in one generated block of the gait's law. A depth
+    loop that moves runs in command, every step (TestDepthLoop)."""
 
     @given(
         frequency=st.floats(0.0, 5.0),
@@ -850,10 +850,11 @@ class TestOpenLoopPath:
         assert calls == [0.0]
 
     @pytest.mark.parametrize("loop", ["schedule", "depth_hold", "at_rest"])
-    def test_command_runs_once_with_a_depth_loop(self, monkeypatch, loop):
-        # a depth block runs the loop inline and still refreshes the PID through
+    def test_command_runs_every_step_while_a_depth_loop_moves(self, monkeypatch, loop):
+        # command runs the loop every step and refreshes the PID through
         # controllers.depth_controller: at t0, then every 20 steps of 1 ms (50 Hz). A hold
-        # from rest at its target refreshes at t0 alone, then runs the gait's law block
+        # from rest at its target is commanded and refreshes at t0 alone, then runs the
+        # gait's law block
         calls = self._count_commands(monkeypatch)
         refreshes = _counted(monkeypatch, controllers, "depth_controller")
         gait = GaitCommand(1.0, 20.0)
@@ -868,7 +869,8 @@ class TestOpenLoopPath:
             # a start off the target moves the loop
             start = {} if loop == "at_rest" else {"initial_state": FishState(depth=0.25)}
             run_condition(ENV, gait, 1.0, 0, **start)
-        assert calls == [0.0]
+        assert _bits(calls) == _bits([0.0] if loop == "at_rest" else [
+            i * 0.001 for i in range(1001)])
         assert len(refreshes) == (1 if loop == "at_rest" else 51)
 
     @pytest.mark.parametrize(
@@ -937,14 +939,14 @@ class TestOpenLoopPath:
             pass
 
 
-class TestDepthBlock:
-    """A SwimController with a depth loop hands simulate the loop: a depth block runs
-    hydro._DEPTH inline, bit for bit as the per-step command that runs it through
-    hydro.depth_law, and leaves the controller's loop state where the command would."""
+class TestDepthLoop:
+    """A SwimController's depth loop runs in its command, which simulate calls every step
+    unless step 0 leaves a hold at rest: bit for bit as the controller seen through command
+    alone and as the former per-step loop, with the loop's state left where they leave it."""
 
     def _check(self, env, gait, targets, seed, run, depth, power=PowerModel()):
-        """The run on the depth block, on the per-step command and, if it ends, on the oracle
-        loop; returns the depth block's outcome."""
+        """The run of the controller, of it seen through command alone and, if it ends, of
+        the oracle loop; returns the controller's outcome."""
         controller = SwimController(env, gait, step_schedule(targets), seed)
         commanded = SwimController(env, gait, step_schedule(targets), seed)
         direct = _outcome(controller, *run, depth=depth, power=power)
@@ -1012,16 +1014,6 @@ class TestDepthBlock:
         if fault[2] is not None:  # a DomainError carries no time
             assert direct[2] == pytest.approx(fault[2], abs=1e-12)
 
-    def test_the_block_reads_as_source(self):
-        controller = SwimController(ENV, GaitCommand(1.0, 20.0), step_schedule([(0.0, 0.2)]))
-        block = _block("make_depth", hydro._STATE_FIELDS, controller, controller.command(0.0, 0.2))
-        source = inspect.getsource(block)
-        lines = hydro._source((*hydro._DEPTH[1], *hydro._GAIT[1], *hydro._MOMENT[1]))
-        for line in lines.splitlines(True):  # the nested lines keep their indentation
-            assert line in source
-        assert "command(" not in source and "controllers.depth_controller(" in source
-        assert all(line in source for line in _ROW)
-
 
 class TestBlockCalls:
     """simulate makes two block calls a run, whatever its length: step 0 through the
@@ -1045,7 +1037,7 @@ class TestBlockCalls:
 
     @pytest.mark.parametrize("loop, makers", [
         ("at_rest", ["make_command", "make_law"]),  # the default config's hold
-        ("off_target", ["make_command", "make_depth"]),
+        ("off_target", ["make_command", "make_command"]),
         ("command", ["make_command", "make_command"]),
     ])
     def test_a_default_25_s_run_makes_two_block_calls(self, calls, loop, makers):
@@ -1141,8 +1133,8 @@ class TestHeldDepthHold:
     the loop. simulate runs the loop at step 0, then the gait's law block alone if step 0
     leaves the loop at rest: no noise drawn, a PID error and a slew of 0.0, a syringe volume
     whose sign bit is clear, heave and depth held, and no later PID refresh that could see a
-    dt <= 0. Every column of a run, and any fault, is that of the same run on the depth
-    block."""
+    dt <= 0. Every column of a run, and any fault, is that of the same run with the loop
+    commanded every step."""
 
     NEUTRAL = ENV.buoyancy.neutral_volume
     GAIT = GaitCommand(1.0, 20.0)
@@ -1183,7 +1175,7 @@ class TestHeldDepthHold:
     # t never moves, so a refresh past no slack refreshes again at a dt of 0, and faults
     @example(**{**REST, "t0": 1e20, "period": 1e-13})
     @settings(max_examples=300, deadline=None)
-    def test_every_column_and_fault_is_the_depth_blocks(
+    def test_every_column_and_fault_is_the_commanded_loops(
         self, gait, noise, syringe, quantum, target, start, heave, t0, period, gains, params,
         duration, dt, every,
     ):
@@ -1212,10 +1204,10 @@ class TestHeldDepthHold:
 
         held, held_refreshes = counting_refreshes(
             lambda: run_condition(env, gait, duration, 5, **given))
-        depth_block, loop_refreshes = counting_refreshes(lambda: simulate(
+        commanded, loop_refreshes = counting_refreshes(lambda: simulate(
             params, loop(), duration, dt, initial_state=state, power_model=env.power,
             record_every=every))
-        assert held == depth_block
+        assert held == commanded
         steps = depth / quantum if quantum > 0.0 else math.inf  # the quantizer's
         at_rest = (noise == 0.0 and volume == neutral and math.copysign(1.0, volume) > 0.0
                    and all(map(math.isfinite, (pid.kp, pid.ki, pid.kd)))
