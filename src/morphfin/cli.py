@@ -150,13 +150,8 @@ def _cmd_depth_step(config: RunConfig) -> dict:
 
 
 def _cmd_calibrate(config: RunConfig) -> dict:
-    result = xp.calibrate(
-        xp.default_targets(),
-        _environment(config),
-        xp.DEFAULT_BOUNDS,
-        step_fraction=0.05,
-        verbose=True,
-    )
+    result = xp.calibrate(xp.default_targets(), _environment(config), xp.DEFAULT_BOUNDS,
+                          step_fraction=0.05, verbose=True)
     summary = {
         "parameters": result.parameters,
         "residuals": result.residuals,

@@ -169,10 +169,20 @@ def config_from_dict(data: dict) -> RunConfig:
     return config
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice, whose last value json.loads keeps, is an error."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"duplicate key {reprlib.repr(key)}")
+        data[key] = value
+    return data
+
+
 def load_config(path) -> RunConfig:
     """Load and validate a JSON config file."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
         raise ConfigError(f"invalid JSON: {exc}", str(path)) from exc
     return config_from_dict(data)
@@ -181,4 +191,4 @@ def load_config(path) -> RunConfig:
 def load_default_config() -> RunConfig:
     """The committed calibrated default configuration."""
     text = resources.files("morphfin.configs").joinpath("default.json").read_text()
-    return config_from_dict(json.loads(text))
+    return config_from_dict(json.loads(text, object_pairs_hook=_object))

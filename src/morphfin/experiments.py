@@ -25,7 +25,7 @@ from .controllers import SwimController
 from .errors import (
     ConfigError, DomainError, InsufficientDataError, MorphfinError, SimulationFault,
 )
-from .hydro import _STATE_FIELDS, PLANAR_FIELDS, YAW_FIELDS, FishParams, FishState, simulate
+from .hydro import _STATE_FIELDS, YAW_FIELDS, FishParams, FishState, simulate
 from .metrics import PowerModel, cot, improvement, steady_window, transient
 from .telemetry import Telemetry
 
@@ -144,13 +144,11 @@ def run_condition(
     """One seeded simulation of a single gait condition, integrating the state `fields`.
 
     The depth loop tracks `depth_schedule` when one is given; otherwise, with
-    `env.depth_hold` and `depth` in `fields`, it holds `env.target_depth`, by default from a
-    start at that depth. That target is constant, so the controller's `open_loop` is its gait
-    too, and simulate runs the gait's law alone after step 0 if step 0 leaves the loop at rest.
-    A metric that reads no depth passes the fields it reads: from rest with no depth loop,
-    heave and depth stay 0.0, so PLANAR_FIELDS give the full run's bits.
+    `env.depth_hold`, it holds `env.target_depth`, by default from a start at that depth.
+    That target is constant, so the controller's `open_loop` is its gait too, and simulate
+    runs the gait's law alone after step 0 if step 0 leaves the loop at rest.
     """
-    if constant := depth_schedule is None and env.depth_hold and "depth" in fields:
+    if constant := depth_schedule is None and env.depth_hold:
         depth_schedule = step_schedule([(0.0, env.target_depth)])
         initial_state = initial_state or FishState(depth=env.target_depth)
     controller = SwimController(env, gait, depth_schedule, seed)
@@ -253,19 +251,17 @@ def _sweep_rows(
 
     Cell `i` runs once, with seed `spec.seed + 1000*i`. The seed and the sensor
     noise reach only the depth loop, and no metric reads depth, so the one run
-    stands for all `spec.repeats`, and each std is 0. A run whose records are not kept
-    integrates PLANAR_FIELDS alone, so it has no depth loop and no heave or depth can fault it.
+    stands for all `spec.repeats`, and each std is 0. `keep_records` only collects the runs.
     """
     if spec.kind != kind:
         raise DomainError(f"spec kind must be {kind}, got {spec.kind!r}")
     spec.validate()
-    fields = PLANAR_FIELDS if keep_records is None else _STATE_FIELDS
     rows = []
     cells = itertools.product(spec.fin_states, spec.amplitudes, spec.frequencies)
     for i, (fin_state, amplitude, frequency) in enumerate(cells):
         gait = GaitCommand(frequency, amplitude, fin_erection_setpoint=_erection(fin_state))
         try:
-            records = run_condition(env, gait, spec.duration, spec.seed + 1000 * i, fields=fields)
+            records = run_condition(env, gait, spec.duration, spec.seed + 1000 * i)
             m = _metrics_with_cot(env, records, frequency)
         except SimulationFault as exc:
             raise MorphfinError(
@@ -449,8 +445,7 @@ def evaluate_targets(
 ) -> dict[str, float]:
     """Simulated value of each target observable, from one run of its condition per target.
 
-    Its runs drop the depth loop, which no metric reads, so a heave that alone diverges faults none.
-    `seed` is accepted and reaches no code: without a depth loop no noise is drawn.
+    `seed` is accepted and reaches no code: no run has a depth loop (see _evaluate).
     """
     return _evaluate(env, targets, {})
 
@@ -458,11 +453,12 @@ def evaluate_targets(
 def _evaluate(env, targets, memo: dict) -> dict[str, float]:
     """evaluate_targets, each run's metrics kept in `memo`, or None if the run faulted.
 
-    Each run is a run_condition from rest on YAW_FIELDS for a p2p_yaw target, as yaw reads no
-    other state, else on PLANAR_FIELDS: no depth loop. A key holds what reaches the metric: the
-    damping pair folded to the body + e*fin read at erection e (a nan fold, inf*0, never hits),
-    and for a yaw run YAW_FIELDS in place of the PowerModel, which yaw does not read.
+    No metric reads depth, so no run has a depth loop. Each run is a run_condition from rest,
+    on YAW_FIELDS alone for a p2p_yaw target, as yaw reads no other state. A key holds what
+    reaches the metric: the damping pair folded to the body + e*fin read at erection e (a nan
+    fold, inf*0, never hits), and for a yaw run YAW_FIELDS in place of the unread PowerModel.
     """
+    env = replace(env, depth_hold=False)
     p = env.params
     p.validate()  # a folded damping pair could hide a negative one
     out = {}
@@ -478,7 +474,7 @@ def _evaluate(env, targets, memo: dict) -> dict[str, float]:
             memo[key] = None  # stays None if the run faults
             gait = GaitCommand(t.frequency, t.amplitude, fin_erection_setpoint=e)
             records = run_condition(env, gait, duration, 0,
-                                    fields=YAW_FIELDS if yaw else PLANAR_FIELDS)
+                                    fields=YAW_FIELDS if yaw else _STATE_FIELDS)
             memo[key] = (condition_metrics(records, t.frequency) if yaw  # no move, so no COT
                          else _metrics_with_cot(env, records, t.frequency))
         if memo[key] is None:

@@ -52,9 +52,6 @@ _RATES = (
 _STATE_FIELDS = tuple(field for field, _, _ in _RATES)
 # all that yaw reads: a step of these fields alone calls no cos or sin
 YAW_FIELDS = ("yaw", "yaw_rate")
-# all but heave and depth, which a run with no buoyancy from rest holds at 0.0 bit for bit
-# (simulate holds a sway that starts at +0.0 too)
-PLANAR_FIELDS = ("x", "y", "yaw", "surge_vel", "sway_vel", "yaw_rate")
 # The gait law and the tail moment, each written once for SwimController's law and the
 # blocks: lines run once per run (on the GaitCommand `gait` or FishParams `params`), then
 # at each time t. The moment is the tail's reaction plus thrust vectored by its deflection.

@@ -268,6 +268,17 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep-speed", "depth-step"])
+    def test_a_repeated_key_is_an_error(self, tmp_path, capsys, command):
+        # the second "sim" once replaced the first, so this ran 20 s with seed 3
+        config = tmp_path / "config.json"
+        config.write_text('{"sim": {"duration": 6}, "sim": {"seed": 3}}')
+        out = tmp_path / "out"
+        rc = main(["--config", str(config), "--out", str(out), command])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: duplicate key 'sim'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "data, expected",
         [

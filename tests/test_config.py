@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import morphfin.config
 from morphfin.config import (
     RunConfig,
     SimSettings,
@@ -115,6 +116,33 @@ def test_invalid_json_is_config_error(tmp_path, text):
     with pytest.raises(ConfigError, match="invalid JSON: ") as exc:
         load_config(path)
     assert exc.value.field == str(path)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"sim": {"duration": 6}, "sim": {"seed": 3}}', "'sim'"),
+        ('{"fish": {"mass": 2.0, "mass": 2.0}}', "'mass'"),
+        ('{"experiment": {"frequencies": [{"a": 1, "b": 2, "a": 3}]}}', "'a'"),
+        ('{"' + "k" * 100000 + '": 1, "' + "k" * 100000 + '": 1}', "'kkkkkkkkkkkk...kkkkkkkkkkkkk'"),
+    ],
+    ids=["section", "setting", "in-an-array", "long"],
+)
+def test_a_repeated_key_is_config_error(tmp_path, text, key):
+    # json.loads alone keeps a repeated key's last value: the first example loaded as a
+    # 20 s run of seed 3, its duration of 6 s silently dropped
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"duplicate key {key}"
+
+
+def test_a_repeated_key_in_the_packaged_default_is_config_error(monkeypatch, tmp_path):
+    (tmp_path / "default.json").write_text('{"gait": {"bias": 1.0}, "gait": {}}')
+    monkeypatch.setattr(morphfin.config.resources, "files", lambda package: tmp_path)
+    with pytest.raises(ConfigError, match="^duplicate key 'gait'$"):
+        load_default_config()
 
 
 def test_missing_file_is_os_error(tmp_path):

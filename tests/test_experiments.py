@@ -206,6 +206,8 @@ class TestRepeatDedupe:
 
 
 _PLANAR_PARAMS = ("thrust_coeff", "tail_reaction_coeff", "yaw_damping_body", "yaw_damping_fin")
+# all fields but heave and depth, which a run of zero buoyancy from rest holds at +0.0
+PLANAR_FIELDS = ("x", "y", "yaw", "surge_vel", "sway_vel", "yaw_rate")
 _PLANAR_COLUMNS = [c for c in HEADER.split(",") if c not in ("depth_m", "syringe_ml")]
 
 
@@ -324,14 +326,14 @@ class TestPlanarFieldsRun:
         gait = GaitCommand(frequency, amplitude, bias, fin_erection_setpoint=erection)
         duration = transient(frequency) + 4.0 / frequency
         full = _outcome(env, gait, duration, hydro._STATE_FIELDS)
-        bits, fault = _outcome(env, gait, duration, hydro.PLANAR_FIELDS)
+        bits, fault = _outcome(env, gait, duration, PLANAR_FIELDS)
         assert bits == full[0] and _fault(fault) == _fault(full[1])
 
     def test_a_diverging_yaw_faults_alike(self):
         env = fast_env(params=dataclasses.replace(FishParams(), **_DIVERGING))
         gait = GaitCommand(2.0, 30.0, fin_erection_setpoint=0.5)
         full, planar = (_outcome(env, gait, 12.0, f)[1]
-                        for f in (hydro._STATE_FIELDS, hydro.PLANAR_FIELDS))
+                        for f in (hydro._STATE_FIELDS, PLANAR_FIELDS))
         assert full is not None and _fault(planar) == _fault(full)
 
     @pytest.mark.parametrize(
@@ -345,33 +347,36 @@ class TestPlanarFieldsRun:
         ids=["no_depth_loop", "depth_hold", "schedule", "given_start"],
     )
     @pytest.mark.parametrize(
-        "fields", [hydro._STATE_FIELDS, hydro.PLANAR_FIELDS, hydro.YAW_FIELDS],
+        "fields", [hydro._STATE_FIELDS, PLANAR_FIELDS, hydro.YAW_FIELDS],
         ids=["all", "planar", "yaw"],
     )
-    def test_run_condition_passes_its_fields_and_holds_depth_only_if_they_hold_it(
+    def test_run_condition_passes_its_fields_and_holds_depth_on_any_fields(
         self, monkeypatch, held, kwargs, fields
     ):
-        # env.depth_hold starts a depth loop from its target depth only on a run of
-        # depth; a given schedule runs its loop on any fields
+        # env.depth_hold alone starts a depth loop from its target depth, and a given
+        # schedule runs its loop: `fields` only names the fields to integrate
         env = fast_env(depth_hold=held)
         simulated = _counting(monkeypatch, experiments, "simulate")
         run_condition(env, GaitCommand(), 1.0, 0, fields=fields, **kwargs)
         [(args, called)] = simulated
         assert called["fields"] == fields
-        holds = held and "depth" in fields
-        assert args[1].depth_hold == (holds or "depth_schedule" in kwargs)
+        assert args[1].depth_hold == (held or "depth_schedule" in kwargs)
         assert called["initial_state"] == (
-            FishState(depth=env.target_depth) if holds else kwargs.get("initial_state")
+            FishState(depth=env.target_depth) if held else kwargs.get("initial_state")
         )
 
-    def test_evaluate_targets_runs_planar_fields_for_every_target_but_yaw(self, monkeypatch):
+    def test_evaluate_targets_runs_all_fields_for_every_target_but_yaw(self, monkeypatch):
+        # no calibration metric reads depth, so no run has a depth loop, even with
+        # env.depth_hold; a yaw target integrates YAW_FIELDS, and any other all fields
         targets = experiments.default_targets()
         simulated = _counting(monkeypatch, experiments, "simulate")
-        evaluate_targets(fast_env(), targets)
+        evaluate_targets(fast_env(depth_hold=True), targets)
         yaw = [t.observable == "p2p_yaw" for t in targets]
         assert [kw["fields"] for _, kw in simulated] == [
-            hydro.YAW_FIELDS if y else hydro.PLANAR_FIELDS for y in yaw
+            hydro.YAW_FIELDS if y else hydro._STATE_FIELDS for y in yaw
         ]
+        assert all(args[1].depth_hold is False for args, _ in simulated)
+        assert all(kw["initial_state"] is None for _, kw in simulated)
 
 
 class TestYawDecoupling:
@@ -481,7 +486,8 @@ def _noisy_held_env() -> RunEnvironment:
 
 
 class TestMetricOnlyRuns:
-    """A run whose records nobody keeps runs no depth loop, and its metrics keep their bits."""
+    """Calibration runs no depth loop, and a grid runs each cell alike whether or not its
+    records are kept; the metrics keep their bits."""
 
     def test_evaluate_targets_runs_no_depth_loop(self, monkeypatch):
         env, targets = _noisy_held_env(), experiments.default_targets()
@@ -514,16 +520,27 @@ class TestMetricOnlyRuns:
         ],
         ids=["speed_sweep", "yaw_study"],
     )
-    def test_grid_runs_the_depth_loop_only_for_kept_records(self, monkeypatch, protocol, spec):
-        env = _noisy_held_env()
-        calls = _counting(monkeypatch, controllers, "depth_controller")
-        bare = protocol(env, spec, keep_records=None)
-        assert calls == []
-        kept = []
-        held = protocol(env, spec, keep_records=kept)
-        assert len(calls) > 0 and len(kept) == 2 * len(spec.frequencies)
+    @pytest.mark.parametrize("noise", [0.0, NOISE_STD], ids=["noise_off", "noise_on"])
+    def test_a_kept_grid_and_an_unkept_grid_run_alike(self, monkeypatch, protocol, spec, noise):
+        # keep_records only collects: both grids make the same simulate calls (fields,
+        # depth loop, start state) and the same PID refreshes, and give bit-equal rows
+        env = fast_env(depth_hold=True, noise=noise)
+        refreshes = _counting(monkeypatch, controllers, "depth_controller")
+        simulated = _counting(monkeypatch, experiments, "simulate")
         rows = (lambda r: r.rows) if protocol is run_speed_sweep else (lambda r: r.table)
-        assert _field_bits(rows(bare)) == _field_bits(rows(held))
+        outcomes = []
+        for keep in (None, []):
+            del simulated[:], refreshes[:]
+            grid = protocol(env, spec, keep_records=keep)
+            calls = [(args[1].depth_hold, kw["fields"], kw["initial_state"])
+                     for args, kw in simulated]
+            outcomes.append((calls, len(refreshes), _field_bits(rows(grid))))
+        assert outcomes[0] == outcomes[1]
+        calls, refreshed, _ = outcomes[0]
+        cells = 2 * len(spec.frequencies)
+        assert calls == [(True, hydro._STATE_FIELDS, FishState(depth=env.target_depth))] * cells
+        # each cell refreshes at step 0, and only a noisy loop moves on
+        assert refreshed >= cells and (refreshed > cells) == (noise > 0.0)
 
 
 class TestSeedProperties:

@@ -33,6 +33,8 @@ from morphfin.metrics import PowerModel
 
 DEG = math.pi / 180.0
 ENV = _environment(RunConfig())
+# all fields but heave and depth, which a run of zero buoyancy from rest holds at +0.0
+PLANAR_FIELDS = ("x", "y", "yaw", "surge_vel", "sway_vel", "yaw_rate")
 
 
 class ConstantController:
@@ -500,7 +502,7 @@ class TestScalarRk4Oracle:
     CLOSED = [
         hydro._STATE_FIELDS,
         hydro.YAW_FIELDS,
-        hydro.PLANAR_FIELDS,
+        PLANAR_FIELDS,
         ("surge_vel",),
         ("depth", "heave_vel"),
     ]
@@ -802,11 +804,11 @@ class TestOpenLoopPath:
         dt=st.sampled_from([0.01, 0.005, 0.001, 0.0007]),
         every=st.integers(1, 12),
         t0=st.floats(0.0, 1e4),
-        fields=st.sampled_from([hydro.YAW_FIELDS, hydro.PLANAR_FIELDS, hydro._STATE_FIELDS]),
+        fields=st.sampled_from([hydro.YAW_FIELDS, PLANAR_FIELDS, hydro._STATE_FIELDS]),
         power=_powers,
     )
     @example(1.5, 20.0, 0.0, 0.0, 0.5, 0.001, 10, 0.0, hydro._STATE_FIELDS, PowerModel())
-    @example(2.33, 20.0, 5.0, 1.0, 0.4955, 0.001, 10, 3.0, hydro.PLANAR_FIELDS,  # 496 steps
+    @example(2.33, 20.0, 5.0, 1.0, 0.4955, 0.001, 10, 3.0, PLANAR_FIELDS,  # 496 steps
              PowerModel(1.0, 0.0))
     # at dt = 0.01 a fast, wide gait drives the yaw rate past the largest float in 4 steps
     @example(5.0, 39.0, 0.0, 1.0, 0.5, 0.01, 1, 0.0, hydro.YAW_FIELDS, PowerModel())
@@ -894,7 +896,7 @@ class TestOpenLoopPath:
         if t0 >= 0.0:  # a start before t = 0 is the controller's DomainError
             assert direct[0] is SimulationFault and direct[2] >= t0
 
-    @pytest.mark.parametrize("fields", [hydro.PLANAR_FIELDS, hydro._STATE_FIELDS])
+    @pytest.mark.parametrize("fields", [PLANAR_FIELDS, hydro._STATE_FIELDS])
     def test_a_yaw_that_diverges_between_records_faults_at_its_own_step(self, fields):
         # a tail reaction so strong that the yaw rate's quadratic damping overflows: at
         # step 2 the stage yaw is infinite and cos raises ValueError, 8 steps before a record
@@ -907,7 +909,7 @@ class TestOpenLoopPath:
         assert round((direct[2] - 0.05) / 0.001) == 2
 
     def test_the_block_reads_as_source(self):
-        block = _block("make_law", hydro.PLANAR_FIELDS, GaitCommand(1.0, 20.0), ControlInput())
+        block = _block("make_law", PLANAR_FIELDS, GaitCommand(1.0, 20.0), ControlInput())
         source = inspect.getsource(block)
         assert source.startswith("    def block(sv, loads, i, ends, values):\n")
         for line in (*hydro._GAIT[1], *hydro._MOMENT[1], "c2, s2 = cos(yaw2), sin(yaw2)"):
@@ -971,7 +973,7 @@ class TestDepthLoop:
         every=st.integers(1, 12),
         t0=st.floats(0.0, 100.0),
         depth=st.floats(0.0, 0.5),
-        fields=st.sampled_from([hydro._STATE_FIELDS, hydro.PLANAR_FIELDS]),
+        fields=st.sampled_from([hydro._STATE_FIELDS, PLANAR_FIELDS]),
         power=_powers,
     )
     @example(GaitCommand(2.33, 20.0, 0.0, 1.0), 0.001, 0.001, 20, [(0.0, 0.2), (0.3, 0.25)], 3,
@@ -1075,7 +1077,7 @@ class TestSwayFromRest:
         | _params,
         dt=st.sampled_from([0.001, 0.01]),
         every=st.integers(1, 12),
-        fields=st.sampled_from([hydro._STATE_FIELDS, hydro.PLANAR_FIELDS, hydro.YAW_FIELDS]),
+        fields=st.sampled_from([hydro._STATE_FIELDS, PLANAR_FIELDS, hydro.YAW_FIELDS]),
     )
     # a still fish from x = -0.0 at a yaw whose cos and sin are both negative: the step
     # writes x = +0.0 only as long as the x rate keeps its sway term
@@ -1083,7 +1085,7 @@ class TestSwayFromRest:
              hydro._STATE_FIELDS)
     # a step turns a start sway of -0.0 into +0.0: it must be integrated
     @example(-0.0, 4.0, -0.0, -0.0, GaitCommand(0.0, 0.0), "depth_loop", 0.001, FishParams(),
-             0.001, 1, hydro.PLANAR_FIELDS)
+             0.001, 1, PLANAR_FIELDS)
     @settings(max_examples=150, deadline=None)
     def test_every_column_and_fault_is_the_full_blocks(
         self, sway, yaw, x, y, gait, loop, noise, params, dt, every, fields

@@ -7,7 +7,7 @@ import morphfin
 # Lines in src/morphfin/*.py when the ceiling was last set. Lower it whenever
 # a change removes lines; never raise it: a change that must add lines
 # removes as many elsewhere.
-LINE_CEILING = 2366
+LINE_CEILING = 2364
 
 
 def _lines():
